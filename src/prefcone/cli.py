@@ -9,6 +9,7 @@ and 64 for malformed flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -45,6 +46,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="prefcone",

@@ -60,24 +60,21 @@ class GeneratorCone:
     """V-representation: judgement generators plus the p unit axis generators."""
 
     pref_generators: np.ndarray  # (t, p)
-    axis_generators: np.ndarray  # (p, p), always the standard basis
     epsilon: float
 
     def __post_init__(self):
-        axes = np.asarray(self.axis_generators, dtype=float)
-        if axes.ndim != 2 or axes.shape[0] != axes.shape[1]:
-            raise ValueError("axis_generators must be a square matrix")
-        p = axes.shape[0]
-        if not np.array_equal(axes, np.eye(p)):
-            raise ValueError("axis_generators must be exactly the standard basis")
-        pref = np.asarray(self.pref_generators, dtype=float).reshape(-1, p)
+        pref = np.atleast_2d(np.asarray(self.pref_generators, dtype=float))
         object.__setattr__(self, "pref_generators", pref)
-        object.__setattr__(self, "axis_generators", axes)
         object.__setattr__(self, "epsilon", float(self.epsilon))
 
     @property
     def p(self) -> int:
-        return self.axis_generators.shape[0]
+        return self.pref_generators.shape[1]
+
+    @property
+    def axis_generators(self) -> np.ndarray:
+        """(p, p) standard basis: the orthant part of the cone."""
+        return np.eye(self.p)
 
     @property
     def t(self) -> int:
@@ -125,11 +122,7 @@ class FacetCone:
 
 def preference_cone(inst: PreferenceInstance, epsilon: float = 0.0) -> GeneratorCone:
     """Cone generated by the instance's judgement directions and the orthant."""
-    return GeneratorCone(
-        pref_generators=generators(inst, epsilon),
-        axis_generators=np.eye(inst.p),
-        epsilon=epsilon,
-    )
+    return GeneratorCone(generators(inst, epsilon), epsilon)
 
 
 def dual_hrep(cone: GeneratorCone) -> np.ndarray:
@@ -150,10 +143,9 @@ def extreme_rays(hrep: np.ndarray, max_dim: int = MAX_DD_DIM) -> FacetCone:
     deterministic output.  If the hrep cone is {0} the primal is the whole
     space and the result carries ``is_whole_space=True``.
 
-    When the hrep cone contains lines, the returned rays are extreme rays
-    of its quotient modulo the lineality space, represented orthogonal to
-    it.  That case never arises from :func:`dual_hrep`, whose axis rows pin
-    the cone inside the nonnegative orthant.
+    The hrep cone must be pointed (rank-p rows); one that contains a line
+    raises ValueError.  :func:`dual_hrep` always qualifies, since its axis
+    rows pin the cone inside the nonnegative orthant.
     """
     rows = np.atleast_2d(np.asarray(hrep, dtype=float))
     if rows.shape[0] == 0:
@@ -168,20 +160,13 @@ def extreme_rays(hrep: np.ndarray, max_dim: int = MAX_DD_DIM) -> FacetCone:
     if rows.shape[0] == 0:
         raise ValueError("hrep rows are all zero")
 
-    # Quotient out the lineality space {d : rows.d = 0}; skip the change of
-    # basis entirely in the common full-rank (trivial lineality) case.
-    _, sv, vt = np.linalg.svd(rows)
-    rank = int(np.sum(sv > 1e-10 * max(rows.shape) * sv[0]))
-    quotient = None if rank == p else vt[:rank].T  # (p, q) orthonormal
-    reduced = rows if quotient is None else rows @ quotient
-    rays_q = _dd_pointed(reduced)
-    if rays_q.shape[0] == 0:
-        if rank < p:
-            raise ValueError(
-                "hrep cone is a nontrivial subspace; it has no extreme rays"
-            )
+    sv = np.linalg.svd(rows, compute_uv=False)
+    if np.sum(sv > 1e-10 * max(rows.shape) * sv[0]) < p:
+        raise ValueError("hrep cone contains a nontrivial subspace; it is not pointed")
+    rays = _dd_pointed(rows)
+    if rays.shape[0] == 0:
         return FacetCone(facet_normals=np.zeros((0, p)), is_whole_space=True)
-    rays = rays_q.copy() if quotient is None else rays_q @ quotient.T
+    rays = np.ascontiguousarray(rays)  # the row norms' rounding depends on memory order
     rays[np.abs(rays) < 1e-12] = 0.0
     rays /= np.linalg.norm(rays, axis=1)[:, None]
     order = np.lexsort(np.round(rays, 12).T[::-1])
@@ -204,7 +189,7 @@ def _dd_pointed(A: np.ndarray) -> np.ndarray:
             base.append(i)
             if len(base) == q:
                 break
-    # rank(A) == q because the lineality space was quotiented out
+    # rank(A) == q: extreme_rays rejects rank-deficient input
     rays = np.linalg.inv(A[base]).T  # row i solves A[base] @ ray = e_i
     rays /= np.linalg.norm(rays, axis=1)[:, None]
     processed = list(base)

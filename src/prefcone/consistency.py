@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .cones import dual_hrep, extreme_rays, preference_cone
-from .errors import MaxIterExceededError, NotPointedError
-from .instance import PreferenceInstance, generators, require_valid
+from .errors import DimensionTooLargeError, MaxIterExceededError, NotPointedError
+from .instance import PreferenceInstance, generators
 from .lp import build_pointedness_lp, solve
 
 __all__ = [
@@ -64,14 +64,15 @@ class ConsistencyReport:
     """Verdict bundle; the four equivalent statements share one truth value.
 
     ``weight_certificate`` and ``epsilon_bar`` are present exactly when the
-    verdict is consistent.
+    verdict is consistent.  ``facet_count`` is None when p exceeds the
+    double description cap; the verdict itself does not depend on it.
     """
 
     pointed: bool
     z_star: float
     weight_certificate: np.ndarray | None
     epsilon_bar: float | None
-    facet_count: int
+    facet_count: int | None
     verdict_text: str
 
     @property
@@ -110,7 +111,6 @@ def test_pointedness(
     d part of the optimal solution is returned as certificate.  It satisfies
     d >= 1 componentwise and ``gen_j . d >= 1`` for every generator.
     """
-    require_valid(inst)
     gens = generators(inst, epsilon)
     sol = solve(build_pointedness_lp(gens, inst.p))
     z_star = float(sol.objective_value)
@@ -131,11 +131,16 @@ def epsilon_search(
     works and the loop would never stop).  Returns the first epsilon on the
     schedule that tests pointed; every smaller epsilon then works too.
     """
-    cfg = cfg or EpsilonSearchConfig()
     if not test_pointedness(inst, 0.0).pointed:
         raise NotPointedError(
             "the preference cone is not pointed; no perturbation can be"
         )
+    return _backtrack(inst, cfg)
+
+
+def _backtrack(inst: PreferenceInstance, cfg: EpsilonSearchConfig | None) -> float:
+    """:func:`epsilon_search` for callers that know the unperturbed cone is pointed."""
+    cfg = cfg or EpsilonSearchConfig()
     for i in range(cfg.max_iter):
         eps = cfg.beta**i * cfg.epsilon0
         if test_pointedness(inst, eps).pointed:
@@ -163,25 +168,24 @@ def consistency_verdict(
     inst: PreferenceInstance, cfg: EpsilonSearchConfig | None = None
 ) -> ConsistencyReport:
     """Run the full test and assemble the report."""
-    require_valid(inst)
     result = test_pointedness(inst, 0.0)
-    facets = extreme_rays(dual_hrep(preference_cone(inst, 0.0)))
-    epsilon_bar = None
-    weights = None
-    if result.pointed:
-        epsilon_bar = epsilon_search(inst, cfg)
-        weights = result.certificate
+    try:
+        facet_count = extreme_rays(dual_hrep(preference_cone(inst, 0.0))).n_facets
+        notes = []
+    except DimensionTooLargeError as exc:
+        facet_count = None
+        notes = [f"facet count not computed: {exc}"]
     return ConsistencyReport(
         pointed=result.pointed,
         z_star=result.z_star,
-        weight_certificate=weights,
-        epsilon_bar=epsilon_bar,
-        facet_count=facets.n_facets,
-        verdict_text=_verdict_text(result.pointed, result.z_star),
+        weight_certificate=result.certificate,
+        epsilon_bar=_backtrack(inst, cfg) if result.pointed else None,
+        facet_count=facet_count,
+        verdict_text=_verdict_text(result.pointed, result.z_star, notes),
     )
 
 
-def _verdict_text(pointed: bool, z_star: float) -> str:
+def _verdict_text(pointed: bool, z_star: float, notes: list[str]) -> str:
     yn = "yes" if pointed else "no"
     lines = [
         "consistent with an increasing quasi-concave value function"
@@ -192,5 +196,6 @@ def _verdict_text(pointed: bool, z_star: float) -> str:
         f"(2) an increasing quasi-concave value function strictly separates: {yn}",
         f"(3) the preference cone is pointed: {yn}",
         f"(4) the feasibility program attains optimum zero (z* = {z_star:.3g}): {yn}",
+        *notes,
     ]
     return "\n".join(lines)

@@ -3,7 +3,8 @@
 An instance is a set of alternatives (real vectors scored on p criteria),
 one fixed reference alternative, and an ordered set of alternatives the
 decision maker declared strictly better than the reference.  Instances are
-immutable after construction and safe to share across threads.
+immutable after construction (the alternatives array is read-only) and safe
+to share across threads; each one validates itself at most once.
 
 File formats
 ------------
@@ -23,6 +24,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +48,7 @@ class PreferenceInstance:
     """Alternatives matrix plus the judgement structure over it.
 
     Attributes:
-        alternatives: (m, p) float array, one row per alternative.
+        alternatives: (m, p) read-only float array, one row per alternative.
         reference_index: row index of the fixed reference alternative.
         preferred_indices: ordered tuple of row indices judged strictly
             better than the reference.
@@ -65,6 +67,7 @@ class PreferenceInstance:
             raise DimensionMismatchError(
                 f"alternatives must form a 2-d matrix, got {alts.ndim} dimension(s)"
             )
+        alts.flags.writeable = False
         object.__setattr__(self, "alternatives", alts)
         object.__setattr__(self, "reference_index", int(self.reference_index))
         object.__setattr__(
@@ -86,6 +89,10 @@ class PreferenceInstance:
     @property
     def reference(self) -> np.ndarray:
         return self.alternatives[self.reference_index]
+
+    @cached_property
+    def _validation(self) -> "ValidationReport":
+        return validate(self)
 
 
 @dataclass(frozen=True)
@@ -249,7 +256,7 @@ def validate(inst: PreferenceInstance) -> ValidationReport:
 
 
 def require_valid(inst: PreferenceInstance) -> None:
-    report = validate(inst)
+    report = inst._validation
     if not report.ok:
         raise InvalidInstanceError(report.violations)
 

@@ -10,11 +10,11 @@ beats speed.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SingularBasisError
+from .errors import DimensionMismatchError, MaxIterExceededError, SingularBasisError
 
 __all__ = ["PIVOT_TOL", "StandardLP", "LPSolution", "solve", "build_pointedness_lp"]
 
@@ -36,7 +36,6 @@ class StandardLP:
     rhs: np.ndarray
     objective: np.ndarray
     initial_basis: tuple[int, ...]
-    nonneg_mask: np.ndarray = field(default=None)  # defaults to all-nonnegative
 
     def __post_init__(self):
         A = np.asarray(self.constraint_matrix, dtype=float)
@@ -49,17 +48,12 @@ class StandardLP:
             raise ValueError("rhs/objective shapes do not match the constraint matrix")
         if np.any(b < 0):
             raise ValueError("rhs must be componentwise nonnegative")
-        mask = self.nonneg_mask
-        mask = np.ones(n_vars, bool) if mask is None else np.asarray(mask, bool)
-        if mask.shape != (n_vars,):
-            raise ValueError("nonneg_mask length does not match the variable count")
         basis = tuple(int(j) for j in self.initial_basis)
         if len(basis) != n_rows or any(not 0 <= j < n_vars for j in basis):
             raise ValueError("initial_basis must name one in-range column per row")
         object.__setattr__(self, "constraint_matrix", A)
         object.__setattr__(self, "rhs", b)
         object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "nonneg_mask", mask)
         object.__setattr__(self, "initial_basis", basis)
 
     @property
@@ -86,8 +80,6 @@ def solve(lp: StandardLP) -> LPSolution:
     objective decreases without limit (never the case for the pointedness
     programs, whose objective is a sum of nonnegative variables).
     """
-    if not np.all(lp.nonneg_mask):
-        raise ValueError("free variables are not supported; all variables must be nonnegative")
     A, b, c = lp.constraint_matrix, lp.rhs, lp.objective
     n_rows, n_vars = A.shape
     basis = list(lp.initial_basis)
@@ -126,7 +118,7 @@ def solve(lp: StandardLP) -> LPSolution:
                 np.array2string(T, precision=6),
             )
     else:
-        raise RuntimeError("simplex failed to terminate; numerical cycling suspected")
+        raise MaxIterExceededError(f"simplex did not terminate in {max_pivots} pivots")
 
     values = _basic_point(T, basis, n_vars)
     return LPSolution("optimal", float(c @ values), values, tuple(basis))

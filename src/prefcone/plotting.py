@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .consistency import EpsilonSearchConfig, epsilon_search, test_pointedness
+from .consistency import EpsilonSearchConfig, _backtrack, test_pointedness
 from .cones import FacetCone, dual_hrep, extreme_rays, preference_cone
 from .errors import UnsupportedDimensionError
 from .instance import PreferenceInstance, require_valid
@@ -58,7 +58,7 @@ def plot2d(
     eps_bar = None
     eps_facets = None
     if test_pointedness(inst, 0.0).pointed:
-        eps_bar = epsilon_search(inst, cfg)
+        eps_bar = _backtrack(inst, cfg)
         eps_facets = extreme_rays(dual_hrep(preference_cone(inst, eps_bar)))
 
     svg = _render(inst, facets, eps_bar, eps_facets)

@@ -73,7 +73,6 @@ def make_psi(inst: PreferenceInstance) -> ValueFunctionHandle:
 
     Needs no pointedness; only the cone's complement must be nonempty.
     """
-    require_valid(inst)
     cone = preference_cone(inst, 0.0)
     facets = extreme_rays(dual_hrep(cone))
     if facets.is_whole_space:

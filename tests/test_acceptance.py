@@ -179,9 +179,7 @@ def test_c8_distance_engine_vs_oracles(battery):
             pairs += 1
 
     for theta_lo, theta_hi, point, expected in _hand_2d_cases():
-        cone = GeneratorCone(
-            np.array([_unit(theta_lo), _unit(theta_hi)]), np.eye(2), 0.0
-        )
+        cone = GeneratorCone(np.array([_unit(theta_lo), _unit(theta_hi)]), 0.0)
         assert dist_to_cone(np.array(point), cone) == pytest.approx(expected, abs=1e-8)
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import prefcone.lp
 from prefcone.cli import run
 from prefcone.plotting import plot2d
 from prefcone import UnsupportedDimensionError, parse_instance
@@ -22,6 +23,42 @@ def test_test_subcommand_consistent(capsys, data_dir):
     assert doc["facet_count"] == 2
     assert doc["epsilon_bar"] == pytest.approx(0.01)
     assert set(doc["equivalent_statements"].values()) == {True}
+
+
+@pytest.mark.parametrize("consistent", [True, False])
+def test_test_subcommand_above_dd_cap(capsys, tmp_path, consistent):
+    # p = 13 is past the double description cap; the LP verdict still holds
+    p = 13
+    eye = np.eye(p)
+    alts = [np.zeros(p)] + [eye[j] - 0.5 * eye[(j + 1) % p] for j in range(p)]
+    if not consistent:
+        alts += [eye[0] - eye[1], eye[1] - eye[0]]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "alternatives": [a.tolist() for a in alts],
+        "reference_index": 0,
+        "preferred_indices": list(range(1, len(alts))),
+    }))
+    code, out = run_cli(capsys, "test", str(path))
+    doc = json.loads(out)
+    assert code == (0 if consistent else 1)
+    assert doc["pointed"] is consistent
+    assert doc["facet_count"] is None
+    assert doc["verdict_text"].splitlines()[-1] == (
+        "facet count not computed: double description capped at dimension 12, got 13"
+    )
+
+
+def test_stalled_simplex_is_typed_cli_error(capsys, monkeypatch, tmp_path):
+    # the single generator [5, 5] makes the LP cycle once pivots are disabled
+    path = tmp_path / "diag.json"
+    path.write_text(
+        '{"alternatives": [[0, 0], [5, 5]], "reference_index": 0, "preferred_indices": [1]}'
+    )
+    monkeypatch.setattr(prefcone.lp, "_pivot", lambda T, row, col: None)
+    code, out = run_cli(capsys, "weights", str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "MAX_ITER_EXCEEDED"
 
 
 def test_test_subcommand_inconsistent_exit_1(capsys, data_dir):

@@ -39,7 +39,7 @@ def test_dual_hrep_rows(pointed_instance, halfplane_instance):
 
 
 def test_dual_hrep_no_judgements_is_axes_only():
-    cone = GeneratorCone(np.zeros((0, 3)), np.eye(3), 0.0)
+    cone = GeneratorCone(np.zeros((0, 3)), 0.0)
     np.testing.assert_array_equal(dual_hrep(cone), np.eye(3))
 
 
@@ -90,14 +90,10 @@ def test_facet_cone_json_shape(pointed_facets):
     assert doc["normals"] == pointed_facets.facet_normals.tolist()
 
 
-def test_extreme_rays_quotient_representative_for_halfspace():
-    # single half-space: one line of lineality; the quotient has one ray,
-    # represented orthogonal to the lineality space
-    facets = extreme_rays(np.array([[1.0, 1.0]]))
-    assert not facets.is_whole_space
-    np.testing.assert_allclose(
-        facets.facet_normals, [[1 / np.sqrt(2), 1 / np.sqrt(2)]], atol=1e-12
-    )
+def test_extreme_rays_halfspace_with_lineality_rejected():
+    # a single half-space contains a line, so it has no extreme rays
+    with pytest.raises(ValueError, match="subspace"):
+        extreme_rays(np.array([[1.0, 1.0]]))
 
 
 def test_extreme_rays_pure_subspace_rejected():
@@ -178,7 +174,7 @@ def test_is_pointed_geometric_examples(
     assert not is_pointed_geometric(dual_hrep(preference_cone(halfplane_instance, 0.0)))
     assert not is_pointed_geometric(dual_hrep(preference_cone(whole_plane_instance, 0.0)))
     # single generator pointing down the only axis: the cone is the whole line
-    cone = GeneratorCone(np.array([[-1.0]]), np.eye(1), 0.0)
+    cone = GeneratorCone(np.array([[-1.0]]), 0.0)
     assert not is_pointed_geometric(dual_hrep(cone))
 
 

@@ -1,8 +1,12 @@
 import json
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import prefcone.consistency
+import prefcone.instance
 from prefcone import (
     EpsilonSearchConfig,
     InvalidInstanceError,
@@ -15,10 +19,36 @@ from prefcone import (
     extract_linear_weights,
     generators,
     is_pointed_geometric,
+    parse_instance,
     preference_cone,
     test_pointedness,
 )
 from _helpers import random_instance, synthetic_dm_instance
+
+
+@pytest.mark.parametrize("fixture", ["pointed.json", "halfplane.json"])
+def test_verdict_computes_each_artifact_once(monkeypatch, data_dir, fixture):
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(prefcone.instance, "validate")
+    count(prefcone.consistency, "solve")
+    count(prefcone.consistency, "extreme_rays")
+    inst = parse_instance((data_dir / fixture).read_text())
+    cfg = EpsilonSearchConfig()
+    report = consistency_verdict(inst, cfg)
+    trials = 0
+    if report.pointed:
+        trials = 1 + round(math.log(report.epsilon_bar / cfg.epsilon0, cfg.beta))
+    assert calls == {"validate": 1, "solve": 1 + trials, "extreme_rays": 1}
 
 
 def test_pointed_fixture(pointed_instance):

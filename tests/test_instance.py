@@ -22,6 +22,15 @@ POINTED_JSON = (
 )
 
 
+def test_alternatives_are_read_only():
+    alts = np.array([[0.0, 2.0], [1.0, 1.0]])
+    inst = PreferenceInstance(alts, 1, [0])
+    with pytest.raises(ValueError, match="read-only"):
+        inst.alternatives[0, 0] = 5.0
+    alts[0, 0] = 5.0  # the caller's array is copied, not frozen
+    assert inst.alternatives[0, 0] == 0.0
+
+
 def test_parse_json_fields():
     inst = parse_instance(POINTED_JSON)
     assert inst.p == 2 and inst.t == 3 and inst.m == 4

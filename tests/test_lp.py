@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prefcone.lp
 from prefcone import (
     DimensionMismatchError,
+    MaxIterExceededError,
     SingularBasisError,
     StandardLP,
     build_pointedness_lp,
@@ -104,15 +106,17 @@ def test_unbounded_reported():
     assert sol.objective_value == float("-inf")
 
 
-def test_free_variables_unsupported():
-    lp = StandardLP(np.eye(2), np.ones(2), np.zeros(2), (0, 1), nonneg_mask=[True, False])
-    with pytest.raises(ValueError, match="nonnegative"):
-        solve(lp)
-
-
 def test_rhs_must_be_nonnegative():
     with pytest.raises(ValueError, match="nonnegative"):
         StandardLP(np.eye(2), np.array([1.0, -1.0]), np.zeros(2), (0, 1))
+
+
+def test_stalled_simplex_raises_max_iter(monkeypatch):
+    # With pivots disabled the tableau never changes, and d_1 and d_2 take
+    # turns entering on the generator row [5, 5].
+    monkeypatch.setattr(prefcone.lp, "_pivot", lambda T, row, col: None)
+    with pytest.raises(MaxIterExceededError, match="did not terminate"):
+        solve(build_pointedness_lp(np.array([[5.0, 5.0]]), 2))
 
 
 def test_solution_invariants_on_random_lps():

@@ -29,7 +29,7 @@ def test_brute_zero_inside_cone(pointed_instance):
 
 
 def test_brute_antipodal_ray():
-    cone = GeneratorCone(np.array([[1.0, 0.0]]), np.eye(2), 0.0)
+    cone = GeneratorCone(np.array([[1.0, 0.0]]), 0.0)
     got = brute_dist_to_cone(np.array([-1.0, 0.0]), cone, samples=1000)
     assert got == pytest.approx(1.0, abs=1e-6)
 
