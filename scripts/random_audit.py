@@ -21,6 +21,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from _helpers import random_instance  # noqa: E402
+from oracle import check_properties, is_pointed_geometric  # noqa: E402
 
 from prefcone import (  # noqa: E402
     NotPointedError,
@@ -29,13 +30,11 @@ from prefcone import (  # noqa: E402
     epsilon_search,
     evaluate,
     extract_linear_weights,
-    is_pointed_geometric,
     make_psi,
     make_vartheta,
     preference_cone,
     test_pointedness,
 )
-from prefcone.oracle import check_properties  # noqa: E402
 
 
 def audit_one(inst, seed: int, n_samples: int) -> tuple[tuple[bool, ...], int]:

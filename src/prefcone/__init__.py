@@ -26,7 +26,6 @@ from .cones import (
     dist_to_complement,
     dual_hrep,
     extreme_rays,
-    is_pointed_geometric,
     nnls,
     preference_cone,
 )
@@ -40,7 +39,6 @@ from .errors import (
     ParseError,
     PrefconeError,
     SingularBasisError,
-    TooLargeError,
     UnsupportedDimensionError,
     WholeSpaceError,
 )
@@ -85,7 +83,6 @@ __all__ = [
     "PreferenceInstance",
     "SingularBasisError",
     "StandardLP",
-    "TooLargeError",
     "UnsupportedDimensionError",
     "ValidationReport",
     "ValueFunctionHandle",
@@ -103,7 +100,6 @@ __all__ = [
     "extract_linear_weights",
     "extreme_rays",
     "generators",
-    "is_pointed_geometric",
     "make_linear",
     "make_psi",
     "make_vartheta",

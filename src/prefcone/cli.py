@@ -3,7 +3,8 @@
 Exit codes: 0 for a consistent verdict or any successful output, 1 when the
 judgements are inconsistent (a domain answer, so pipelines can branch on
 it), 2 for input problems (unreadable or invalid files, wrong dimensions),
-and 64 for malformed flags.
+3 for numerical failures on a valid input (a stalled simplex, an exhausted
+epsilon schedule, or an NNLS iteration cap), and 64 for malformed flags.
 """
 
 from __future__ import annotations
@@ -23,17 +24,20 @@ from .consistency import (
 )
 from .errors import (
     InvalidInstanceError,
+    MaxIterExceededError,
+    NnlsMaxIterError,
     NotPointedError,
     PrefconeError,
     WholeSpaceError,
 )
 from .instance import parse_instance, require_valid, validate
 from .plotting import plot2d
-from .valuefn import classification, evaluate, make_linear, make_psi, make_vartheta
+from .valuefn import _vartheta, classification, evaluate, make_linear, make_psi
 
 __all__ = ["run", "main"]
 
 _INPUT_ERRORS = 2
+_NUMERICAL_FAILURE = 3
 _USAGE = 64
 
 
@@ -83,8 +87,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--instance", required=True, help="instance file (.json or .csv)")
     sp.add_argument("--function", choices=("psi", "vartheta", "linear"), required=True)
     sp.add_argument("--point", required=True, help='comma-separated coordinates, e.g. "3,3"')
-    sp.add_argument("--output", help="write the report here instead of stdout")
-    sp.add_argument("--format", choices=("json", "text"), default="json")
+    add_common(sp, positional_instance=False)
     _add_epsilon_flags(sp)
 
     sp = sub.add_parser("plot", help="write a 2-criteria SVG schematic")
@@ -125,6 +128,9 @@ def run(argv=None) -> int:
             ns,
         )
         return _INPUT_ERRORS
+    except (MaxIterExceededError, NnlsMaxIterError) as exc:
+        _emit({"error": {"code": exc.code, "message": str(exc)}}, ns)
+        return _NUMERICAL_FAILURE
     except PrefconeError as exc:
         _emit({"error": {"code": exc.code, "message": str(exc)}}, ns)
         return _INPUT_ERRORS
@@ -166,7 +172,7 @@ def _dispatch(ns) -> tuple[dict, int]:
         if ns.function == "psi":
             handle = make_psi(inst)
         elif ns.function == "vartheta":
-            handle = make_vartheta(inst, epsilon_search(inst, _cfg(ns)))
+            handle = _vartheta(inst, epsilon_search(inst, _cfg(ns)))
         else:
             handle = make_linear(inst)
         value = evaluate(handle, point)

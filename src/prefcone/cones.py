@@ -38,7 +38,6 @@ __all__ = [
     "classify",
     "dist_to_cone",
     "dist_to_complement",
-    "is_pointed_geometric",
     "nnls",
 ]
 
@@ -249,13 +248,6 @@ def classify(y: np.ndarray, facets: FacetCone) -> MembershipClass:
     return MembershipClass.BOUNDARY
 
 
-def facet_margin(y: np.ndarray, facets: FacetCone) -> float:
-    """min over unit facet normals of a.y (positive inside, negative outside)."""
-    if facets.is_whole_space:
-        raise WholeSpaceError("the cone is the whole space; it has no facets")
-    return float((facets.facet_normals @ np.asarray(y, dtype=float)).min())
-
-
 def dist_to_cone(y: np.ndarray, cone: GeneratorCone) -> float:
     """Euclidean distance from y to the finitely generated cone.
 
@@ -263,10 +255,7 @@ def dist_to_cone(y: np.ndarray, cone: GeneratorCone) -> float:
     columns of G are the judgement and axis generators.  Zero (within 1e-8)
     exactly when y is inside the closed cone.
     """
-    y = np.asarray(y, dtype=float)
-    max_iter = 3 * (cone.t + cone.p) * cone.p
-    _, resid = nnls(cone.generator_matrix, y, max_iter=max_iter)
-    return resid
+    return nnls(cone.generator_matrix, y)[1]
 
 
 def dist_to_complement(y: np.ndarray, facets: FacetCone) -> float:
@@ -279,42 +268,24 @@ def dist_to_complement(y: np.ndarray, facets: FacetCone) -> float:
     y = np.asarray(y, dtype=float)
     if classify(y, facets) is not MembershipClass.INTERIOR:
         return 0.0
-    return facet_margin(y, facets)
+    return float((facets.facet_normals @ y).min())
 
 
-def is_pointed_geometric(hrep: np.ndarray) -> bool:
-    """Pointedness of the primal cone, decided purely from dual geometry.
-
-    The primal is pointed iff its dual is full-dimensional: the dual's
-    extreme rays must span R^p and their sum must satisfy every dual
-    constraint strictly.  Serves as an oracle independent of the LP test.
-    """
-    facets = extreme_rays(hrep)
-    if facets.is_whole_space:
-        return False
-    p = np.atleast_2d(np.asarray(hrep, dtype=float)).shape[1]
-    rays = facets.facet_normals
-    if np.linalg.matrix_rank(rays, tol=1e-9) < p:
-        return False
-    witness = rays.sum(axis=0)
-    return bool((np.asarray(hrep, dtype=float) @ witness).min() > _ACTIVITY_TOL)
-
-
-def nnls(columns: np.ndarray, target: np.ndarray, max_iter: int | None = None):
+def nnls(columns: np.ndarray, target: np.ndarray):
     """Lawson-Hanson active-set solve of min ||columns @ coef - target||, coef >= 0.
 
     Returns ``(coef, residual_norm)``.  Columns are rescaled to unit norm
     internally (zero columns are dropped), which leaves the residual
     unchanged.  Raises NnlsMaxIterError when the active-set loop exceeds
-    ``max_iter`` (a sign of numerical pathology, not a routine outcome).
+    ``3 * n_columns * p`` iterations (a sign of numerical pathology, not a
+    routine outcome).
     """
     G = np.atleast_2d(np.asarray(columns, dtype=float))
     y = np.asarray(target, dtype=float)
     p, n = G.shape
     if y.shape != (p,):
         raise ValueError(f"target has shape {y.shape}, expected ({p},)")
-    if max_iter is None:
-        max_iter = 3 * n * max(p, 1)
+    max_iter = 3 * n * max(p, 1)
 
     scale = np.linalg.norm(G, axis=0)
     live = np.flatnonzero(scale > 1e-13)

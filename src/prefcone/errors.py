@@ -68,7 +68,3 @@ class DimensionTooLargeError(PrefconeError):
 
 class UnsupportedDimensionError(PrefconeError):
     code = "UNSUPPORTED_DIMENSION"
-
-
-class TooLargeError(PrefconeError):
-    code = "TOO_LARGE"

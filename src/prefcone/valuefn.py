@@ -27,8 +27,6 @@ from .cones import (
     GeneratorCone,
     MembershipClass,
     classify,
-    dist_to_cone,
-    dist_to_complement,
     dual_hrep,
     extreme_rays,
     nnls,
@@ -60,13 +58,6 @@ class ValueFunctionHandle:
     def p(self) -> int:
         return self.reference.shape[0]
 
-    @property
-    def judgement_points(self) -> np.ndarray:
-        """The preferred alternatives, recovered from the stored cone."""
-        if self.gen_cone is None:
-            raise ValueError("linear handles do not carry the judgement cone")
-        return self.gen_cone.pref_generators + self.gen_cone.epsilon + self.reference
-
 
 def make_psi(inst: PreferenceInstance) -> ValueFunctionHandle:
     """Signed-distance value function on the unperturbed cone.
@@ -93,6 +84,11 @@ def make_vartheta(inst: PreferenceInstance, epsilon_bar: float) -> ValueFunction
         raise NotPointedError(
             f"the cone shrunk by {epsilon_bar} is not pointed; choose a smaller epsilon"
         )
+    return _vartheta(inst, epsilon_bar)
+
+
+def _vartheta(inst: PreferenceInstance, epsilon_bar: float) -> ValueFunctionHandle:
+    """:func:`make_vartheta` for callers that know the shrunk cone is pointed."""
     cone = preference_cone(inst, epsilon_bar)
     facets = extreme_rays(dual_hrep(cone))
     return ValueFunctionHandle(
@@ -118,24 +114,22 @@ def evaluate(handle: ValueFunctionHandle, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (handle.p,):
         raise ValueError(f"point has shape {x.shape}, expected ({handle.p},)")
-    if handle.kind == "linear":
-        return float(handle.weights @ x)
-    y = x - handle.reference
-    cls = classify(y, handle.facet_cone)
-    if cls is MembershipClass.INTERIOR:
-        return dist_to_complement(y, handle.facet_cone)
-    if cls is MembershipClass.EXTERIOR:
-        return -dist_to_cone(y, handle.gen_cone)
-    return 0.0
+    return float(evaluate_batch(handle, x[None, :])[0])
 
 
 def evaluate_batch(handle: ValueFunctionHandle, points: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`evaluate` over the rows of ``points``."""
+    """Vectorized :func:`evaluate` over the rows of ``points``.
+
+    A signed-distance handle whose cone is the whole space raises
+    WholeSpaceError, as :func:`make_psi` does for such an instance.
+    """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     if X.shape[1] != handle.p:
         raise ValueError(f"points have dimension {X.shape[1]}, expected {handle.p}")
     if handle.kind == "linear":
         return X @ handle.weights
+    if handle.facet_cone.is_whole_space:
+        raise WholeSpaceError("the cone is the whole space; the signed distance is undefined")
     Y = X - handle.reference
     margins = (handle.facet_cone.facet_normals @ Y.T).min(axis=0)
     thresholds = CLASSIFY_TOL * (1.0 + np.linalg.norm(Y, axis=1))
@@ -143,9 +137,8 @@ def evaluate_batch(handle: ValueFunctionHandle, points: np.ndarray) -> np.ndarra
     interior = margins > thresholds
     values[interior] = margins[interior]
     G = handle.gen_cone.generator_matrix
-    max_iter = 3 * (handle.gen_cone.t + handle.gen_cone.p) * handle.gen_cone.p
     for i in np.flatnonzero(margins < -thresholds):
-        values[i] = -nnls(G, Y[i], max_iter=max_iter)[1]
+        values[i] = -nnls(G, Y[i])[1]
     return values
 
 

@@ -1,9 +1,9 @@
-"""Brute-force verifiers used by the test suite.
+"""Brute-force verifiers used by the test suite and the audit script.
 
 Nothing here is imported by the engine: the distance oracle, the LP basis
-enumerator, and the sampled property checker exist to pin expected values
-independently of the code paths they audit.  Everything is deterministic
-under a fixed seed.
+enumerator, the geometric pointedness test and the sampled property checker
+exist to pin expected values independently of the code paths they audit.
+Everything is deterministic under a fixed seed.
 """
 
 from __future__ import annotations
@@ -14,17 +14,30 @@ from typing import Any
 
 import numpy as np
 
-from .cones import GeneratorCone
-from .errors import TooLargeError
-from .lp import StandardLP
-from .valuefn import ValueFunctionHandle, evaluate_batch
+from prefcone import (
+    GeneratorCone,
+    PrefconeError,
+    StandardLP,
+    ValueFunctionHandle,
+    evaluate_batch,
+    extreme_rays,
+)
 
 __all__ = [
     "PropertyViolation",
+    "TooLargeError",
     "brute_dist_to_cone",
     "enumerate_lp_optimum",
+    "is_pointed_geometric",
+    "judgement_points",
     "check_properties",
 ]
+
+
+class TooLargeError(PrefconeError):
+    """An exhaustive oracle was asked for a size beyond its cap."""
+
+    code = "TOO_LARGE"
 
 
 @dataclass(frozen=True)
@@ -81,6 +94,32 @@ def brute_dist_to_cone(
                     coef[j] = new
         best = min(best, float(np.linalg.norm(resid)))
     return best
+
+
+def is_pointed_geometric(hrep: np.ndarray) -> bool:
+    """Pointedness of the primal cone, decided purely from dual geometry.
+
+    The primal is pointed iff its dual is full-dimensional: the dual's
+    extreme rays must span R^p and their sum must satisfy every dual
+    constraint strictly.  Serves as an oracle independent of the LP test.
+    """
+    facets = extreme_rays(hrep)
+    if facets.is_whole_space:
+        return False
+    p = np.atleast_2d(np.asarray(hrep, dtype=float)).shape[1]
+    rays = facets.facet_normals
+    if np.linalg.matrix_rank(rays, tol=1e-9) < p:
+        return False
+    witness = rays.sum(axis=0)
+    return bool((np.asarray(hrep, dtype=float) @ witness).min() > 1e-9)
+
+
+def judgement_points(handle: ValueFunctionHandle) -> np.ndarray:
+    """The preferred alternatives, recovered from a signed-distance handle's cone."""
+    if handle.gen_cone is None:
+        raise ValueError("linear handles do not carry the judgement cone")
+    cone = handle.gen_cone
+    return cone.pref_generators + cone.epsilon + handle.reference
 
 
 def enumerate_lp_optimum(lp: StandardLP, max_rows: int = 6, max_vars: int = 14) -> float:
@@ -253,9 +292,10 @@ def _separation_checks(handle):
                 abs(ref_val),
             )
         )
-    jvals = evaluate_batch(handle, handle.judgement_points)
+    points = judgement_points(handle)
+    jvals = evaluate_batch(handle, points)
     if handle.kind == "psi":
-        for xj, val in zip(handle.judgement_points, jvals):
+        for xj, val in zip(points, jvals):
             if val < ref_val - 1e-9:
                 out.append(
                     PropertyViolation(
@@ -267,7 +307,7 @@ def _separation_checks(handle):
                     )
                 )
     else:
-        for xj, val in zip(handle.judgement_points, jvals):
+        for xj, val in zip(points, jvals):
             if not val > ref_val + 1e-9:
                 out.append(
                     PropertyViolation(

@@ -23,7 +23,6 @@ from prefcone import (
     extract_linear_weights,
     extreme_rays,
     generators,
-    is_pointed_geometric,
     make_psi,
     make_vartheta,
     preference_cone,
@@ -33,8 +32,13 @@ from prefcone import (
     WholeSpaceError,
 )
 from prefcone.cli import run
-from prefcone.oracle import brute_dist_to_cone, check_properties, enumerate_lp_optimum
 from _helpers import random_instance, synthetic_dm_instance
+from oracle import (
+    brute_dist_to_cone,
+    check_properties,
+    enumerate_lp_optimum,
+    is_pointed_geometric,
+)
 
 BATTERY_SEED = 20260809
 N_BATTERY = 100

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import prefcone.consistency
 import prefcone.lp
+import prefcone.valuefn
 from prefcone.cli import run
 from prefcone.plotting import plot2d
-from prefcone import UnsupportedDimensionError, parse_instance
+from prefcone import NnlsMaxIterError, UnsupportedDimensionError, parse_instance
 
 
 def run_cli(capsys, *argv):
@@ -57,8 +59,47 @@ def test_stalled_simplex_is_typed_cli_error(capsys, monkeypatch, tmp_path):
     )
     monkeypatch.setattr(prefcone.lp, "_pivot", lambda T, row, col: None)
     code, out = run_cli(capsys, "weights", str(path))
-    assert code == 2
+    assert code == 3
     assert json.loads(out)["error"]["code"] == "MAX_ITER_EXCEEDED"
+
+
+def test_exhausted_epsilon_schedule_exits_3(capsys, data_dir):
+    code, out = run_cli(
+        capsys, "epsilon", str(data_dir / "pointed.json"), "--epsilon0", "1e6", "--max-iter", "1"
+    )
+    assert code == 3
+    assert json.loads(out)["error"]["code"] == "MAX_ITER_EXCEEDED"
+
+
+def test_nnls_iteration_cap_exits_3(capsys, monkeypatch, data_dir):
+    def stalled(columns, target):
+        raise NnlsMaxIterError("active-set iterations exceeded 0")
+
+    monkeypatch.setattr(prefcone.valuefn, "nnls", stalled)
+    code, out = run_cli(
+        capsys, "eval", "--instance", str(data_dir / "pointed.json"),
+        "--function", "psi", "--point=-2,-2",
+    )
+    assert code == 3
+    assert json.loads(out)["error"]["code"] == "NNLS_MAX_ITER"
+
+
+def test_eval_vartheta_solves_each_lp_once(capsys, monkeypatch, data_dir):
+    # one LP at epsilon 0, one at epsilon_bar = 0.01, which the pointed fixture passes
+    calls = []
+    solve = prefcone.consistency.solve
+
+    def counting_solve(lp):
+        calls.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(prefcone.consistency, "solve", counting_solve)
+    code, out = run_cli(
+        capsys, "eval", "--instance", str(data_dir / "pointed.json"),
+        "--function", "vartheta", "--point", "3,3",
+    )
+    assert code == 0
+    assert len(calls) == 2
 
 
 def test_test_subcommand_inconsistent_exit_1(capsys, data_dir):

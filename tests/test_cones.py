@@ -15,11 +15,11 @@ from prefcone import (
     dual_hrep,
     extreme_rays,
     generators,
-    is_pointed_geometric,
     nnls,
     preference_cone,
 )
 from _helpers import random_instance
+from oracle import is_pointed_geometric
 
 SQRT5 = np.sqrt(5.0)
 

@@ -18,12 +18,12 @@ from prefcone import (
     epsilon_search,
     extract_linear_weights,
     generators,
-    is_pointed_geometric,
     parse_instance,
     preference_cone,
     test_pointedness,
 )
 from _helpers import random_instance, synthetic_dm_instance
+from oracle import is_pointed_geometric
 
 
 @pytest.mark.parametrize("fixture", ["pointed.json", "halfplane.json"])

@@ -13,7 +13,7 @@ from prefcone import (
     generators,
     solve,
 )
-from prefcone.oracle import enumerate_lp_optimum
+from oracle import enumerate_lp_optimum
 
 
 def expected_pointedness_matrix(gens):

@@ -4,15 +4,14 @@ import pytest
 from prefcone import (
     GeneratorCone,
     StandardLP,
-    TooLargeError,
     build_pointedness_lp,
     dist_to_cone,
     generators,
     preference_cone,
     solve,
 )
-from prefcone.oracle import brute_dist_to_cone, enumerate_lp_optimum
 from _helpers import random_instance
+from oracle import TooLargeError, brute_dist_to_cone, enumerate_lp_optimum
 
 SQRT5 = np.sqrt(5.0)
 

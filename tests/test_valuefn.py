@@ -14,7 +14,7 @@ from prefcone import (
     make_psi,
     make_vartheta,
 )
-from prefcone.oracle import check_properties
+from oracle import check_properties, judgement_points
 
 SQRT5 = np.sqrt(5.0)
 
@@ -72,7 +72,7 @@ def test_make_vartheta_fixture(vartheta, pointed_instance):
     assert vartheta.kind == "vartheta"
     assert vartheta.gen_cone.epsilon > 0
     np.testing.assert_allclose(
-        vartheta.judgement_points,
+        judgement_points(vartheta),
         pointed_instance.alternatives[list(pointed_instance.preferred_indices)],
         atol=1e-12,
     )
@@ -123,6 +123,19 @@ def test_linear_rejected_when_not_pointed(halfplane_instance):
 def test_evaluate_dimension_checked(psi):
     with pytest.raises(ValueError):
         evaluate(psi, np.array([1.0, 2.0, 3.0]))
+
+
+def test_whole_space_handle_rejected_by_both_evaluators(psi):
+    whole = ValueFunctionHandle(
+        kind="psi",
+        reference=psi.reference,
+        gen_cone=psi.gen_cone,
+        facet_cone=FacetCone(np.zeros((0, 2)), True),
+    )
+    with pytest.raises(WholeSpaceError):
+        evaluate(whole, np.array([1.0, 1.0]))
+    with pytest.raises(WholeSpaceError):
+        evaluate_batch(whole, np.array([[1.0, 1.0]]))
 
 
 def test_evaluate_batch_matches_pointwise(psi, vartheta, pointed_instance):
