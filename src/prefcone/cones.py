@@ -46,6 +46,7 @@ RAY_DEDUP_TOL = 1e-9
 MAX_DD_DIM = 12
 
 _ACTIVITY_TOL = 1e-9
+_DD_BLOCK = 1 << 20  # cells per block of the DD pair and distance arrays
 
 
 class MembershipClass(Enum):
@@ -179,7 +180,8 @@ def _dd_pointed(A: np.ndarray) -> np.ndarray:
     inserts the remaining half-spaces one at a time, combining adjacent
     ray pairs across each cut.  Adjacency uses the combinatorial test (no
     third ray's active set contains the common active set), which is exact
-    for pointed cones.
+    for pointed cones; one matmul per insertion (per block of pairs on a
+    very large cut) runs it on every pair.
     """
     m, q = A.shape
     base: list[int] = []
@@ -201,35 +203,64 @@ def _dd_pointed(A: np.ndarray) -> np.ndarray:
             processed.append(i)
             continue
         keep = rays[~neg]
-        new: list[np.ndarray] = []
+        new = np.zeros((0, q))
         if pos.any():
             active = np.abs(rays @ A[processed].T) <= _ACTIVITY_TOL  # (n_rays, n_proc)
-            for u in np.flatnonzero(pos):
-                for w in np.flatnonzero(neg):
-                    common = active[u] & active[w]
-                    others = [
-                        v
-                        for v in range(rays.shape[0])
-                        if v != u and v != w and active[v][common].all()
-                    ]
-                    if others:
-                        continue
-                    ray = vals[u] * rays[w] - vals[w] * rays[u]
-                    ray /= np.linalg.norm(ray)
-                    new.append(ray)
-        rays = _dedupe(np.vstack([keep] + new) if new else keep)
+            new = _adjacent_combinations(rays, vals, pos, neg, active)
+        rays = _dedupe(np.vstack([keep, new]))
         processed.append(i)
         if rays.shape[0] == 0:
             break
     return rays
 
 
+def _adjacent_combinations(
+    rays: np.ndarray, vals: np.ndarray, pos: np.ndarray, neg: np.ndarray, active: np.ndarray
+) -> np.ndarray:
+    """New rays on the cut: one per adjacent (u, w) pair, u in pos, w in neg.
+
+    Pairs run in (u, w) C order.  ``contains[k, v]`` is set when ray v is
+    active on every constraint that pair k's two rays share; the pair is
+    adjacent when no third ray is.  The pairs are tested in blocks of at
+    most ``_DD_BLOCK`` matrix cells, so memory stays bounded however many
+    rays the cut crosses.
+    """
+    inactive = (~active).T.astype(float)  # (n_proc, n_rays)
+    cut_pos, cut_neg = np.flatnonzero(pos), np.flatnonzero(neg)
+    step = max(1, _DD_BLOCK // (cut_neg.size * max(active.shape)))
+    new = []
+    for lo in range(0, cut_pos.size, step):
+        u, w = (
+            ix.ravel() for ix in np.meshgrid(cut_pos[lo : lo + step], cut_neg, indexing="ij")
+        )
+        contains = (active[u] & active[w]).astype(float) @ inactive == 0.0
+        pair = np.arange(u.size)
+        contains[pair, u] = False
+        contains[pair, w] = False
+        adjacent = ~contains.any(axis=1)
+        u, w = u[adjacent], w[adjacent]
+        combined = vals[u, None] * rays[w] - vals[w, None] * rays[u]
+        # each row scaled by its own 1-d norm, bit for bit the per-pair formula
+        combined /= np.array([np.linalg.norm(r) for r in combined]).reshape(-1, 1)
+        new.append(combined)
+    return np.vstack(new)
+
+
 def _dedupe(rays: np.ndarray) -> np.ndarray:
-    kept: list[np.ndarray] = []
-    for ray in rays:
-        if not any(np.linalg.norm(ray - other) <= RAY_DEDUP_TOL for other in kept):
-            kept.append(ray)
-    return np.array(kept).reshape(-1, rays.shape[1])
+    """Drop every ray within RAY_DEDUP_TOL of an earlier ray that is kept.
+
+    Distances are taken in row blocks of at most ``_DD_BLOCK`` cells.
+    """
+    n, q = rays.shape
+    kept = np.ones(n, dtype=bool)
+    step = max(1, _DD_BLOCK // max(n * q, 1))
+    for lo in range(0, n, step):
+        dist = np.linalg.norm(rays[lo : lo + step, None, :] - rays[None, :, :], axis=2)
+        # near pairs (i, j) with i < j, in row-major order
+        for i, j in zip(*np.nonzero(np.triu(dist <= RAY_DEDUP_TOL, lo + 1))):
+            if kept[lo + i]:
+                kept[j] = False
+    return rays[kept]
 
 
 def classify(y: np.ndarray, facets: FacetCone) -> MembershipClass:
@@ -274,60 +305,102 @@ def dist_to_complement(y: np.ndarray, facets: FacetCone) -> float:
 def nnls(columns: np.ndarray, target: np.ndarray):
     """Lawson-Hanson active-set solve of min ||columns @ coef - target||, coef >= 0.
 
-    Returns ``(coef, residual_norm)``.  Columns are rescaled to unit norm
-    internally (zero columns are dropped), which leaves the residual
-    unchanged.  Raises NnlsMaxIterError when the active-set loop exceeds
-    ``3 * n_columns * p`` iterations (a sign of numerical pathology, not a
-    routine outcome).
+    ``target`` is one point of shape ``(p,)``, which returns ``(coef,
+    residual_norm)``, or a stack of shape ``(B, p)``, which returns
+    ``(coef (B, n), residual_norms (B,))``.  A single point is solved as a
+    1-row stack.  The rows of a stack run in lockstep: each step solves
+    every unconverged row's passive-set least squares in one stacked call,
+    and a row leaves the stack once it has converged.
+
+    Columns are rescaled to unit norm internally (zero columns are
+    dropped), which leaves the residual unchanged.  Raises
+    NnlsMaxIterError when a row's active-set loop exceeds ``3 * n_columns
+    * p`` iterations (a sign of numerical pathology, not a routine outcome).
     """
     G = np.atleast_2d(np.asarray(columns, dtype=float))
-    y = np.asarray(target, dtype=float)
+    Y = np.asarray(target, dtype=float)
     p, n = G.shape
-    if y.shape != (p,):
-        raise ValueError(f"target has shape {y.shape}, expected ({p},)")
+    if Y.ndim not in (1, 2) or Y.shape[-1] != p:
+        raise ValueError(f"target has shape {Y.shape}, expected ({p},) or (B, {p})")
+    single = Y.ndim == 1
+    Y = Y.reshape(-1, p)
     max_iter = 3 * n * max(p, 1)
 
     scale = np.linalg.norm(G, axis=0)
     live = np.flatnonzero(scale > 1e-13)
     Gn = G[:, live] / scale[live]
-    nn = live.size
-    coef = np.zeros(nn)
-    passive = np.zeros(nn, dtype=bool)
-    resid = y.copy()
-    grad = Gn.T @ resid
-    grad_tol = 1e-11 * (1.0 + float(np.linalg.norm(y)))
+    grad = Y @ Gn
+    coef = np.zeros(grad.shape)
+    passive = np.zeros(grad.shape, dtype=bool)
+    grad_tol = 1e-11 * (1.0 + np.linalg.norm(Y, axis=1))
+    iters = np.zeros(Y.shape[0], dtype=int)
 
-    iters = 0
-    while (~passive).any() and grad[~passive].max(initial=-np.inf) > grad_tol:
-        iters += 1
-        if iters > max_iter:
-            raise NnlsMaxIterError(f"active-set iterations exceeded {max_iter}")
-        masked = np.where(passive, -np.inf, grad)
-        passive[int(np.argmax(masked))] = True
+    todo = np.arange(Y.shape[0])  # rows not yet converged
+    while True:
+        masked = np.where(passive[todo], -np.inf, grad[todo])
+        go = masked.max(axis=1, initial=-np.inf) > grad_tol[todo]
+        todo = todo[go]
+        if todo.size == 0:
+            break
+        _count_iteration(iters, todo, max_iter)
+        passive[todo, masked[go].argmax(axis=1)] = True
+        inner = todo
         while True:
-            sub = np.flatnonzero(passive)
-            if sub.size == 0:
-                break  # degenerate pivot expelled everything; outer cap applies
-            trial = np.zeros(nn)
-            trial[sub] = np.linalg.lstsq(Gn[:, sub], y, rcond=None)[0]
-            if trial[sub].min() > 0.0:
-                coef = trial
+            inner = inner[passive[inner].any(axis=1)]  # an emptied row waits for the outer step
+            if inner.size == 0:
                 break
-            iters += 1
-            if iters > max_iter:
-                raise NnlsMaxIterError(f"active-set iterations exceeded {max_iter}")
-            blocking = sub[trial[sub] <= 0.0]
-            denom = coef[blocking] - trial[blocking]
-            steps = np.divide(
-                coef[blocking], denom, out=np.zeros_like(denom), where=denom > 0.0
-            )
-            alpha = steps.min()
-            coef = coef + alpha * (trial - coef)
-            coef[blocking[steps <= alpha + 1e-15]] = 0.0
-            passive &= coef > 0.0
-        resid = y - Gn @ coef
-        grad = Gn.T @ resid
+            trial = _passive_solve(Gn, Y[inner], passive[inner])
+            done = np.where(passive[inner], trial > 0.0, True).all(axis=1)
+            coef[inner[done]] = trial[done]
+            inner, trial = inner[~done], trial[~done]
+            if inner.size == 0:
+                break
+            _count_iteration(iters, inner, max_iter)
+            old = coef[inner]
+            blocking = passive[inner] & (trial <= 0.0)
+            denom = old - trial
+            steps = np.where(blocking, 0.0, np.inf)
+            ratio = blocking & (denom > 0.0)
+            steps[ratio] = old[ratio] / denom[ratio]
+            alpha = steps.min(axis=1, keepdims=True)
+            step = old + alpha * (trial - old)
+            step[steps <= alpha + 1e-15] = 0.0
+            coef[inner] = step
+            passive[inner] &= step > 0.0
+        grad[todo] = (Y[todo] - coef[todo] @ Gn.T) @ Gn
 
-    full = np.zeros(n)
-    full[live] = coef / scale[live]
-    return full, float(np.linalg.norm(resid))
+    full = np.zeros((Y.shape[0], n))
+    full[:, live] = coef / scale[live]
+    resid = np.linalg.norm(Y - coef @ Gn.T, axis=1)
+    if single:
+        return full[0], float(resid[0])
+    return full, resid
+
+
+def _count_iteration(iters: np.ndarray, rows: np.ndarray, max_iter: int) -> None:
+    """Advance the active-set counters of ``rows``; raise once any passes the cap."""
+    iters[rows] += 1
+    if iters[rows].max() > max_iter:
+        raise NnlsMaxIterError(f"active-set iterations exceeded {max_iter}")
+
+
+def _passive_solve(Gn: np.ndarray, Y: np.ndarray, passive: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of each row of Y on its passive columns.
+
+    Each row's passive columns are gathered to the front of a ``(p, w)``
+    block, ``w`` being the largest passive-set size, and the slots past the
+    row's own size are zero columns.  The stacked pseudoinverse gives the
+    minimum-norm solution with lstsq's default singular-value cutoff, so
+    those slots come out zero and rank-deficient sets are handled as lstsq
+    handles them.  Entries outside the passive set are zero.
+    """
+    size = passive.sum(axis=1)
+    w = int(size.max())
+    cols = np.argsort(~passive, axis=1, kind="stable")[:, :w]
+    valid = np.arange(w) < size[:, None]
+    blocks = np.where(valid[:, None, :], Gn.T[cols].transpose(0, 2, 1), 0.0)  # (B, p, w)
+    rcond = np.finfo(float).eps * np.maximum(size, Gn.shape[0])
+    z = (np.linalg.pinv(blocks, rcond=rcond) @ Y[:, :, None])[:, :, 0]
+    trial = np.zeros(passive.shape)
+    np.put_along_axis(trial, cols, np.where(valid, z, 0.0), axis=1)
+    return trial

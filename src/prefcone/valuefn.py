@@ -121,11 +121,16 @@ def evaluate_batch(handle: ValueFunctionHandle, points: np.ndarray) -> np.ndarra
     """Vectorized :func:`evaluate` over the rows of ``points``.
 
     A signed-distance handle whose cone is the whole space raises
-    WholeSpaceError, as :func:`make_psi` does for such an instance.
+    WholeSpaceError, as :func:`make_psi` does for such an instance.  All
+    exterior points are projected onto the cone by one batched
+    :func:`~prefcone.cones.nnls` call.  Non-finite coordinates raise
+    ValueError.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     if X.shape[1] != handle.p:
         raise ValueError(f"points have dimension {X.shape[1]}, expected {handle.p}")
+    if not np.isfinite(X).all():
+        raise ValueError("points must be finite")
     if handle.kind == "linear":
         return X @ handle.weights
     if handle.facet_cone.is_whole_space:
@@ -136,9 +141,8 @@ def evaluate_batch(handle: ValueFunctionHandle, points: np.ndarray) -> np.ndarra
     values = np.zeros(X.shape[0])
     interior = margins > thresholds
     values[interior] = margins[interior]
-    G = handle.gen_cone.generator_matrix
-    for i in np.flatnonzero(margins < -thresholds):
-        values[i] = -nnls(G, Y[i])[1]
+    exterior = margins < -thresholds
+    values[exterior] = -nnls(handle.gen_cone.generator_matrix, Y[exterior])[1]
     return values
 
 

@@ -22,11 +22,13 @@ from prefcone import (
     evaluate_batch,
     extreme_rays,
 )
+from prefcone.cones import _ACTIVITY_TOL, RAY_DEDUP_TOL
 
 __all__ = [
     "PropertyViolation",
     "TooLargeError",
     "brute_dist_to_cone",
+    "dd_pointed_loop",
     "enumerate_lp_optimum",
     "is_pointed_geometric",
     "judgement_points",
@@ -112,6 +114,55 @@ def is_pointed_geometric(hrep: np.ndarray) -> bool:
         return False
     witness = rays.sum(axis=0)
     return bool((np.asarray(hrep, dtype=float) @ witness).min() > 1e-9)
+
+
+def dd_pointed_loop(A: np.ndarray) -> np.ndarray:
+    """Double description with the adjacency test and dedupe as plain loops.
+
+    The reference for ``prefcone.cones._dd_pointed``: the same insertion
+    order, tolerances and per-pair ray formula, so its rays must agree
+    bit for bit.  Its triple loop is O(pairs * rays) in Python.
+    """
+    m, q = A.shape
+    base: list[int] = []
+    for i in range(m):
+        if np.linalg.matrix_rank(A[base + [i]]) > len(base):
+            base.append(i)
+            if len(base) == q:
+                break
+    rays = np.linalg.inv(A[base]).T
+    rays /= np.linalg.norm(rays, axis=1)[:, None]
+    processed = list(base)
+    for i in (j for j in range(m) if j not in base):
+        vals = rays @ A[i]
+        pos = vals > _ACTIVITY_TOL
+        neg = vals < -_ACTIVITY_TOL
+        if not neg.any():
+            processed.append(i)
+            continue
+        new = []
+        if pos.any():
+            active = np.abs(rays @ A[processed].T) <= _ACTIVITY_TOL
+            for u in np.flatnonzero(pos):
+                for w in np.flatnonzero(neg):
+                    common = active[u] & active[w]
+                    if any(
+                        v != u and v != w and active[v][common].all()
+                        for v in range(rays.shape[0])
+                    ):
+                        continue
+                    ray = vals[u] * rays[w] - vals[w] * rays[u]
+                    ray /= np.linalg.norm(ray)
+                    new.append(ray)
+        kept: list[np.ndarray] = []
+        for ray in np.vstack([rays[~neg]] + new):
+            if not any(np.linalg.norm(ray - other) <= RAY_DEDUP_TOL for other in kept):
+                kept.append(ray)
+        rays = np.array(kept).reshape(-1, q)
+        processed.append(i)
+        if rays.shape[0] == 0:
+            break
+    return rays
 
 
 def judgement_points(handle: ValueFunctionHandle) -> np.ndarray:

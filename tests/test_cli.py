@@ -84,6 +84,17 @@ def test_nnls_iteration_cap_exits_3(capsys, monkeypatch, data_dir):
     assert json.loads(out)["error"]["code"] == "NNLS_MAX_ITER"
 
 
+@pytest.mark.parametrize("function", ["psi", "vartheta", "linear"])
+@pytest.mark.parametrize("point", ["nan,1", "inf,1", "1,-inf"])
+def test_eval_non_finite_point_is_bad_argument(capsys, data_dir, function, point):
+    code, out = run_cli(
+        capsys, "eval", "--instance", str(data_dir / "pointed.json"),
+        "--function", function, f"--point={point}",
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "BAD_ARGUMENT"
+
+
 def test_eval_vartheta_solves_each_lp_once(capsys, monkeypatch, data_dir):
     # one LP at epsilon 0, one at epsilon_bar = 0.01, which the pointed fixture passes
     calls = []

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prefcone.cones
 from prefcone import (
     DimensionTooLargeError,
     FacetCone,
@@ -18,8 +19,9 @@ from prefcone import (
     nnls,
     preference_cone,
 )
-from _helpers import random_instance
-from oracle import is_pointed_geometric
+from prefcone.cones import _dd_pointed, _dedupe
+from _helpers import random_instance, synthetic_dm_instance
+from oracle import dd_pointed_loop, is_pointed_geometric
 
 SQRT5 = np.sqrt(5.0)
 
@@ -277,3 +279,142 @@ def test_zero_distance_iff_not_exterior(seed):
         assert dist <= 1e-8
     if cls is MembershipClass.INTERIOR:
         assert dist_to_complement(y, facets) > 0.0
+
+
+def _degenerate_stack(rng, k):
+    """Integer columns, some collinear or dead, and a stack of 1-11 targets."""
+    p = int(rng.integers(1, 7))
+    n = int(rng.integers(1, 10))
+    G = rng.integers(-2, 3, size=(p, n)).astype(float)
+    if k % 3 == 0 and n >= 2:
+        G[:, -1] = 2.0 * G[:, 0]  # collinear column
+    if k % 7 == 0:
+        G[:, rng.integers(0, n)] = 0.0  # dead column
+    Y = rng.integers(-4, 5, size=(int(rng.integers(1, 12)), p)).astype(float)
+    return G, Y
+
+
+def test_nnls_stack_rows_match_single_solves():
+    rng = np.random.default_rng(77)
+    for k in range(200):
+        G, Y = _degenerate_stack(rng, k)
+        coef, resid = nnls(G, Y)
+        assert coef.shape == (Y.shape[0], G.shape[1])
+        assert resid.shape == (Y.shape[0],)
+        for i, y in enumerate(Y):
+            one_coef, one_resid = nnls(G, y)
+            tol = 1e-12 * (1.0 + np.linalg.norm(y))
+            assert abs(resid[i] - one_resid) <= tol
+            # the projection G @ coef is unique even where coef is not
+            assert np.linalg.norm(G @ coef[i] - G @ one_coef) <= tol
+
+
+def test_nnls_stack_kkt_certificate_on_degenerate_systems():
+    rng = np.random.default_rng(654)
+    for k in range(200):
+        G, Y = _degenerate_stack(rng, k)
+        coef, resid = nnls(G, Y)
+        assert (coef >= 0).all()
+        np.testing.assert_allclose(
+            np.linalg.norm(coef @ G.T - Y, axis=1), resid, rtol=0, atol=1e-10
+        )
+        grad = (coef @ G.T - Y) @ G
+        assert grad.min() >= -1e-8  # dual feasibility
+        support = coef > 1e-12
+        if support.any():
+            assert np.abs(grad[support]).max() <= 1e-8  # complementary slackness
+
+
+def test_nnls_stack_on_nearly_parallel_columns_matches_scipy():
+    # normal equations would square these condition numbers (up to ~1e9)
+    from scipy.optimize import nnls as scipy_nnls
+
+    rng = np.random.default_rng(12)
+    for _ in range(150):
+        p = int(rng.integers(2, 7))
+        n = int(rng.integers(3, 12))
+        G = rng.normal(size=(p, n))
+        delta = 10.0 ** -rng.uniform(3, 9)
+        G[:, 1] = G[:, 0] + delta * rng.normal(size=p)
+        G[:, 2] = 0.5 * G[:, 0] + G[:, 1] + delta * rng.normal(size=p)
+        Y = rng.normal(size=(10, p))
+        resid = nnls(G, Y)[1]
+        for y, r in zip(Y, resid):
+            assert r == pytest.approx(scipy_nnls(G, y)[1], abs=1e-8 * (1 + np.linalg.norm(y)))
+
+
+def test_nnls_empty_stack():
+    coef, resid = nnls(np.ones((3, 5)), np.zeros((0, 3)))
+    assert coef.shape == (0, 5)
+    assert resid.shape == (0,)
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (2, 4), (2, 2, 3), ()])
+def test_nnls_target_shape_checked(shape):
+    with pytest.raises(ValueError, match="target has shape"):
+        nnls(np.ones((3, 5)), np.zeros(shape))
+
+
+def _dm_cones(seed, count, p_max=6, t_max=40):
+    """Preference cones of scorer-consistent instances up to t=40, p=6."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        inst = synthetic_dm_instance(rng, p_max=p_max, t_max=t_max)
+        yield rng, preference_cone(inst, 0.0)
+
+
+def test_dd_matches_loop_reference_bitwise():
+    rng = np.random.default_rng(4242)
+    for k in range(150):
+        q = 2 + k % 5
+        t = int(rng.integers(0, 3 * q + 3))
+        A = np.vstack([np.eye(q), rng.integers(-4, 5, size=(t, q)).astype(float)])
+        if k % 4 == 0:
+            A[q:] += 0.25 * rng.normal(size=(t, q))
+        norms = np.linalg.norm(A, axis=1)
+        A = A[norms > 0] / norms[norms > 0, None]  # what extreme_rays feeds _dd_pointed
+        np.testing.assert_array_equal(_dd_pointed(A), dd_pointed_loop(A))
+
+
+def test_dd_blocked_pairs_and_dedupe_match_unblocked(monkeypatch):
+    hreps = [dual_hrep(cone) for _, cone in _dm_cones(99, 20, t_max=25)]
+    want = [extreme_rays(h).facet_normals for h in hreps]
+    monkeypatch.setattr(prefcone.cones, "_DD_BLOCK", 7)  # a few pairs or rows per block
+    for h, w in zip(hreps, want):
+        np.testing.assert_array_equal(extreme_rays(h).facet_normals, w)
+
+
+def test_dedupe_keeps_first_of_each_cluster():
+    rng = np.random.default_rng(8)
+    base = rng.normal(size=(6, 3))
+    base /= np.linalg.norm(base, axis=1)[:, None]
+    shift = np.array([0.6e-9, 0.0, 0.0])
+    # 0, 0+s and 0+2s chain: the third is 1.2e-9 from the kept first, so it stays
+    rays = np.vstack([base[0], base[0] + shift, base[0] + 2 * shift, base[1:], base[2], base[3]])
+    got = _dedupe(rays)
+    np.testing.assert_array_equal(got, np.vstack([base[0], base[0] + 2 * shift, base[1:]]))
+
+
+def test_dd_facets_certified_up_to_t40_p6():
+    for rng, cone in _dm_cones(31, 40):
+        facets = extreme_rays(dual_hrep(cone))
+        if facets.is_whole_space:
+            continue
+        gens = np.vstack([cone.pref_generators, cone.axis_generators])
+        gens = gens[np.linalg.norm(gens, axis=1) > 0]
+        gens /= np.linalg.norm(gens, axis=1)[:, None]
+        products = facets.facet_normals @ gens.T  # (k, n_gens)
+        # soundness: every generator lies on the inner side of every facet
+        assert products.min() >= -1e-9
+        # each normal is a facet: p - 1 independent generators are tight on it
+        for a, row in zip(facets.facet_normals, products):
+            tight = gens[np.abs(row) <= 1e-9]
+            assert np.linalg.matrix_rank(tight, tol=1e-9) == cone.p - 1, a
+        # completeness: facet-interior points are in the cone, points off the
+        # cone violate some facet
+        Y = rng.uniform(-4, 4, size=(300, cone.p))
+        margins = (Y @ facets.facet_normals.T).min(axis=1)
+        resid = nnls(cone.generator_matrix, Y)[1]
+        tol = 1e-8 * (1.0 + np.linalg.norm(Y, axis=1))
+        assert (resid[margins > tol] <= tol[margins > tol]).all()
+        assert (margins[resid > tol] < 0).all()

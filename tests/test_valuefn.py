@@ -138,6 +138,15 @@ def test_whole_space_handle_rejected_by_both_evaluators(psi):
         evaluate_batch(whole, np.array([[1.0, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_rejected(psi, vartheta, pointed_instance, bad):
+    for handle in (psi, vartheta, make_linear(pointed_instance)):
+        with pytest.raises(ValueError, match="finite"):
+            evaluate(handle, np.array([bad, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_batch(handle, np.array([[2.0, 2.0], [1.0, bad]]))
+
+
 def test_evaluate_batch_matches_pointwise(psi, vartheta, pointed_instance):
     rng = np.random.default_rng(17)
     X = rng.uniform(-6, 6, size=(200, 2))
