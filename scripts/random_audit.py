@@ -6,7 +6,8 @@ four routes to the consistency answer agree: strict linear separation from
 the LP certificate, the strict signed-distance construction on a shrunk
 cone, dual-cone full-dimensionality, and a zero LP optimum.  Also runs the
 sampled value-function property checks on every instance whose cone has a
-nonempty complement.
+nonempty complement, and checks that the engine's epsilon search returns
+the value (or raises the error) of the LP-trial reference search.
 """
 
 from __future__ import annotations
@@ -21,9 +22,15 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from _helpers import random_instance  # noqa: E402
-from oracle import check_properties, is_pointed_geometric  # noqa: E402
+from oracle import (  # noqa: E402
+    backtrack_epsilon,
+    check_properties,
+    is_pointed_geometric,
+    search_outcome,
+)
 
 from prefcone import (  # noqa: E402
+    EpsilonSearchConfig,
     NotPointedError,
     WholeSpaceError,
     dual_hrep,
@@ -37,7 +44,12 @@ from prefcone import (  # noqa: E402
 )
 
 
-def audit_one(inst, seed: int, n_samples: int) -> tuple[tuple[bool, ...], int]:
+# The default schedule passes on its first value for most draws; a start
+# above the typical margin makes the search stop next to it.
+EPSILON_SCHEDULES = (None, EpsilonSearchConfig(epsilon0=10.0, beta=0.3))
+
+
+def audit_one(inst, seed: int, n_samples: int) -> tuple[tuple[bool, ...], int, bool]:
     by_lp = test_pointedness(inst, 0.0).pointed
     by_geometry = is_pointed_geometric(dual_hrep(preference_cone(inst, 0.0)))
     try:
@@ -64,7 +76,11 @@ def audit_one(inst, seed: int, n_samples: int) -> tuple[tuple[bool, ...], int]:
         psi = None
     if psi is not None:
         violations = len(check_properties(psi, n_samples, seed=seed))
-    return (by_linear, by_strict, by_geometry, by_lp), violations
+    epsilon_agrees = all(
+        search_outcome(epsilon_search, inst, cfg) == search_outcome(backtrack_epsilon, inst, cfg)
+        for cfg in EPSILON_SCHEDULES
+    )
+    return (by_linear, by_strict, by_geometry, by_lp), violations, epsilon_agrees
 
 
 def main() -> None:
@@ -78,11 +94,17 @@ def main() -> None:
     rows = Counter()
     total_violations = 0
     mixed = 0
+    epsilon_mismatches = 0
     start = time.perf_counter()
     for i in range(args.instances):
         inst = random_instance(rng)
-        row, violations = audit_one(inst, seed=args.seed + i, n_samples=args.samples)
+        row, violations, epsilon_agrees = audit_one(
+            inst, seed=args.seed + i, n_samples=args.samples
+        )
         rows[row] += 1
+        if not epsilon_agrees:
+            epsilon_mismatches += 1
+            print(f"EPSILON MISMATCH at instance {i}")
         total_violations += violations
         if len(set(row)) != 1:
             mixed += 1
@@ -95,7 +117,8 @@ def main() -> None:
         print(f"  {row}: {count}")
     print(f"mixed rows: {mixed}")
     print(f"sampled property violations: {total_violations}")
-    if mixed or total_violations:
+    print(f"epsilon search mismatches: {epsilon_mismatches}")
+    if mixed or total_violations or epsilon_mismatches:
         sys.exit(1)
 
 

@@ -79,7 +79,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("weights", help="extract strictly separating linear weights")
     add_common(sp)
 
-    sp = sub.add_parser("epsilon", help="backtrack a pointed perturbation size")
+    sp = sub.add_parser("epsilon", help="pick a perturbation size that keeps the cone pointed")
     add_common(sp)
     _add_epsilon_flags(sp)
 

@@ -134,7 +134,7 @@ def dual_hrep(cone: GeneratorCone) -> np.ndarray:
     return np.vstack([cone.axis_generators, cone.pref_generators])
 
 
-def extreme_rays(hrep: np.ndarray, max_dim: int = MAX_DD_DIM) -> FacetCone:
+def extreme_rays(hrep: np.ndarray) -> FacetCone:
     """Extreme rays of {d : row.d >= 0 for all rows}, as a FacetCone.
 
     By bipolarity these rays are the facet normals of the primal cone the
@@ -151,9 +151,9 @@ def extreme_rays(hrep: np.ndarray, max_dim: int = MAX_DD_DIM) -> FacetCone:
     if rows.shape[0] == 0:
         raise ValueError("hrep must contain at least one row")
     p = rows.shape[1]
-    if p > max_dim:
+    if p > MAX_DD_DIM:
         raise DimensionTooLargeError(
-            f"double description capped at dimension {max_dim}, got {p}"
+            f"double description capped at dimension {MAX_DD_DIM}, got {p}"
         )
     norms = np.linalg.norm(rows, axis=1)
     rows = rows[norms > 1e-12] / norms[norms > 1e-12, None]

@@ -3,13 +3,15 @@
 Whether the judgements admit an increasing quasi-concave value function,
 an increasing linear one, a pointed preference cone, and a zero-optimum
 feasibility program are one and the same question; the test answers it by
-solving a single small LP and, on success, backtracks a perturbation size
-under which the strict version of the construction goes through.
+solving a single small LP and, on success, reads a perturbation size under
+which the strict version of the construction goes through off a second LP
+with one row per criterion.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -18,7 +20,7 @@ import numpy as np
 from .cones import dual_hrep, extreme_rays, preference_cone
 from .errors import DimensionTooLargeError, MaxIterExceededError, NotPointedError
 from .instance import PreferenceInstance, generators
-from .lp import build_pointedness_lp, solve
+from .lp import StandardLP, build_pointedness_lp, solve
 
 __all__ = [
     "Z_STAR_TOL",
@@ -38,15 +40,15 @@ Z_STAR_TOL = 1e-7
 
 @dataclass(frozen=True)
 class EpsilonSearchConfig:
-    """Backtracking schedule: try epsilon0 * beta^i for i = 0, 1, 2, ..."""
+    """Schedule of perturbation sizes epsilon0 * beta^i for i = 0, 1, 2, ..."""
 
     epsilon0: float = 1e-2
     beta: float = 0.5
     max_iter: int = 60
 
     def __post_init__(self):
-        if not self.epsilon0 > 0:
-            raise ValueError("epsilon0 must be positive")
+        if not 0 < self.epsilon0 < math.inf:
+            raise ValueError("epsilon0 must be positive and finite")
         if not 0 < self.beta < 1:
             raise ValueError("beta must lie strictly between 0 and 1")
         if self.max_iter < 1:
@@ -125,25 +127,43 @@ test_pointedness.__test__ = False  # not a pytest case despite the name
 def epsilon_search(
     inst: PreferenceInstance, cfg: EpsilonSearchConfig | None = None
 ) -> float:
-    """Backtrack to a perturbation size whose shrunk cone is still pointed.
+    """The first schedule value whose shrunk cone is still pointed.
 
     Requires the unperturbed cone to be pointed (otherwise no perturbation
-    works and the loop would never stop).  Returns the first epsilon on the
-    schedule that tests pointed; every smaller epsilon then works too.
+    works).  Every smaller epsilon then works too.  Raises
+    MaxIterExceededError when no schedule value is small enough.
     """
     if not test_pointedness(inst, 0.0).pointed:
         raise NotPointedError(
             "the preference cone is not pointed; no perturbation can be"
         )
-    return _backtrack(inst, cfg)
+    return _epsilon_bar(inst, cfg)
 
 
-def _backtrack(inst: PreferenceInstance, cfg: EpsilonSearchConfig | None) -> float:
-    """:func:`epsilon_search` for callers that know the unperturbed cone is pointed."""
+def _epsilon_bar(inst: PreferenceInstance, cfg: EpsilonSearchConfig | None) -> float:
+    """:func:`epsilon_search` for callers that know the unperturbed cone is pointed.
+
+    The cone shrunk by eps is pointed iff ``eps < eps* = max min_j g_j.d``
+    over the simplex, and ``1 / eps*`` is the optimum of the margin program
+    ``max 1.y s.t. G^T y <= 1, y >= 0`` (unbounded when eps* is 0).  G is
+    first divided, exactly, by a power of two near its largest entry, so
+    that the absolute pivot tolerance sees entries of order one.
+    """
     cfg = cfg or EpsilonSearchConfig()
+    G = generators(inst, 0.0)
+    t, p = G.shape
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(G).max()))[1])
+    margin = StandardLP(
+        constraint_matrix=np.hstack([G.T / scale, np.eye(p)]),
+        rhs=np.ones(p),
+        objective=np.concatenate([-np.ones(t), np.zeros(p)]),
+        initial_basis=tuple(range(t, t + p)),
+    )
+    sol = solve(margin)
+    eps_star = 0.0 if sol.status == "unbounded" else scale / -sol.objective_value
     for i in range(cfg.max_iter):
         eps = cfg.beta**i * cfg.epsilon0
-        if test_pointedness(inst, eps).pointed:
+        if eps < eps_star:
             return eps
     raise MaxIterExceededError(
         f"no pointed perturbation found in {cfg.max_iter} trials from {cfg.epsilon0}"
@@ -179,7 +199,7 @@ def consistency_verdict(
         pointed=result.pointed,
         z_star=result.z_star,
         weight_certificate=result.certificate,
-        epsilon_bar=_backtrack(inst, cfg) if result.pointed else None,
+        epsilon_bar=_epsilon_bar(inst, cfg) if result.pointed else None,
         facet_count=facet_count,
         verdict_text=_verdict_text(result.pointed, result.z_star, notes),
     )

@@ -14,9 +14,9 @@ import math
 
 import numpy as np
 
-from .consistency import EpsilonSearchConfig, _backtrack, test_pointedness
+from .consistency import EpsilonSearchConfig, epsilon_search
 from .cones import FacetCone, dual_hrep, extreme_rays, preference_cone
-from .errors import UnsupportedDimensionError
+from .errors import NotPointedError, UnsupportedDimensionError
 from .instance import PreferenceInstance, require_valid
 
 __all__ = ["plot2d", "cone_angular_interval", "boundary_rays"]
@@ -55,10 +55,11 @@ def plot2d(
             f"plots are only available for 2 criteria, got {inst.p}"
         )
     facets = extreme_rays(dual_hrep(preference_cone(inst, 0.0)))
-    eps_bar = None
-    eps_facets = None
-    if test_pointedness(inst, 0.0).pointed:
-        eps_bar = _backtrack(inst, cfg)
+    try:
+        eps_bar = epsilon_search(inst, cfg)
+    except NotPointedError:
+        eps_bar = eps_facets = None
+    else:
         eps_facets = extreme_rays(dual_hrep(preference_cone(inst, eps_bar)))
 
     svg = _render(inst, facets, eps_bar, eps_facets)

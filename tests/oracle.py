@@ -1,8 +1,9 @@
 """Brute-force verifiers used by the test suite and the audit script.
 
 Nothing here is imported by the engine: the distance oracle, the LP basis
-enumerator, the geometric pointedness test and the sampled property checker
-exist to pin expected values independently of the code paths they audit.
+enumerator, the geometric pointedness test, the LP-trial epsilon search and
+the sampled property checker exist to pin expected values independently of
+the code paths they audit.
 Everything is deterministic under a fixed seed.
 """
 
@@ -15,18 +16,25 @@ from typing import Any
 import numpy as np
 
 from prefcone import (
+    EpsilonSearchConfig,
     GeneratorCone,
+    MaxIterExceededError,
+    NotPointedError,
+    PreferenceInstance,
     PrefconeError,
     StandardLP,
     ValueFunctionHandle,
     evaluate_batch,
     extreme_rays,
+    test_pointedness,
 )
 from prefcone.cones import _ACTIVITY_TOL, RAY_DEDUP_TOL
 
 __all__ = [
     "PropertyViolation",
     "TooLargeError",
+    "backtrack_epsilon",
+    "search_outcome",
     "brute_dist_to_cone",
     "dd_pointed_loop",
     "enumerate_lp_optimum",
@@ -163,6 +171,35 @@ def dd_pointed_loop(A: np.ndarray) -> np.ndarray:
         if rays.shape[0] == 0:
             break
     return rays
+
+
+def backtrack_epsilon(
+    inst: PreferenceInstance, cfg: EpsilonSearchConfig | None = None
+) -> float:
+    """``prefcone.epsilon_search`` as one pointedness LP per schedule value.
+
+    The reference for the engine's single margin LP: test the unperturbed
+    cone, then return the first ``epsilon0 * beta^i`` whose shrunk cone the
+    full feasibility program finds pointed.
+    """
+    if not test_pointedness(inst, 0.0).pointed:
+        raise NotPointedError("the preference cone is not pointed; no perturbation can be")
+    cfg = cfg or EpsilonSearchConfig()
+    for i in range(cfg.max_iter):
+        eps = cfg.beta**i * cfg.epsilon0
+        if test_pointedness(inst, eps).pointed:
+            return eps
+    raise MaxIterExceededError(
+        f"no pointed perturbation found in {cfg.max_iter} trials from {cfg.epsilon0}"
+    )
+
+
+def search_outcome(search, inst: PreferenceInstance, cfg: EpsilonSearchConfig | None):
+    """``search(inst, cfg)``, or the type of the search error it raises, for comparison."""
+    try:
+        return search(inst, cfg)
+    except (NotPointedError, MaxIterExceededError) as exc:
+        return type(exc)
 
 
 def judgement_points(handle: ValueFunctionHandle) -> np.ndarray:

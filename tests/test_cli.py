@@ -8,7 +8,8 @@ import prefcone.lp
 import prefcone.valuefn
 from prefcone.cli import run
 from prefcone.plotting import plot2d
-from prefcone import NnlsMaxIterError, UnsupportedDimensionError, parse_instance
+from prefcone import NnlsMaxIterError, UnsupportedDimensionError, epsilon_search, parse_instance
+from oracle import backtrack_epsilon
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +72,12 @@ def test_exhausted_epsilon_schedule_exits_3(capsys, data_dir):
     assert json.loads(out)["error"]["code"] == "MAX_ITER_EXCEEDED"
 
 
+def test_infinite_epsilon0_is_bad_argument(capsys, data_dir):
+    code, out = run_cli(capsys, "epsilon", str(data_dir / "pointed.json"), "--epsilon0", "inf")
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "BAD_ARGUMENT"
+
+
 def test_nnls_iteration_cap_exits_3(capsys, monkeypatch, data_dir):
     def stalled(columns, target):
         raise NnlsMaxIterError("active-set iterations exceeded 0")
@@ -111,6 +118,40 @@ def test_eval_vartheta_solves_each_lp_once(capsys, monkeypatch, data_dir):
     )
     assert code == 0
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("k", range(-9, 10))
+def test_epsilon_bar_from_two_lps_at_any_scale(capsys, monkeypatch, data_dir, tmp_path, k):
+    # the eps=0 program, then one margin program, however small the shrink
+    doc = json.loads((data_dir / "pointed.json").read_text())
+    doc["alternatives"] = (np.array(doc["alternatives"]) * 10.0**k).tolist()
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    inst = parse_instance(path.read_text())
+    want = backtrack_epsilon(inst)
+    assert epsilon_search(inst) == want
+
+    calls = []
+    solve = prefcone.consistency.solve
+
+    def counting_solve(lp):
+        calls.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(prefcone.consistency, "solve", counting_solve)
+    for argv, key in [
+        (["epsilon", str(path)], "epsilon_bar"),
+        (["test", str(path)], "epsilon_bar"),
+        (["plot", str(path), "--output", str(tmp_path / "scaled.svg")], None),
+    ]:
+        calls.clear()
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(calls) == 2
+        if key:
+            assert json.loads(out)[key] == want
+    svg = (tmp_path / "scaled.svg").read_text()
+    assert json.loads(svg.split("<metadata>")[1].split("</metadata>")[0])["epsilon_bar"] == want
 
 
 def test_test_subcommand_inconsistent_exit_1(capsys, data_dir):

@@ -23,7 +23,7 @@ from prefcone import (
     test_pointedness,
 )
 from _helpers import random_instance, synthetic_dm_instance
-from oracle import is_pointed_geometric
+from oracle import backtrack_epsilon, is_pointed_geometric, search_outcome
 
 
 @pytest.mark.parametrize("fixture", ["pointed.json", "halfplane.json"])
@@ -45,10 +45,8 @@ def test_verdict_computes_each_artifact_once(monkeypatch, data_dir, fixture):
     inst = parse_instance((data_dir / fixture).read_text())
     cfg = EpsilonSearchConfig()
     report = consistency_verdict(inst, cfg)
-    trials = 0
-    if report.pointed:
-        trials = 1 + round(math.log(report.epsilon_bar / cfg.epsilon0, cfg.beta))
-    assert calls == {"validate": 1, "solve": 1 + trials, "extreme_rays": 1}
+    # the eps=0 program, then one margin program when the cone is pointed
+    assert calls == {"validate": 1, "solve": 1 + report.pointed, "extreme_rays": 1}
 
 
 def test_pointed_fixture(pointed_instance):
@@ -94,6 +92,27 @@ def test_epsilon_search_huge_start_terminates(pointed_instance):
     assert test_pointedness(pointed_instance, eps).pointed
 
 
+def test_epsilon_search_matches_trial_backtracking():
+    schedules = [
+        None,
+        EpsilonSearchConfig(0.25, 0.5, 20),
+        EpsilonSearchConfig(10, 0.3, 60),
+        EpsilonSearchConfig(1e6, 0.5, 1),
+    ]
+    rng = np.random.default_rng(211)
+    outcomes = Counter()
+    for k in range(400):
+        draw = random_instance if k % 2 else synthetic_dm_instance
+        inst = draw(rng)
+        for cfg in schedules:
+            got = search_outcome(epsilon_search, inst, cfg)
+            assert got == search_outcome(backtrack_epsilon, inst, cfg), (k, cfg)
+            epsilon0 = (cfg or EpsilonSearchConfig()).epsilon0
+            outcomes[got if isinstance(got, type) else got < epsilon0] += 1
+    # values past the first trial, first-trial values and both errors all occur
+    assert min(outcomes[key] for key in (True, False, NotPointedError, MaxIterExceededError)) > 20
+
+
 def test_epsilon_monotone_in_pointedness():
     rng = np.random.default_rng(23)
     checked = 0
@@ -112,6 +131,8 @@ def test_epsilon_monotone_in_pointedness():
 def test_config_validation():
     with pytest.raises(ValueError):
         EpsilonSearchConfig(epsilon0=0.0)
+    with pytest.raises(ValueError):
+        EpsilonSearchConfig(epsilon0=math.inf)
     with pytest.raises(ValueError):
         EpsilonSearchConfig(beta=1.0)
     with pytest.raises(ValueError):
