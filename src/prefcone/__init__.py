@@ -20,10 +20,6 @@ from .consistency import (
 from .cones import (
     FacetCone,
     GeneratorCone,
-    MembershipClass,
-    classify,
-    dist_to_cone,
-    dist_to_complement,
     dual_hrep,
     extreme_rays,
     nnls,
@@ -38,7 +34,6 @@ from .errors import (
     NotPointedError,
     ParseError,
     PrefconeError,
-    SingularBasisError,
     UnsupportedDimensionError,
     WholeSpaceError,
 )
@@ -74,14 +69,12 @@ __all__ = [
     "InvalidInstanceError",
     "LPSolution",
     "MaxIterExceededError",
-    "MembershipClass",
     "NnlsMaxIterError",
     "NotPointedError",
     "ParseError",
     "PointednessResult",
     "PrefconeError",
     "PreferenceInstance",
-    "SingularBasisError",
     "StandardLP",
     "UnsupportedDimensionError",
     "ValidationReport",
@@ -89,10 +82,7 @@ __all__ = [
     "WholeSpaceError",
     "Z_STAR_TOL",
     "build_pointedness_lp",
-    "classify",
     "consistency_verdict",
-    "dist_to_cone",
-    "dist_to_complement",
     "dual_hrep",
     "epsilon_search",
     "evaluate",

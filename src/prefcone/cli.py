@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import logging
+import re
 import sys
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .instance import parse_instance, require_valid, validate
 from .plotting import plot2d
-from .valuefn import _vartheta, classification, evaluate, make_linear, make_psi
+from .valuefn import _vartheta, evaluate, make_linear, make_psi
 
 __all__ = ["run", "main"]
 
@@ -46,6 +47,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-2" as a value but "-2,-2" and "-1e-3" as unknown options
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -176,8 +182,7 @@ def _dispatch(ns) -> tuple[dict, int]:
         else:
             handle = make_linear(inst)
         value = evaluate(handle, point)
-        cls = classification(handle, point)
-        return {"value": value, "classification": None if cls is None else cls.value}, 0
+        return {"value": value, "classification": _membership(handle.kind, value)}, 0
 
     if ns.subcommand == "plot":
         inst = _load(ns.instance)
@@ -196,6 +201,13 @@ def _load(path: str):
     text = Path(path).read_text(encoding="utf-8")
     fmt = "csv" if path.endswith(".csv") else "json"
     return parse_instance(text, fmt)
+
+
+def _membership(kind: str, value: float) -> str | None:
+    """The point's place in the cone, read off the sign of a signed distance."""
+    if kind == "linear":
+        return None
+    return "interior" if value > 0.0 else "exterior" if value < 0.0 else "boundary"
 
 
 def _parse_point(text: str):

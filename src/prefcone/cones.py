@@ -1,28 +1,24 @@
-"""Geometry of the preference cone: representations, membership, distances.
+"""Geometry of the preference cone: its two representations and projection.
 
 The cone of interest is generated by the judgement directions plus the
 nonnegative orthant, so it is always full-dimensional.  Its facet normals
 are obtained as the extreme rays of the dual cone (which has a clean
-half-space description) via the double description method; distances to the
-cone come from a Lawson-Hanson nonnegative least squares projection, and
-distances to the complement reduce to a minimum over unit facet normals.
+half-space description) via the double description method, and
+:func:`nnls` projects points onto the cone by Lawson-Hanson nonnegative
+least squares on its generators.  Membership and the signed distances
+built from both live in :func:`prefcone.valuefn.evaluate_batch`.
 
-All distances are Euclidean.  Cone objects are immutable and every
-operation here is a pure function, safe for concurrent use.
+Cone objects are immutable and every operation here is a pure function,
+safe for concurrent use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DimensionTooLargeError,
-    NnlsMaxIterError,
-    WholeSpaceError,
-)
+from .errors import DimensionTooLargeError, NnlsMaxIterError
 from .instance import PreferenceInstance, generators
 
 __all__ = [
@@ -31,13 +27,9 @@ __all__ = [
     "MAX_DD_DIM",
     "GeneratorCone",
     "FacetCone",
-    "MembershipClass",
     "preference_cone",
     "dual_hrep",
     "extreme_rays",
-    "classify",
-    "dist_to_cone",
-    "dist_to_complement",
     "nnls",
 ]
 
@@ -47,12 +39,6 @@ MAX_DD_DIM = 12
 
 _ACTIVITY_TOL = 1e-9
 _DD_BLOCK = 1 << 20  # cells per block of the DD pair and distance arrays
-
-
-class MembershipClass(Enum):
-    INTERIOR = "interior"
-    BOUNDARY = "boundary"
-    EXTERIOR = "exterior"
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,45 +247,6 @@ def _dedupe(rays: np.ndarray) -> np.ndarray:
             if kept[lo + i]:
                 kept[j] = False
     return rays[kept]
-
-
-def classify(y: np.ndarray, facets: FacetCone) -> MembershipClass:
-    """Interior/boundary/exterior of the facet-described cone, with a scaled tolerance."""
-    if facets.is_whole_space:
-        raise WholeSpaceError(
-            "the cone is the whole space; its complement is empty and membership is trivial"
-        )
-    y = np.asarray(y, dtype=float)
-    margin = float((facets.facet_normals @ y).min())
-    threshold = CLASSIFY_TOL * (1.0 + float(np.linalg.norm(y)))
-    if margin > threshold:
-        return MembershipClass.INTERIOR
-    if margin < -threshold:
-        return MembershipClass.EXTERIOR
-    return MembershipClass.BOUNDARY
-
-
-def dist_to_cone(y: np.ndarray, cone: GeneratorCone) -> float:
-    """Euclidean distance from y to the finitely generated cone.
-
-    Computed as the residual of min ||G.coef - y|| over coef >= 0, where the
-    columns of G are the judgement and axis generators.  Zero (within 1e-8)
-    exactly when y is inside the closed cone.
-    """
-    return nnls(cone.generator_matrix, y)[1]
-
-
-def dist_to_complement(y: np.ndarray, facets: FacetCone) -> float:
-    """Euclidean distance from y to the complement of the cone.
-
-    Zero unless y is interior; for interior points the distance to the
-    complement of a convex cone equals the smallest distance to a facet
-    hyperplane, i.e. the minimum of a.y over unit facet normals.
-    """
-    y = np.asarray(y, dtype=float)
-    if classify(y, facets) is not MembershipClass.INTERIOR:
-        return 0.0
-    return float((facets.facet_normals @ y).min())
 
 
 def nnls(columns: np.ndarray, target: np.ndarray):

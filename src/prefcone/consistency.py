@@ -141,26 +141,9 @@ def epsilon_search(
 
 
 def _epsilon_bar(inst: PreferenceInstance, cfg: EpsilonSearchConfig | None) -> float:
-    """:func:`epsilon_search` for callers that know the unperturbed cone is pointed.
-
-    The cone shrunk by eps is pointed iff ``eps < eps* = max min_j g_j.d``
-    over the simplex, and ``1 / eps*`` is the optimum of the margin program
-    ``max 1.y s.t. G^T y <= 1, y >= 0`` (unbounded when eps* is 0).  G is
-    first divided, exactly, by a power of two near its largest entry, so
-    that the absolute pivot tolerance sees entries of order one.
-    """
+    """:func:`epsilon_search` for callers that know the unperturbed cone is pointed."""
     cfg = cfg or EpsilonSearchConfig()
-    G = generators(inst, 0.0)
-    t, p = G.shape
-    scale = math.ldexp(1.0, math.frexp(float(np.abs(G).max()))[1])
-    margin = StandardLP(
-        constraint_matrix=np.hstack([G.T / scale, np.eye(p)]),
-        rhs=np.ones(p),
-        objective=np.concatenate([-np.ones(t), np.zeros(p)]),
-        initial_basis=tuple(range(t, t + p)),
-    )
-    sol = solve(margin)
-    eps_star = 0.0 if sol.status == "unbounded" else scale / -sol.objective_value
+    eps_star = _eps_star(inst)
     for i in range(cfg.max_iter):
         eps = cfg.beta**i * cfg.epsilon0
         if eps < eps_star:
@@ -168,6 +151,27 @@ def _epsilon_bar(inst: PreferenceInstance, cfg: EpsilonSearchConfig | None) -> f
     raise MaxIterExceededError(
         f"no pointed perturbation found in {cfg.max_iter} trials from {cfg.epsilon0}"
     )
+
+
+def _eps_star(inst: PreferenceInstance) -> float:
+    """The supremum eps* of the perturbations whose shrunk cone is pointed.
+
+    The cone shrunk by eps is pointed iff ``eps < eps* = max min_j g_j.d``
+    over the simplex, and ``1 / eps*`` is the optimum of the margin program
+    ``max 1.y s.t. G^T y <= 1, y >= 0`` (unbounded when eps* is 0).  G is
+    first divided, exactly, by a power of two near its largest entry, so
+    that the absolute pivot tolerance sees entries of order one.
+    """
+    G = generators(inst, 0.0)
+    t, p = G.shape
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(G).max()))[1])
+    margin = StandardLP(
+        constraint_matrix=np.hstack([G.T / scale, np.eye(p)]),
+        rhs=np.ones(p),
+        objective=np.concatenate([-np.ones(t), np.zeros(p)]),
+    )
+    sol = solve(margin)
+    return 0.0 if sol.status == "unbounded" else scale / -sol.objective_value
 
 
 def extract_linear_weights(inst: PreferenceInstance) -> np.ndarray:

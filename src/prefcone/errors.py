@@ -42,10 +42,6 @@ class InvalidInstanceError(PrefconeError):
         super().__init__(f"instance is invalid: {details}")
 
 
-class SingularBasisError(PrefconeError):
-    code = "SINGULAR_BASIS"
-
-
 class NotPointedError(PrefconeError):
     code = "NOT_POINTED"
 

@@ -1,8 +1,8 @@
 """Dense equality-form LP solver and builders for the pointedness programs.
 
 The solver is a tableau simplex restricted to what the feasibility programs
-need: all variables nonnegative, rhs nonnegative, and a caller-supplied
-starting basis whose columns form an identity (so no phase-1 is required).
+need: all variables nonnegative, rhs nonnegative, and an identity in the
+last columns that serves as the starting basis (so no phase-1 is required).
 Bland's rule is always on; these LPs are tiny and anti-cycling robustness
 beats speed.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, MaxIterExceededError, SingularBasisError
+from .errors import DimensionMismatchError, MaxIterExceededError
 
 __all__ = ["PIVOT_TOL", "StandardLP", "LPSolution", "solve", "build_pointedness_lp"]
 
@@ -27,15 +27,14 @@ PIVOT_TOL = 1e-9
 class StandardLP:
     """min c.v subject to A.v = b, v >= 0, with a basic feasible start.
 
-    ``initial_basis`` names one column per row; those columns must form an
-    identity submatrix, which makes ``v[basis] = b`` a basic feasible start
-    (``b >= 0`` is required at construction).
+    The last ``n_rows`` columns of A must be exactly the identity, which
+    makes those variables, set to b, a basic feasible start (``b >= 0``).
+    Both are checked at construction and raise ValueError.
     """
 
     constraint_matrix: np.ndarray
     rhs: np.ndarray
     objective: np.ndarray
-    initial_basis: tuple[int, ...]
 
     def __post_init__(self):
         A = np.asarray(self.constraint_matrix, dtype=float)
@@ -48,13 +47,11 @@ class StandardLP:
             raise ValueError("rhs/objective shapes do not match the constraint matrix")
         if np.any(b < 0):
             raise ValueError("rhs must be componentwise nonnegative")
-        basis = tuple(int(j) for j in self.initial_basis)
-        if len(basis) != n_rows or any(not 0 <= j < n_vars for j in basis):
-            raise ValueError("initial_basis must name one in-range column per row")
+        if not np.array_equal(A[:, n_vars - n_rows :], np.eye(n_rows)):
+            raise ValueError("the last n_rows columns must form an identity matrix")
         object.__setattr__(self, "constraint_matrix", A)
         object.__setattr__(self, "rhs", b)
         object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "initial_basis", basis)
 
     @property
     def n_rows(self) -> int:
@@ -74,7 +71,7 @@ class LPSolution:
 
 
 def solve(lp: StandardLP) -> LPSolution:
-    """Run the simplex method from the supplied basis to optimality.
+    """Run the simplex method from the identity start to optimality.
 
     Returns an optimal basic solution, or status ``unbounded`` when the
     objective decreases without limit (never the case for the pointedness
@@ -82,9 +79,7 @@ def solve(lp: StandardLP) -> LPSolution:
     """
     A, b, c = lp.constraint_matrix, lp.rhs, lp.objective
     n_rows, n_vars = A.shape
-    basis = list(lp.initial_basis)
-    if not np.allclose(A[:, basis], np.eye(n_rows), atol=1e-12, rtol=0.0):
-        raise SingularBasisError("initial_basis columns do not form an identity matrix")
+    basis = list(range(n_vars - n_rows, n_vars))
 
     T = np.hstack([A.astype(float, copy=True), b.reshape(-1, 1).astype(float)])
     max_pivots = max(1000, 50 * n_vars)
@@ -169,9 +164,4 @@ def build_pointedness_lp(gens: np.ndarray, p: int) -> StandardLP:
     A[:, p + n_rows :] = np.eye(n_rows)  # r columns
     c = np.zeros(n_vars)
     c[p + n_rows :] = 1.0
-    return StandardLP(
-        constraint_matrix=A,
-        rhs=np.ones(n_rows),
-        objective=c,
-        initial_basis=tuple(range(p + n_rows, n_vars)),
-    )
+    return StandardLP(constraint_matrix=A, rhs=np.ones(n_rows), objective=c)

@@ -25,14 +25,12 @@ from .cones import (
     CLASSIFY_TOL,
     FacetCone,
     GeneratorCone,
-    MembershipClass,
-    classify,
     dual_hrep,
     extreme_rays,
     nnls,
     preference_cone,
 )
-from .consistency import extract_linear_weights, test_pointedness
+from .consistency import _eps_star, extract_linear_weights
 from .errors import NotPointedError, WholeSpaceError
 from .instance import PreferenceInstance, require_valid
 
@@ -76,11 +74,15 @@ def make_psi(inst: PreferenceInstance) -> ValueFunctionHandle:
 
 
 def make_vartheta(inst: PreferenceInstance, epsilon_bar: float) -> ValueFunctionHandle:
-    """Strictly separating signed-distance function on the shrunk cone."""
+    """Strictly separating signed-distance function on the shrunk cone.
+
+    The cone shrunk by ``epsilon_bar`` is pointed iff epsilon_bar < eps*,
+    the margin-program bound :func:`~prefcone.epsilon_search` also uses.
+    """
     require_valid(inst)
     if not epsilon_bar > 0:
         raise ValueError("epsilon_bar must be strictly positive")
-    if not test_pointedness(inst, epsilon_bar).pointed:
+    if not epsilon_bar < _eps_star(inst):
         raise NotPointedError(
             f"the cone shrunk by {epsilon_bar} is not pointed; choose a smaller epsilon"
         )
@@ -120,6 +122,11 @@ def evaluate(handle: ValueFunctionHandle, x: np.ndarray) -> float:
 def evaluate_batch(handle: ValueFunctionHandle, points: np.ndarray) -> np.ndarray:
     """Vectorized :func:`evaluate` over the rows of ``points``.
 
+    A signed-distance value's sign is the point's membership, decided by the
+    smallest facet margin against ``CLASSIFY_TOL * (1 + |y|)``: the margin
+    itself inside (> 0), exactly 0.0 on the boundary, and minus the NNLS
+    distance, at least the violated margin, outside (< 0).
+
     A signed-distance handle whose cone is the whole space raises
     WholeSpaceError, as :func:`make_psi` does for such an instance.  All
     exterior points are projected onto the cone by one batched
@@ -145,10 +152,3 @@ def evaluate_batch(handle: ValueFunctionHandle, points: np.ndarray) -> np.ndarra
     values[exterior] = -nnls(handle.gen_cone.generator_matrix, Y[exterior])[1]
     return values
 
-
-def classification(handle: ValueFunctionHandle, x: np.ndarray) -> MembershipClass | None:
-    """Membership of ``x`` relative to the handle's shifted cone (None for linear)."""
-    if handle.kind == "linear":
-        return None
-    y = np.asarray(x, dtype=float) - handle.reference
-    return classify(y, handle.facet_cone)

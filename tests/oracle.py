@@ -3,13 +3,16 @@
 Nothing here is imported by the engine: the distance oracle, the LP basis
 enumerator, the geometric pointedness test, the LP-trial epsilon search and
 the sampled property checker exist to pin expected values independently of
-the code paths they audit.
+the code paths they audit.  The per-point membership and distance functions
+are the references for the label and value ``evaluate_batch`` computes for
+a whole batch.
 Everything is deterministic under a fixed seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from itertools import combinations
 from typing import Any
 
@@ -23,19 +26,26 @@ from prefcone import (
     PreferenceInstance,
     PrefconeError,
     StandardLP,
+    FacetCone,
     ValueFunctionHandle,
+    WholeSpaceError,
     evaluate_batch,
     extreme_rays,
+    nnls,
     test_pointedness,
 )
-from prefcone.cones import _ACTIVITY_TOL, RAY_DEDUP_TOL
+from prefcone.cones import _ACTIVITY_TOL, CLASSIFY_TOL, RAY_DEDUP_TOL
 
 __all__ = [
+    "MembershipClass",
     "PropertyViolation",
     "TooLargeError",
     "backtrack_epsilon",
     "search_outcome",
     "brute_dist_to_cone",
+    "classify",
+    "dist_to_cone",
+    "dist_to_complement",
     "dd_pointed_loop",
     "enumerate_lp_optimum",
     "is_pointed_geometric",
@@ -59,6 +69,51 @@ class PropertyViolation:
     lhs: float
     rhs: float
     gap: float
+
+
+class MembershipClass(Enum):
+    INTERIOR = "interior"
+    BOUNDARY = "boundary"
+    EXTERIOR = "exterior"
+
+
+def classify(y: np.ndarray, facets: FacetCone) -> MembershipClass:
+    """Interior/boundary/exterior of the facet-described cone, with a scaled tolerance."""
+    if facets.is_whole_space:
+        raise WholeSpaceError(
+            "the cone is the whole space; its complement is empty and membership is trivial"
+        )
+    y = np.asarray(y, dtype=float)
+    margin = float((facets.facet_normals @ y).min())
+    threshold = CLASSIFY_TOL * (1.0 + float(np.linalg.norm(y)))
+    if margin > threshold:
+        return MembershipClass.INTERIOR
+    if margin < -threshold:
+        return MembershipClass.EXTERIOR
+    return MembershipClass.BOUNDARY
+
+
+def dist_to_cone(y: np.ndarray, cone: GeneratorCone) -> float:
+    """Euclidean distance from y to the finitely generated cone.
+
+    The residual of the package's :func:`~prefcone.nnls` on the judgement
+    and axis generators, one point at a time.  Zero (within 1e-8) exactly
+    when y is inside the closed cone.
+    """
+    return nnls(cone.generator_matrix, y)[1]
+
+
+def dist_to_complement(y: np.ndarray, facets: FacetCone) -> float:
+    """Euclidean distance from y to the complement of the cone.
+
+    Zero unless y is interior; for interior points the distance to the
+    complement of a convex cone equals the smallest distance to a facet
+    hyperplane, i.e. the minimum of a.y over unit facet normals.
+    """
+    y = np.asarray(y, dtype=float)
+    if classify(y, facets) is not MembershipClass.INTERIOR:
+        return 0.0
+    return float((facets.facet_normals @ y).min())
 
 
 def brute_dist_to_cone(

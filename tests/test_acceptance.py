@@ -11,12 +11,9 @@ import numpy as np
 import pytest
 
 from prefcone import (
-    MembershipClass,
     NotPointedError,
     build_pointedness_lp,
-    classify,
     consistency_verdict,
-    dist_to_cone,
     dual_hrep,
     epsilon_search,
     evaluate,
@@ -34,8 +31,11 @@ from prefcone import (
 from prefcone.cli import run
 from _helpers import random_instance, synthetic_dm_instance
 from oracle import (
+    MembershipClass,
     brute_dist_to_cone,
     check_properties,
+    classify,
+    dist_to_cone,
     enumerate_lp_optimum,
     is_pointed_geometric,
 )

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,10 +7,21 @@ import pytest
 import prefcone.consistency
 import prefcone.lp
 import prefcone.valuefn
-from prefcone.cli import run
+from prefcone.cli import _membership, run
 from prefcone.plotting import plot2d
-from prefcone import NnlsMaxIterError, UnsupportedDimensionError, epsilon_search, parse_instance
-from oracle import backtrack_epsilon
+from prefcone import (
+    NnlsMaxIterError,
+    NotPointedError,
+    UnsupportedDimensionError,
+    WholeSpaceError,
+    epsilon_search,
+    evaluate,
+    make_psi,
+    make_vartheta,
+    parse_instance,
+)
+from _helpers import random_instance, synthetic_dm_instance
+from oracle import backtrack_epsilon, classify
 
 
 def run_cli(capsys, *argv):
@@ -243,6 +255,68 @@ def test_eval_subcommand(capsys, data_dir):
     )
     assert code == 0
     assert json.loads(out)["value"] > 0
+
+
+@pytest.mark.parametrize("fixture", ["pointed.json", "halfplane.json"])
+def test_eval_label_matches_oracle_on_fixtures(capsys, data_dir, fixture):
+    path = str(data_dir / fixture)
+    inst = parse_instance((data_dir / fixture).read_text())
+    points = ["3,3", "2,1", "1,0", "0,0", "-2,-2", "0.5,0.25", "-1,1", "1,-1", "0,3"]
+    for function in ("psi", "vartheta"):
+        try:
+            handle = make_psi(inst) if function == "psi" else make_vartheta(inst, 0.01)
+        except NotPointedError:
+            continue
+        for point in points:
+            code, out = run_cli(
+                capsys, "eval", "--instance", path, "--function", function, f"--point={point}"
+            )
+            assert code == 0
+            y = np.array([float(v) for v in point.split(",")]) - inst.reference
+            assert json.loads(out)["classification"] == classify(y, handle.facet_cone).value
+
+
+def test_eval_label_matches_oracle_on_random_handles():
+    # the reference, the generator rays and sums of generator pairs sit on the
+    # boundary whenever they lie on a facet, so every label occurs
+    rng = np.random.default_rng(61)
+    labels = Counter()
+    for k in range(60):
+        inst = (synthetic_dm_instance if k % 2 else random_instance)(rng)
+        try:
+            handles = [make_psi(inst)]
+        except WholeSpaceError:
+            continue
+        try:
+            handles.append(make_vartheta(inst, epsilon_search(inst)))
+        except NotPointedError:
+            pass
+        for handle in handles:
+            G = handle.gen_cone.generator_matrix.T
+            pairs = G[:, None, :] + G[None, :, :]
+            Y = np.vstack([
+                np.zeros((1, inst.p)),
+                G * rng.uniform(0.1, 5.0, size=(G.shape[0], 1)),
+                pairs.reshape(-1, inst.p),
+                rng.uniform(-4, 4, size=(20, inst.p)),
+            ])
+            for y in Y:
+                label = _membership(handle.kind, evaluate(handle, handle.reference + y))
+                want = classify(y, handle.facet_cone).value
+                assert label == want, (k, handle.kind, y)
+                labels[label] += 1
+    assert min(labels[key] for key in ("interior", "boundary", "exterior")) > 200
+
+
+def test_eval_negative_point_after_space(capsys, data_dir):
+    base = ["eval", "--instance", str(data_dir / "pointed.json"), "--function", "psi"]
+    for point in ("-2,-2", "-.5,1", "-0.5,-3e-1"):
+        spaced = run_cli(capsys, *base, "--point", point)
+        assert spaced[0] == 0
+        assert spaced == run_cli(capsys, *base, f"--point={point}")
+    # a flag after --point still leaves it without a value
+    assert run([*base, "--point", "--format", "json"]) == 64
+    assert run([*base, "--point"]) == 64
 
 
 def test_eval_whole_space_is_domain_failure(capsys, data_dir):

@@ -8,11 +8,7 @@ from prefcone import (
     DimensionTooLargeError,
     FacetCone,
     GeneratorCone,
-    MembershipClass,
     WholeSpaceError,
-    classify,
-    dist_to_cone,
-    dist_to_complement,
     dual_hrep,
     extreme_rays,
     generators,
@@ -21,7 +17,14 @@ from prefcone import (
 )
 from prefcone.cones import _dd_pointed, _dedupe
 from _helpers import random_instance, synthetic_dm_instance
-from oracle import dd_pointed_loop, is_pointed_geometric
+from oracle import (
+    MembershipClass,
+    classify,
+    dd_pointed_loop,
+    dist_to_complement,
+    dist_to_cone,
+    is_pointed_geometric,
+)
 
 SQRT5 = np.sqrt(5.0)
 

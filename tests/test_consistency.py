@@ -18,6 +18,7 @@ from prefcone import (
     epsilon_search,
     extract_linear_weights,
     generators,
+    make_vartheta,
     parse_instance,
     preference_cone,
     test_pointedness,
@@ -107,6 +108,8 @@ def test_epsilon_search_matches_trial_backtracking():
         for cfg in schedules:
             got = search_outcome(epsilon_search, inst, cfg)
             assert got == search_outcome(backtrack_epsilon, inst, cfg), (k, cfg)
+            if not isinstance(got, type):
+                make_vartheta(inst, got)  # accepts every value the search returns
             epsilon0 = (cfg or EpsilonSearchConfig()).epsilon0
             outcomes[got if isinstance(got, type) else got < epsilon0] += 1
     # values past the first trial, first-trial values and both errors all occur

@@ -7,7 +7,6 @@ import prefcone.lp
 from prefcone import (
     DimensionMismatchError,
     MaxIterExceededError,
-    SingularBasisError,
     StandardLP,
     build_pointedness_lp,
     generators,
@@ -38,7 +37,7 @@ def test_build_matches_hand_layout(pointed_instance):
     np.testing.assert_array_equal(lp.rhs, np.ones(5))
     np.testing.assert_array_equal(lp.objective[:7], np.zeros(7))
     np.testing.assert_array_equal(lp.objective[7:], np.ones(5))
-    assert lp.initial_basis == tuple(range(7, 12))
+    np.testing.assert_array_equal(lp.constraint_matrix[:, 7:], np.eye(5))  # the r start
 
 
 def test_build_single_generator_r1():
@@ -84,22 +83,26 @@ def test_known_feasible_weights_for_pointed_fixture(pointed_instance):
 
 
 def test_identity_system():
-    lp = StandardLP(np.eye(3), np.ones(3), np.zeros(3), (0, 1, 2))
+    lp = StandardLP(np.eye(3), np.ones(3), np.zeros(3))
     sol = solve(lp)
     assert sol.objective_value == 0.0
     np.testing.assert_array_equal(sol.values, np.ones(3))
 
 
 def test_singular_basis_rejected():
-    A = np.array([[1.0, 2.0], [0.0, 1.0]])
-    with pytest.raises(SingularBasisError):
-        solve(StandardLP(A, np.ones(2), np.zeros(2), (0, 1)))
+    # the start is the last n_rows columns, which must be exactly the identity
+    with pytest.raises(ValueError, match="identity"):
+        StandardLP(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2), np.zeros(2))
+    with pytest.raises(ValueError, match="identity"):
+        StandardLP(np.array([[1.0, 0.0], [0.0, 1.0 + 1e-15]]), np.ones(2), np.zeros(2))
+    with pytest.raises(ValueError, match="identity"):
+        StandardLP(np.eye(3)[:, :2], np.ones(3), np.zeros(2))
 
 
 def test_unbounded_reported():
     # min -v1 with v1 - v2 + v3 = 0: push v1 = v2 -> infinity
     lp = StandardLP(
-        np.array([[1.0, -1.0, 1.0]]), np.zeros(1), np.array([-1.0, 0.0, 0.0]), (2,)
+        np.array([[1.0, -1.0, 1.0]]), np.zeros(1), np.array([-1.0, 0.0, 0.0])
     )
     sol = solve(lp)
     assert sol.status == "unbounded"
@@ -108,7 +111,7 @@ def test_unbounded_reported():
 
 def test_rhs_must_be_nonnegative():
     with pytest.raises(ValueError, match="nonnegative"):
-        StandardLP(np.eye(2), np.array([1.0, -1.0]), np.zeros(2), (0, 1))
+        StandardLP(np.eye(2), np.array([1.0, -1.0]), np.zeros(2))
 
 
 def test_stalled_simplex_raises_max_iter(monkeypatch):
@@ -160,19 +163,19 @@ def _random_lp(rng) -> StandardLP:
     A = np.hstack([body, np.eye(n_rows)])
     b = rng.integers(0, 4, size=n_rows).astype(float)
     c = rng.integers(0, 4, size=n_free + n_rows).astype(float)
-    return StandardLP(A, b, c, tuple(range(n_free, n_free + n_rows)))
+    return StandardLP(A, b, c)
 
 
 def test_optimum_invariant_under_row_permutation(pointed_instance):
     lp = build_pointedness_lp(generators(pointed_instance, 0.0), 2)
     rng = np.random.default_rng(3)
+    start = lp.n_vars - lp.n_rows
     for _ in range(10):
         perm = rng.permutation(lp.n_rows)
+        # the start columns follow their rows, so they stay the identity
+        cols = np.r_[np.arange(start), start + perm]
         shuffled = StandardLP(
-            lp.constraint_matrix[perm],
-            lp.rhs[perm],
-            lp.objective,
-            tuple(lp.initial_basis[i] for i in perm),
+            lp.constraint_matrix[perm][:, cols], lp.rhs[perm], lp.objective[cols]
         )
         assert solve(shuffled).objective_value == pytest.approx(
             solve(lp).objective_value, abs=1e-9

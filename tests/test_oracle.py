@@ -5,13 +5,12 @@ from prefcone import (
     GeneratorCone,
     StandardLP,
     build_pointedness_lp,
-    dist_to_cone,
     generators,
     preference_cone,
     solve,
 )
 from _helpers import random_instance
-from oracle import TooLargeError, brute_dist_to_cone, enumerate_lp_optimum
+from oracle import TooLargeError, brute_dist_to_cone, dist_to_cone, enumerate_lp_optimum
 
 SQRT5 = np.sqrt(5.0)
 
@@ -58,17 +57,15 @@ def test_enumerate_fixture_lps(pointed_instance, halfplane_instance):
 def test_enumerate_identity_with_cost_on_second_block():
     A = np.hstack([np.eye(3), np.eye(3)])
     c = np.r_[np.zeros(3), np.ones(3)]
-    lp = StandardLP(A, np.ones(3), c, (0, 1, 2))
+    lp = StandardLP(A, np.ones(3), c)
     assert enumerate_lp_optimum(lp) == pytest.approx(0.0)
 
 
 def test_enumerate_caps():
-    lp = StandardLP(np.eye(7), np.ones(7), np.zeros(7), tuple(range(7)))
+    lp = StandardLP(np.eye(7), np.ones(7), np.zeros(7))
     with pytest.raises(TooLargeError):
         enumerate_lp_optimum(lp)
-    lp = StandardLP(
-        np.hstack([np.eye(2)] * 8), np.ones(2), np.zeros(16), (0, 1)
-    )
+    lp = StandardLP(np.hstack([np.eye(2)] * 8), np.ones(2), np.zeros(16))
     with pytest.raises(TooLargeError):
         enumerate_lp_optimum(lp)
 
@@ -81,7 +78,7 @@ def test_enumerate_agrees_with_simplex_on_random_lps():
         A = np.hstack([rng.integers(-3, 4, (n_rows, n_free)).astype(float), np.eye(n_rows)])
         b = rng.integers(0, 4, n_rows).astype(float)
         c = rng.integers(0, 4, n_free + n_rows).astype(float)
-        lp = StandardLP(A, b, c, tuple(range(n_free, n_free + n_rows)))
+        lp = StandardLP(A, b, c)
         assert solve(lp).objective_value == pytest.approx(
             enumerate_lp_optimum(lp), abs=1e-7
         )

@@ -1,12 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
+import prefcone.consistency
 from prefcone import (
     FacetCone,
     NotPointedError,
     PreferenceInstance,
     ValueFunctionHandle,
     WholeSpaceError,
+    consistency_verdict,
     epsilon_search,
     evaluate,
     evaluate_batch,
@@ -14,6 +18,7 @@ from prefcone import (
     make_psi,
     make_vartheta,
 )
+from prefcone.cli import run
 from oracle import check_properties, judgement_points
 
 SQRT5 = np.sqrt(5.0)
@@ -66,6 +71,45 @@ def test_make_vartheta_requires_positive_epsilon(pointed_instance):
 def test_make_vartheta_requires_pointedness(halfplane_instance):
     with pytest.raises(NotPointedError):
         make_vartheta(halfplane_instance, 0.01)
+
+
+def test_make_vartheta_accepts_epsilon_just_below_eps_star(capsys, tmp_path):
+    # eps* = 0.0100000001 and epsilon_bar = 0.01: the shrunk generator is
+    # 1e-10 * (1, 1), which the full pointedness program cannot resolve
+    doc = {
+        "alternatives": [[0, 0], [0.0100000001, 0.0100000001]],
+        "reference_index": 0,
+        "preferred_indices": [1],
+    }
+    inst = PreferenceInstance(doc["alternatives"], 0, [1])
+    eps = consistency_verdict(inst).epsilon_bar
+    assert eps == 0.01
+    handle = make_vartheta(inst, eps)
+    assert check_properties(handle, 1000, seed=3) == []
+
+    path = tmp_path / "band.json"
+    path.write_text(json.dumps(doc))
+    for point in ("1,1", "0,0", "-2,0.5"):
+        argv = ["eval", "--instance", str(path), "--function", "vartheta", f"--point={point}"]
+        assert run(argv) == 0
+        want = evaluate(handle, np.array([float(v) for v in point.split(",")]))
+        assert json.loads(capsys.readouterr().out)["value"] == want
+
+    with pytest.raises(NotPointedError):
+        make_vartheta(inst, 0.0100000002)  # past eps*, the cone is the whole plane
+
+
+def test_make_vartheta_solves_one_margin_lp(monkeypatch, pointed_instance):
+    calls = []
+    solve = prefcone.consistency.solve
+
+    def counting_solve(lp):
+        calls.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(prefcone.consistency, "solve", counting_solve)
+    make_vartheta(pointed_instance, 0.01)
+    assert [lp.n_rows for lp in calls] == [pointed_instance.p]
 
 
 def test_make_vartheta_fixture(vartheta, pointed_instance):
