@@ -6,8 +6,10 @@ four routes to the consistency answer agree: strict linear separation from
 the LP certificate, the strict signed-distance construction on a shrunk
 cone, dual-cone full-dimensionality, and a zero LP optimum.  Also runs the
 sampled value-function property checks on every instance whose cone has a
-nonempty complement, and checks that the engine's epsilon search returns
-the value (or raises the error) of the LP-trial reference search.
+nonempty complement, checks that the engine's epsilon search returns
+the value (or raises the error) of the LP-trial reference search, and
+checks psi's exterior values against scipy's NNLS distance to the cone of
+every generator.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+from scipy.optimize import nnls as scipy_nnls
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from _helpers import random_instance  # noqa: E402
@@ -36,6 +39,7 @@ from prefcone import (  # noqa: E402
     dual_hrep,
     epsilon_search,
     evaluate,
+    evaluate_batch,
     extract_linear_weights,
     make_psi,
     make_vartheta,
@@ -49,7 +53,24 @@ from prefcone import (  # noqa: E402
 EPSILON_SCHEDULES = (None, EpsilonSearchConfig(epsilon0=10.0, beta=0.3))
 
 
-def audit_one(inst, seed: int, n_samples: int) -> tuple[tuple[bool, ...], int, bool]:
+def projection_mismatches(psi, seed: int, n_samples: int) -> int:
+    """Exterior points where psi is not minus scipy's NNLS distance to the cone.
+
+    The reference projects onto the full generator matrix, so a generator
+    wrongly left out of the engine's projection shows up here.
+    """
+    rng = np.random.default_rng(seed)
+    X = psi.reference + rng.normal(scale=3.0, size=(n_samples, psi.p))
+    values = evaluate_batch(psi, X)
+    G = psi.gen_cone.generator_matrix
+    return sum(
+        abs(-value - scipy_nnls(G, y)[1]) > 1e-9 * (1.0 + np.linalg.norm(y))
+        for value, y in zip(values, X - psi.reference)
+        if value < 0
+    )
+
+
+def audit_one(inst, seed: int, n_samples: int) -> tuple[tuple[bool, ...], int, bool, int]:
     by_lp = test_pointedness(inst, 0.0).pointed
     by_geometry = is_pointed_geometric(dual_hrep(preference_cone(inst, 0.0)))
     try:
@@ -69,18 +90,19 @@ def audit_one(inst, seed: int, n_samples: int) -> tuple[tuple[bool, ...], int, b
     except NotPointedError:
         by_strict = False
 
-    violations = 0
+    violations = mismatches = 0
     try:
         psi = make_psi(inst)
     except WholeSpaceError:
         psi = None
     if psi is not None:
         violations = len(check_properties(psi, n_samples, seed=seed))
+        mismatches = projection_mismatches(psi, seed, n_samples)
     epsilon_agrees = all(
         search_outcome(epsilon_search, inst, cfg) == search_outcome(backtrack_epsilon, inst, cfg)
         for cfg in EPSILON_SCHEDULES
     )
-    return (by_linear, by_strict, by_geometry, by_lp), violations, epsilon_agrees
+    return (by_linear, by_strict, by_geometry, by_lp), violations, epsilon_agrees, mismatches
 
 
 def main() -> None:
@@ -95,12 +117,16 @@ def main() -> None:
     total_violations = 0
     mixed = 0
     epsilon_mismatches = 0
+    total_mismatches = 0
     start = time.perf_counter()
     for i in range(args.instances):
         inst = random_instance(rng)
-        row, violations, epsilon_agrees = audit_one(
+        row, violations, epsilon_agrees, mismatches = audit_one(
             inst, seed=args.seed + i, n_samples=args.samples
         )
+        if mismatches:
+            print(f"PROJECTION MISMATCH at instance {i}: {mismatches} points")
+        total_mismatches += mismatches
         rows[row] += 1
         if not epsilon_agrees:
             epsilon_mismatches += 1
@@ -118,7 +144,8 @@ def main() -> None:
     print(f"mixed rows: {mixed}")
     print(f"sampled property violations: {total_violations}")
     print(f"epsilon search mismatches: {epsilon_mismatches}")
-    if mixed or total_violations or epsilon_mismatches:
+    print(f"projection mismatches: {total_mismatches}")
+    if mixed or total_violations or epsilon_mismatches or total_mismatches:
         sys.exit(1)
 
 

@@ -49,8 +49,8 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse reads "-2" as a value but "-2,-2" and "-1e-3" as unknown options
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # argparse reads "-2" as a value but "-2,-2", "-1e-3" and "-inf,1" as unknown options
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise _UsageError(message)

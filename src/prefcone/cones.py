@@ -256,13 +256,15 @@ def nnls(columns: np.ndarray, target: np.ndarray):
     residual_norm)``, or a stack of shape ``(B, p)``, which returns
     ``(coef (B, n), residual_norms (B,))``.  A single point is solved as a
     1-row stack.  The rows of a stack run in lockstep: each step solves
-    every unconverged row's passive-set least squares in one stacked call,
-    and a row leaves the stack once it has converged.
+    every unconverged row's passive-set least squares in one stacked call
+    (:func:`_passive_solve`), and a row leaves the stack once it has
+    converged.
 
     Columns are rescaled to unit norm internally (zero columns are
     dropped), which leaves the residual unchanged.  Raises
     NnlsMaxIterError when a row's active-set loop exceeds ``3 * n_columns
-    * p`` iterations (a sign of numerical pathology, not a routine outcome).
+    * p`` iterations, counting the columns passed in (a sign of numerical
+    pathology, not a routine outcome).
     """
     G = np.atleast_2d(np.asarray(columns, dtype=float))
     Y = np.asarray(target, dtype=float)
@@ -336,18 +338,43 @@ def _passive_solve(Gn: np.ndarray, Y: np.ndarray, passive: np.ndarray) -> np.nda
 
     Each row's passive columns are gathered to the front of a ``(p, w)``
     block, ``w`` being the largest passive-set size, and the slots past the
-    row's own size are zero columns.  The stacked pseudoinverse gives the
-    minimum-norm solution with lstsq's default singular-value cutoff, so
-    those slots come out zero and rank-deficient sets are handled as lstsq
-    handles them.  Entries outside the passive set are zero.
+    row's own size are zero columns.  One stacked Householder QR of the
+    block, with the row's target appended as a last column, gives R and
+    Q^T y; a triangular solve then gives the coefficients.  Each padding
+    slot gets a unit entry in one of w appended rows, which makes it
+    orthogonal to the real columns, so R stays nonsingular and the slot
+    solves to 0.
+
+    A row whose R has ``min |r_jj| <= rcond * max |r_jj|`` over its real
+    slots, with lstsq's default ``rcond = eps * max(size, p)``, is
+    rank-deficient or nearly so.  Those rows alone are solved by the
+    pseudoinverse with that cutoff, which gives lstsq's minimum-norm
+    answer.  Entries outside the passive set are zero.
     """
+    p = Gn.shape[0]
     size = passive.sum(axis=1)
     w = int(size.max())
     cols = np.argsort(~passive, axis=1, kind="stable")[:, :w]
     valid = np.arange(w) < size[:, None]
     blocks = np.where(valid[:, None, :], Gn.T[cols].transpose(0, 2, 1), 0.0)  # (B, p, w)
-    rcond = np.finfo(float).eps * np.maximum(size, Gn.shape[0])
-    z = (np.linalg.pinv(blocks, rcond=rcond) @ Y[:, :, None])[:, :, 0]
+    rcond = np.finfo(float).eps * np.maximum(size, p)
+
+    aug = np.zeros((Y.shape[0], p + w, w + 1))
+    aug[:, :p, :w] = blocks
+    aug[:, :p, w] = Y
+    pad_row, pad_col = np.nonzero(~valid)
+    aug[pad_row, p + pad_col, pad_col] = 1.0
+    R = np.linalg.qr(aug, mode="r")  # last column: Q^T y over the first w rows
+    diag = np.abs(R[:, np.arange(w), np.arange(w)])
+    lo = np.where(valid, diag, np.inf).min(axis=1)
+    hi = np.where(valid, diag, 0.0).max(axis=1)
+    deficient = lo <= rcond * hi
+    z = np.zeros((Y.shape[0], w))
+    z[~deficient] = np.linalg.solve(R[~deficient, :w, :w], R[~deficient, :w, w:])[:, :, 0]
+    if deficient.any():
+        z[deficient] = (
+            np.linalg.pinv(blocks[deficient], rcond=rcond[deficient]) @ Y[deficient, :, None]
+        )[:, :, 0]
     trial = np.zeros(passive.shape)
     np.put_along_axis(trial, cols, np.where(valid, z, 0.0), axis=1)
     return trial

@@ -18,6 +18,7 @@ Handles are immutable; evaluation is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,27 @@ class ValueFunctionHandle:
     @property
     def p(self) -> int:
         return self.reference.shape[0]
+
+    @cached_property
+    def _projection_split(self) -> tuple[np.ndarray, np.ndarray]:
+        """The generator columns as (extreme, the rest), for :func:`evaluate_batch`.
+
+        A pointed cone is generated by its extreme rays, and a generator is
+        extreme iff the facets tight on it (``|a.g| <= CLASSIFY_TOL * |g|``)
+        have rank p - 1.  When the facet normals have rank below p the cone
+        is not pointed, and every column counts as extreme.
+        """
+        G = self.gen_cone.generator_matrix  # (p, n)
+        A = self.facet_cone.facet_normals  # (k, p)
+        if np.linalg.matrix_rank(A) < self.p:
+            return G, G[:, :0]
+        tight = np.abs(A @ G) <= CLASSIFY_TOL * np.linalg.norm(G, axis=0)  # (k, n)
+        # each generator's tight normals gathered to the front of a zero-padded stack
+        m = max(1, int(tight.sum(axis=0).max()))
+        rows = np.argsort(~tight, axis=0, kind="stable")[:m].T  # (n, m)
+        stacks = np.where(np.take_along_axis(tight.T, rows, axis=1)[:, :, None], A[rows], 0.0)
+        extreme = np.linalg.matrix_rank(stacks) == self.p - 1
+        return G[:, extreme], G[:, ~extreme]
 
 
 def make_psi(inst: PreferenceInstance) -> ValueFunctionHandle:
@@ -130,8 +152,13 @@ def evaluate_batch(handle: ValueFunctionHandle, points: np.ndarray) -> np.ndarra
     A signed-distance handle whose cone is the whole space raises
     WholeSpaceError, as :func:`make_psi` does for such an instance.  All
     exterior points are projected onto the cone by one batched
-    :func:`~prefcone.cones.nnls` call.  Non-finite coordinates raise
-    ValueError.
+    :func:`~prefcone.cones.nnls` call on the cone's extreme generators.
+    The other generators ride along as targets of the same call: the
+    facets come from floating-point double description, which can miss the
+    thin facet between two nearly parallel generators and so call both
+    non-extreme.  If the extreme columns leave one of them farther than
+    ``CLASSIFY_TOL * |g|`` from their cone, the points are projected again
+    onto every generator.  Non-finite coordinates raise ValueError.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     if X.shape[1] != handle.p:
@@ -149,6 +176,11 @@ def evaluate_batch(handle: ValueFunctionHandle, points: np.ndarray) -> np.ndarra
     interior = margins > thresholds
     values[interior] = margins[interior]
     exterior = margins < -thresholds
-    values[exterior] = -nnls(handle.gen_cone.generator_matrix, Y[exterior])[1]
+    extreme, rest = handle._projection_split
+    n = int(exterior.sum())
+    resid = nnls(extreme, np.vstack([Y[exterior], rest.T]))[1]
+    if (resid[n:] > CLASSIFY_TOL * np.linalg.norm(rest, axis=0)).any():
+        resid = nnls(handle.gen_cone.generator_matrix, Y[exterior])[1]
+    values[exterior] = -resid[:n]
     return values
 

@@ -104,11 +104,23 @@ def test_nnls_iteration_cap_exits_3(capsys, monkeypatch, data_dir):
 
 
 @pytest.mark.parametrize("function", ["psi", "vartheta", "linear"])
-@pytest.mark.parametrize("point", ["nan,1", "inf,1", "1,-inf"])
+@pytest.mark.parametrize(
+    "point",
+    [
+        *(
+            pytest.param([f"--point={x}"], id=x)
+            for x in ["nan,1", "inf,1", "1,-inf", "-inf,1", "-nan,1"]
+        ),
+        *(
+            pytest.param(["--point", x], id=f"spaced {x}")
+            for x in ["nan,1", "1,-inf", "-inf,1", "-nan,1", "-Inf,1", "-NaN,1"]
+        ),
+    ],
+)
 def test_eval_non_finite_point_is_bad_argument(capsys, data_dir, function, point):
     code, out = run_cli(
         capsys, "eval", "--instance", str(data_dir / "pointed.json"),
-        "--function", function, f"--point={point}",
+        "--function", function, *point,
     )
     assert code == 2
     assert json.loads(out)["error"]["code"] == "BAD_ARGUMENT"

@@ -15,7 +15,7 @@ from prefcone import (
     nnls,
     preference_cone,
 )
-from prefcone.cones import _dd_pointed, _dedupe
+from prefcone.cones import _dd_pointed, _dedupe, _passive_solve
 from _helpers import random_instance, synthetic_dm_instance
 from oracle import (
     MembershipClass,
@@ -343,6 +343,34 @@ def test_nnls_stack_on_nearly_parallel_columns_matches_scipy():
         resid = nnls(G, Y)[1]
         for y, r in zip(Y, resid):
             assert r == pytest.approx(scipy_nnls(G, y)[1], abs=1e-8 * (1 + np.linalg.norm(y)))
+
+
+def test_passive_solve_rank_guard_matches_pinv():
+    # integer columns make the dependences exact: c2 = c0 + c1, c3 = c2, c4 = 2 c0
+    G = np.array([[1, 0, 1, 1, 2, 0], [0, 1, 1, 1, 0, 3], [0, 0, 0, 0, 0, 1]], dtype=float)
+    sets = [
+        [0, 1, 5],  # full rank, no padding
+        [0],  # full rank, padded
+        [1, 5],
+        [0, 1, 2],  # integer-dependent
+        [2, 3],  # duplicate columns
+        [0, 4],  # parallel columns
+        [2, 3, 5],
+        [0, 1, 2, 5],  # more columns than rows
+        [5],
+    ]
+    passive = np.zeros((len(sets), G.shape[1]), dtype=bool)
+    for row, cols in enumerate(sets):
+        passive[row, cols] = True
+    Y = np.random.default_rng(8).integers(-5, 6, size=(len(sets), 3)).astype(float)
+
+    trial = _passive_solve(G, Y, passive)  # raises no LinAlgError
+    for row, cols in enumerate(sets):
+        # the stacked pseudoinverse formula the QR solve replaces
+        rcond = np.finfo(float).eps * max(len(cols), G.shape[0])
+        want = np.zeros(G.shape[1])
+        want[cols] = np.linalg.pinv(G[:, cols], rcond=rcond) @ Y[row]
+        np.testing.assert_allclose(trial[row], want, rtol=0, atol=1e-12)
 
 
 def test_nnls_empty_stack():

@@ -6,19 +6,25 @@ import pytest
 import prefcone.consistency
 from prefcone import (
     FacetCone,
+    GeneratorCone,
     NotPointedError,
     PreferenceInstance,
     ValueFunctionHandle,
     WholeSpaceError,
     consistency_verdict,
+    dual_hrep,
     epsilon_search,
     evaluate,
     evaluate_batch,
+    extreme_rays,
+    generators,
     make_linear,
     make_psi,
     make_vartheta,
+    nnls,
 )
 from prefcone.cli import run
+from _helpers import random_instance, synthetic_dm_instance
 from oracle import check_properties, judgement_points
 
 SQRT5 = np.sqrt(5.0)
@@ -240,3 +246,80 @@ def test_lipschitz_bound_on_fixture(psi):
     fx = evaluate_batch(psi, X)
     fy = evaluate_batch(psi, Y)
     assert (np.abs(fx - fy) <= 2 * np.linalg.norm(X - Y, axis=1) + 1e-9).all()
+
+
+def _pruning_handles():
+    """psi and vartheta handles on seeded draws, plus duplicated judgement directions."""
+    rng = np.random.default_rng(808)
+    for k in range(80):
+        draw = synthetic_dm_instance if k % 2 else random_instance
+        inst = draw(rng, p_max=5, t_max=10)
+        try:
+            yield make_psi(inst)
+        except WholeSpaceError:
+            continue
+        try:
+            yield make_vartheta(inst, epsilon_search(inst))
+        except NotPointedError:
+            pass
+    # a judgement twice the length of another
+    alts = [[0, 0, 0], [1, 2, 0], [2, 4, 0], [3, 1, 1], [0, 1, 3]]
+    inst = PreferenceInstance(alts, 0, [1, 2, 3, 4])
+    yield make_psi(inst)
+    # an exactly duplicated judgement row
+    gens = generators(inst, 0.0)
+    cone = GeneratorCone(np.vstack([gens, gens[2:]]), 0.0)
+    yield ValueFunctionHandle(
+        kind="psi", reference=inst.reference.copy(), gen_cone=cone,
+        facet_cone=extreme_rays(dual_hrep(cone)),
+    )
+
+
+def _exterior_values_match_full_projection(handle, rng, tol):
+    X = handle.reference + rng.normal(scale=3.0, size=(200, handle.p))
+    values = evaluate_batch(handle, X)
+    exterior = values < 0
+    Y = X[exterior] - handle.reference
+    full = nnls(handle.gen_cone.generator_matrix, Y)[1]
+    assert (np.abs(-values[exterior] - full) <= tol * (1.0 + np.linalg.norm(Y, axis=1))).all()
+
+
+def test_extreme_generators_span_the_cone():
+    rng = np.random.default_rng(909)
+    dropped = 0
+    for handle in _pruning_handles():
+        extreme, rest = handle._projection_split
+        assert extreme.shape[1] + rest.shape[1] == handle.gen_cone.generator_matrix.shape[1]
+        dropped += rest.shape[1]
+        # every other generator is a nonnegative combination of the extreme ones
+        for g in rest.T:
+            assert nnls(extreme, g)[1] <= 1e-9 * np.linalg.norm(g)
+        _exterior_values_match_full_projection(handle, rng, 1e-12)
+    assert dropped > 0
+
+
+def test_nearly_parallel_generators_fall_back_to_every_column():
+    # double description misses the thin facet between two judgements 1e-7..1e-9
+    # apart, and so calls both non-extreme
+    rng = np.random.default_rng(5)
+    uncovered = 0
+    for _ in range(300):
+        inst = synthetic_dm_instance(rng, p_max=5, t_max=8)
+        j = inst.preferred_indices[0]
+        near = inst.alternatives[j] + 10.0 ** -rng.uniform(7, 9) * rng.normal(size=inst.p)
+        alts = np.vstack([inst.alternatives, near])
+        handle = make_psi(
+            PreferenceInstance(alts, inst.reference_index, [*inst.preferred_indices, len(alts) - 1])
+        )
+        extreme, rest = handle._projection_split
+        if rest.shape[1] and (nnls(extreme, rest.T)[1] > 1e-9 * np.linalg.norm(rest, axis=0)).any():
+            uncovered += 1
+        _exterior_values_match_full_projection(handle, rng, 1e-9)
+    assert uncovered > 0
+
+
+def test_non_pointed_cone_keeps_every_generator(halfplane_instance):
+    handle = make_psi(halfplane_instance)
+    extreme, rest = handle._projection_split
+    np.testing.assert_array_equal(extreme, handle.gen_cone.generator_matrix)
+    assert rest.shape[1] == 0
