@@ -249,7 +249,7 @@ def _dedupe(rays: np.ndarray) -> np.ndarray:
     return rays[kept]
 
 
-def nnls(columns: np.ndarray, target: np.ndarray):
+def nnls(columns: np.ndarray, target: np.ndarray, *, start: np.ndarray | None = None):
     """Lawson-Hanson active-set solve of min ||columns @ coef - target||, coef >= 0.
 
     ``target`` is one point of shape ``(p,)``, which returns ``(coef,
@@ -259,6 +259,11 @@ def nnls(columns: np.ndarray, target: np.ndarray):
     every unconverged row's passive-set least squares in one stacked call
     (:func:`_passive_solve`), and a row leaves the stack once it has
     converged.
+
+    ``start``, a bool mask shaped like ``coef``, names each row's initial
+    passive columns.  Their least-squares solution, clipped to its positive
+    part and settled by the inner loop, is where Lawson-Hanson starts.  The
+    same KKT test ends it, so any start gives the cold answer to rounding.
 
     Columns are rescaled to unit norm internally (zero columns are
     dropped), which leaves the residual unchanged.  Raises
@@ -271,6 +276,8 @@ def nnls(columns: np.ndarray, target: np.ndarray):
     p, n = G.shape
     if Y.ndim not in (1, 2) or Y.shape[-1] != p:
         raise ValueError(f"target has shape {Y.shape}, expected ({p},) or (B, {p})")
+    if start is not None and np.shape(start) != Y.shape[:-1] + (n,):
+        raise ValueError(f"start has shape {np.shape(start)}, expected {Y.shape[:-1] + (n,)}")
     single = Y.ndim == 1
     Y = Y.reshape(-1, p)
     max_iter = 3 * n * max(p, 1)
@@ -278,11 +285,46 @@ def nnls(columns: np.ndarray, target: np.ndarray):
     scale = np.linalg.norm(G, axis=0)
     live = np.flatnonzero(scale > 1e-13)
     Gn = G[:, live] / scale[live]
-    grad = Y @ Gn
-    coef = np.zeros(grad.shape)
-    passive = np.zeros(grad.shape, dtype=bool)
+    coef = np.zeros((Y.shape[0], live.size))
+    passive = np.zeros(coef.shape, dtype=bool)
     grad_tol = 1e-11 * (1.0 + np.linalg.norm(Y, axis=1))
     iters = np.zeros(Y.shape[0], dtype=int)
+
+    def settle(rows):
+        """Inner loop: from coef > 0 on the passive set to a positive passive solution."""
+        while True:
+            rows = rows[passive[rows].any(axis=1)]  # an emptied row waits for the outer step
+            if rows.size == 0:
+                return
+            trial = _passive_solve(Gn, Y[rows], passive[rows])
+            done = np.where(passive[rows], trial > 0.0, True).all(axis=1)
+            coef[rows[done]] = trial[done]
+            rows, trial = rows[~done], trial[~done]
+            if rows.size == 0:
+                return
+            _count_iteration(iters, rows, max_iter)
+            old = coef[rows]
+            blocking = passive[rows] & (trial <= 0.0)
+            denom = old - trial
+            steps = np.where(blocking, 0.0, np.inf)
+            ratio = blocking & (denom > 0.0)
+            steps[ratio] = old[ratio] / denom[ratio]
+            alpha = steps.min(axis=1, keepdims=True)
+            step = old + alpha * (trial - old)
+            step[steps <= alpha + 1e-15] = 0.0
+            coef[rows] = step
+            passive[rows] &= step > 0.0
+
+    if start is not None:
+        passive[:] = np.asarray(start, dtype=bool).reshape(-1, n)[:, live]
+        rows = np.flatnonzero(passive.any(axis=1))
+        if rows.size:
+            trial = _passive_solve(Gn, Y[rows], passive[rows])
+            kept = trial > 0.0  # entries outside the start set are 0
+            clipped = rows[(kept != passive[rows]).any(axis=1)]
+            coef[rows], passive[rows] = np.where(kept, trial, 0.0), kept
+            settle(clipped)
+    grad = (Y - coef @ Gn.T) @ Gn
 
     todo = np.arange(Y.shape[0])  # rows not yet converged
     while True:
@@ -293,29 +335,7 @@ def nnls(columns: np.ndarray, target: np.ndarray):
             break
         _count_iteration(iters, todo, max_iter)
         passive[todo, masked[go].argmax(axis=1)] = True
-        inner = todo
-        while True:
-            inner = inner[passive[inner].any(axis=1)]  # an emptied row waits for the outer step
-            if inner.size == 0:
-                break
-            trial = _passive_solve(Gn, Y[inner], passive[inner])
-            done = np.where(passive[inner], trial > 0.0, True).all(axis=1)
-            coef[inner[done]] = trial[done]
-            inner, trial = inner[~done], trial[~done]
-            if inner.size == 0:
-                break
-            _count_iteration(iters, inner, max_iter)
-            old = coef[inner]
-            blocking = passive[inner] & (trial <= 0.0)
-            denom = old - trial
-            steps = np.where(blocking, 0.0, np.inf)
-            ratio = blocking & (denom > 0.0)
-            steps[ratio] = old[ratio] / denom[ratio]
-            alpha = steps.min(axis=1, keepdims=True)
-            step = old + alpha * (trial - old)
-            step[steps <= alpha + 1e-15] = 0.0
-            coef[inner] = step
-            passive[inner] &= step > 0.0
+        settle(todo)
         grad[todo] = (Y[todo] - coef[todo] @ Gn.T) @ Gn
 
     full = np.zeros((Y.shape[0], n))
@@ -336,45 +356,31 @@ def _count_iteration(iters: np.ndarray, rows: np.ndarray, max_iter: int) -> None
 def _passive_solve(Gn: np.ndarray, Y: np.ndarray, passive: np.ndarray) -> np.ndarray:
     """Least-squares coefficients of each row of Y on its passive columns.
 
-    Each row's passive columns are gathered to the front of a ``(p, w)``
-    block, ``w`` being the largest passive-set size, and the slots past the
-    row's own size are zero columns.  One stacked Householder QR of the
-    block, with the row's target appended as a last column, gives R and
-    Q^T y; a triangular solve then gives the coefficients.  Each padding
-    slot gets a unit entry in one of w appended rows, which makes it
-    orthogonal to the real columns, so R stays nonsingular and the slot
-    solves to 0.
-
-    A row whose R has ``min |r_jj| <= rcond * max |r_jj|`` over its real
-    slots, with lstsq's default ``rcond = eps * max(size, p)``, is
-    rank-deficient or nearly so.  Those rows alone are solved by the
-    pseudoinverse with that cutoff, which gives lstsq's minimum-norm
-    answer.  Entries outside the passive set are zero.
+    Rows that share a passive set share one factorization: the masks,
+    packed to one byte string per row, are grouped by a 1-d ``np.unique``.
+    Each distinct set's columns are gathered to the front of a ``(p, w)``
+    block, ``w`` being the largest set size, with zero columns past the
+    set's own size.  One stacked pseudoinverse of the blocks, with lstsq's
+    default cutoff ``rcond = eps * max(size, p)``, gives lstsq's
+    minimum-norm answer, also on rank-deficient sets, and one batched
+    matmul applies each row's set to its own target.  Entries outside the
+    passive set are zero.
     """
     p = Gn.shape[0]
-    size = passive.sum(axis=1)
+    packed = np.packbits(passive, axis=1)
+    keys = np.ascontiguousarray(packed).view(f"S{packed.shape[1]}").ravel()
+    _, group = np.unique(keys, return_inverse=True)
+    group = group.ravel()
+    first = np.empty(group.max() + 1, dtype=np.intp)
+    first[group] = np.arange(group.size)  # one row of each set
+    sets = passive[first]
+    size = sets.sum(axis=1)
     w = int(size.max())
-    cols = np.argsort(~passive, axis=1, kind="stable")[:, :w]
+    cols = np.argsort(~sets, axis=1, kind="stable")[:, :w]
     valid = np.arange(w) < size[:, None]
-    blocks = np.where(valid[:, None, :], Gn.T[cols].transpose(0, 2, 1), 0.0)  # (B, p, w)
-    rcond = np.finfo(float).eps * np.maximum(size, p)
-
-    aug = np.zeros((Y.shape[0], p + w, w + 1))
-    aug[:, :p, :w] = blocks
-    aug[:, :p, w] = Y
-    pad_row, pad_col = np.nonzero(~valid)
-    aug[pad_row, p + pad_col, pad_col] = 1.0
-    R = np.linalg.qr(aug, mode="r")  # last column: Q^T y over the first w rows
-    diag = np.abs(R[:, np.arange(w), np.arange(w)])
-    lo = np.where(valid, diag, np.inf).min(axis=1)
-    hi = np.where(valid, diag, 0.0).max(axis=1)
-    deficient = lo <= rcond * hi
-    z = np.zeros((Y.shape[0], w))
-    z[~deficient] = np.linalg.solve(R[~deficient, :w, :w], R[~deficient, :w, w:])[:, :, 0]
-    if deficient.any():
-        z[deficient] = (
-            np.linalg.pinv(blocks[deficient], rcond=rcond[deficient]) @ Y[deficient, :, None]
-        )[:, :, 0]
+    blocks = np.where(valid[:, None, :], Gn.T[cols].transpose(0, 2, 1), 0.0)  # (S, p, w)
+    pinv = np.linalg.pinv(blocks, rcond=np.finfo(float).eps * np.maximum(size, p))
+    z = (pinv[group] @ Y[:, :, None])[:, :, 0]
     trial = np.zeros(passive.shape)
-    np.put_along_axis(trial, cols, np.where(valid, z, 0.0), axis=1)
+    np.put_along_axis(trial, cols[group], np.where(valid[group], z, 0.0), axis=1)
     return trial

@@ -78,6 +78,16 @@ class ValueFunctionHandle:
         extreme = np.linalg.matrix_rank(stacks) == self.p - 1
         return G[:, extreme], G[:, ~extreme]
 
+    @cached_property
+    def _projection_starts(self) -> np.ndarray:
+        """(k, m) :func:`nnls` starts: the extreme columns tight on each facet, or cold
+        (all false) when the cone is not pointed."""
+        extreme = self._projection_split[0]
+        A = self.facet_cone.facet_normals
+        if np.linalg.matrix_rank(A) < self.p:
+            return np.zeros((A.shape[0], extreme.shape[1]), dtype=bool)
+        return np.abs(A @ extreme) <= CLASSIFY_TOL * np.linalg.norm(extreme, axis=0)
+
 
 def make_psi(inst: PreferenceInstance) -> ValueFunctionHandle:
     """Signed-distance value function on the unperturbed cone.
@@ -157,30 +167,38 @@ def evaluate_batch(handle: ValueFunctionHandle, points: np.ndarray) -> np.ndarra
     facets come from floating-point double description, which can miss the
     thin facet between two nearly parallel generators and so call both
     non-extreme.  If the extreme columns leave one of them farther than
-    ``CLASSIFY_TOL * |g|`` from their cone, the points are projected again
-    onto every generator.  Non-finite coordinates raise ValueError.
+    ``CLASSIFY_TOL * |g|`` from their cone, the points are projected again,
+    cold, onto every generator.  The first call starts each target on the
+    extreme generators tight on its lowest-slack facet (a point's most
+    violated one), which saves steps; values agree with a cold solve to
+    rounding, not bitwise.  A row whose squared distance to the reference
+    overflows float64, or whose linear value does, raises ValueError.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     if X.shape[1] != handle.p:
         raise ValueError(f"points have dimension {X.shape[1]}, expected {handle.p}")
-    if not np.isfinite(X).all():
-        raise ValueError("points must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y = X - handle.reference
+        squares = (Y * Y).sum(axis=1)
+        values = X @ handle.weights if handle.kind == "linear" else np.zeros(X.shape[0])
+    if not (np.isfinite(squares).all() and np.isfinite(values).all()):
+        raise ValueError("points must be finite, with no overflow in their distance or value")
     if handle.kind == "linear":
-        return X @ handle.weights
+        return values
     if handle.facet_cone.is_whole_space:
         raise WholeSpaceError("the cone is the whole space; the signed distance is undefined")
-    Y = X - handle.reference
-    margins = (handle.facet_cone.facet_normals @ Y.T).min(axis=0)
-    thresholds = CLASSIFY_TOL * (1.0 + np.linalg.norm(Y, axis=1))
-    values = np.zeros(X.shape[0])
+    slack = handle.facet_cone.facet_normals @ Y.T  # (k, B)
+    margins = slack.min(axis=0)
+    thresholds = CLASSIFY_TOL * (1.0 + np.sqrt(squares))
     interior = margins > thresholds
     values[interior] = margins[interior]
     exterior = margins < -thresholds
     extreme, rest = handle._projection_split
+    facet = np.hstack([slack[:, exterior], handle.facet_cone.facet_normals @ rest]).argmin(axis=0)
+    start = handle._projection_starts[facet]
     n = int(exterior.sum())
-    resid = nnls(extreme, np.vstack([Y[exterior], rest.T]))[1]
+    resid = nnls(extreme, np.vstack([Y[exterior], rest.T]), start=start)[1]
     if (resid[n:] > CLASSIFY_TOL * np.linalg.norm(rest, axis=0)).any():
         resid = nnls(handle.gen_cone.generator_matrix, Y[exterior])[1]
     values[exterior] = -resid[:n]
     return values
-

@@ -91,7 +91,7 @@ def test_infinite_epsilon0_is_bad_argument(capsys, data_dir):
 
 
 def test_nnls_iteration_cap_exits_3(capsys, monkeypatch, data_dir):
-    def stalled(columns, target):
+    def stalled(columns, target, *, start=None):
         raise NnlsMaxIterError("active-set iterations exceeded 0")
 
     monkeypatch.setattr(prefcone.valuefn, "nnls", stalled)
@@ -115,6 +115,8 @@ def test_nnls_iteration_cap_exits_3(capsys, monkeypatch, data_dir):
             pytest.param(["--point", x], id=f"spaced {x}")
             for x in ["nan,1", "1,-inf", "-inf,1", "-nan,1", "-Inf,1", "-NaN,1"]
         ),
+        # finite, but the squared distance to the reference overflows float64
+        *(pytest.param([f"--point={x}"], id=x) for x in ["1e308,1e308", "-1e308,-1e308"]),
     ],
 )
 def test_eval_non_finite_point_is_bad_argument(capsys, data_dir, function, point):

@@ -359,18 +359,78 @@ def test_passive_solve_rank_guard_matches_pinv():
         [0, 1, 2, 5],  # more columns than rows
         [5],
     ]
-    passive = np.zeros((len(sets), G.shape[1]), dtype=bool)
-    for row, cols in enumerate(sets):
-        passive[row, cols] = True
     Y = np.random.default_rng(8).integers(-5, 6, size=(len(sets), 3)).astype(float)
+    # the same sets again, three copies each in scrambled row order, every
+    # copy with its own target: rows that share a set share one factorization
+    repeats = np.random.default_rng(9).permutation(np.repeat(np.arange(len(sets)), 3))
+    Y_repeats = np.random.default_rng(10).integers(-5, 6, size=(repeats.size, 3)).astype(float)
 
-    trial = _passive_solve(G, Y, passive)  # raises no LinAlgError
-    for row, cols in enumerate(sets):
-        # the stacked pseudoinverse formula the QR solve replaces
-        rcond = np.finfo(float).eps * max(len(cols), G.shape[0])
-        want = np.zeros(G.shape[1])
-        want[cols] = np.linalg.pinv(G[:, cols], rcond=rcond) @ Y[row]
-        np.testing.assert_allclose(trial[row], want, rtol=0, atol=1e-12)
+    for rows, targets in [(np.arange(len(sets)), Y), (repeats, Y_repeats)]:
+        passive = np.zeros((rows.size, G.shape[1]), dtype=bool)
+        for row, s in enumerate(rows):
+            passive[row, sets[s]] = True
+        trial = _passive_solve(G, targets, passive)  # raises no LinAlgError
+        for row, s in enumerate(rows):
+            # lstsq's minimum-norm answer, by the pseudoinverse formula
+            cols = sets[s]
+            rcond = np.finfo(float).eps * max(len(cols), G.shape[0])
+            want = np.zeros(G.shape[1])
+            want[cols] = np.linalg.pinv(G[:, cols], rcond=rcond) @ targets[row]
+            np.testing.assert_allclose(trial[row], want, rtol=0, atol=1e-12)
+
+
+def _start_systems(rng):
+    """Degenerate integer systems, some with an exact duplicate column, then
+    systems with nearly parallel columns."""
+    for k in range(200):
+        G, Y = _degenerate_stack(rng, k)
+        if k % 5 == 0:
+            G = np.hstack([G, G[:, :1]])  # duplicate column
+        yield G, Y
+    for _ in range(60):
+        p = int(rng.integers(2, 7))
+        G = rng.normal(size=(p, int(rng.integers(3, 12))))
+        G[:, 1] = G[:, 0] + 10.0 ** -rng.uniform(3, 9) * rng.normal(size=p)
+        yield G, rng.normal(size=(10, p))
+
+
+def test_nnls_start_gives_the_cold_answer():
+    # a start only moves where Lawson-Hanson begins; the KKT test that ends
+    # it certifies the optimum whatever the start
+    rng = np.random.default_rng(2024)
+    clipped = 0
+    for G, Y in _start_systems(rng):
+        B, n = Y.shape[0], G.shape[1]
+        cold = nnls(G, Y)[1]
+        infeasible = Y @ G < 0.0  # columns pointing away from the target
+        empty, full = np.zeros((B, n), bool), np.ones((B, n), bool)
+        starts = [rng.random((B, n)) < 0.5, empty, full, infeasible]
+        for start in starts:
+            coef, resid = nnls(G, Y, start=start)
+            tol = 1e-12 * (1.0 + np.linalg.norm(Y, axis=1))
+            assert (np.abs(resid - cold) <= tol).all()
+            assert (coef >= 0).all()
+            np.testing.assert_allclose(
+                np.linalg.norm(coef @ G.T - Y, axis=1), resid, rtol=0, atol=1e-10
+            )
+            grad = (coef @ G.T - Y) @ G
+            assert grad.min() >= -1e-8  # dual feasibility
+            support = coef > 1e-12
+            if support.any():
+                assert np.abs(grad[support]).max() <= 1e-8  # complementary slackness
+        for y, cols in zip(Y, infeasible):
+            if cols.any():
+                clipped += np.linalg.lstsq(G[:, cols], y, rcond=None)[0].min() < 0.0
+        one_resid = nnls(G, Y[0], start=starts[0][0])[1]
+        assert abs(one_resid - cold[0]) <= 1e-12 * (1.0 + np.linalg.norm(Y[0]))
+    assert clipped > 100  # the infeasible starts do need settling
+
+
+def test_nnls_start_shape_checked():
+    with pytest.raises(ValueError, match="start has shape"):
+        nnls(np.ones((3, 5)), np.zeros((2, 3)), start=np.ones((2, 4), bool))
+    with pytest.raises(ValueError, match="start has shape"):
+        nnls(np.ones((3, 5)), np.zeros(3), start=np.ones((1, 5), bool))
 
 
 def test_nnls_empty_stack():

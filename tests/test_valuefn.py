@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -188,13 +189,33 @@ def test_whole_space_handle_rejected_by_both_evaluators(psi):
         evaluate_batch(whole, np.array([[1.0, 1.0]]))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e160, -1e160, 1e308, -1e308])
 def test_non_finite_points_rejected(psi, vartheta, pointed_instance, bad):
     for handle in (psi, vartheta, make_linear(pointed_instance)):
         with pytest.raises(ValueError, match="finite"):
             evaluate(handle, np.array([bad, 1.0]))
         with pytest.raises(ValueError, match="finite"):
             evaluate_batch(handle, np.array([[2.0, 2.0], [1.0, bad]]))
+
+
+def test_points_of_ordinary_size_evaluate_without_warnings(psi, vartheta, pointed_instance):
+    # 1e150 squares to 1e300, still finite; 1e160 squares past float64 and is refused
+    linear = make_linear(pointed_instance)
+    D = np.array([[1.0, 1.0], [-1.0, -1.0], [-2.0, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for handle in (psi, vartheta):
+            values = evaluate_batch(handle, handle.reference + 1e150 * D)
+            # positive homogeneity about the reference, signs included
+            np.testing.assert_allclose(
+                values, 1e150 * evaluate_batch(handle, handle.reference + D), rtol=1e-12
+            )
+            assert values[0] > 0 > values[1]
+        X = 1e150 * D
+        np.testing.assert_array_equal(evaluate_batch(linear, X), X @ linear.weights)
+        for handle in (psi, vartheta, linear):
+            with pytest.raises(ValueError, match="finite"):
+                evaluate_batch(handle, np.array([[1e160, 1.0]]))
 
 
 def test_evaluate_batch_matches_pointwise(psi, vartheta, pointed_instance):
