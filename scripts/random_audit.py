@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Randomized equivalence audit.
 
-Draws random integer-coordinate instances and checks, for each, that the
-four routes to the consistency answer agree: strict linear separation from
-the LP certificate, the strict signed-distance construction on a shrunk
-cone, dual-cone full-dimensionality, and a zero LP optimum.  Also runs the
+Draws random integer-coordinate instances and checks, for each, that five
+routes to the consistency answer agree: strict linear separation by the
+margin LP's weights (the engine's verdict), the strict signed-distance
+construction on a shrunk cone, dual-cone full-dimensionality, a zero optimum
+of the paper's feasibility program, and HiGHS (scipy's ``linprog``) finding
+d >= 1 with g_j.d >= 1 for every judgement direction.  Also runs the
 sampled value-function property checks on every instance whose cone has a
 nonempty complement, checks that the engine's epsilon search returns
 the value (or raises the error) of the LP-trial reference search, and
@@ -21,6 +23,7 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+from scipy.optimize import linprog
 from scipy.optimize import nnls as scipy_nnls
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -41,6 +44,7 @@ from prefcone import (  # noqa: E402
     evaluate,
     evaluate_batch,
     extract_linear_weights,
+    generators,
     make_psi,
     make_vartheta,
     preference_cone,
@@ -70,8 +74,19 @@ def projection_mismatches(psi, seed: int, n_samples: int) -> int:
     )
 
 
+def highs_pointed(inst) -> bool:
+    """HiGHS feasibility of d >= 1, g_j.d >= 1: true iff the cone is pointed."""
+    G = generators(inst, 0.0)
+    res = linprog(np.zeros(inst.p), A_ub=-G, b_ub=-np.ones(len(G)), bounds=(1, None),
+                  method="highs")
+    if res.status not in (0, 2):
+        raise RuntimeError(f"HiGHS failed: {res.message}")
+    return res.status == 0
+
+
 def audit_one(inst, seed: int, n_samples: int) -> tuple[tuple[bool, ...], int, bool, int]:
     by_lp = test_pointedness(inst, 0.0).pointed
+    by_highs = highs_pointed(inst)
     by_geometry = is_pointed_geometric(dual_hrep(preference_cone(inst, 0.0)))
     try:
         weights = extract_linear_weights(inst)
@@ -102,7 +117,8 @@ def audit_one(inst, seed: int, n_samples: int) -> tuple[tuple[bool, ...], int, b
         search_outcome(epsilon_search, inst, cfg) == search_outcome(backtrack_epsilon, inst, cfg)
         for cfg in EPSILON_SCHEDULES
     )
-    return (by_linear, by_strict, by_geometry, by_lp), violations, epsilon_agrees, mismatches
+    row = (by_linear, by_strict, by_geometry, by_lp, by_highs)
+    return row, violations, epsilon_agrees, mismatches
 
 
 def main() -> None:
@@ -138,7 +154,7 @@ def main() -> None:
     elapsed = time.perf_counter() - start
 
     print(f"instances: {args.instances}   elapsed: {elapsed:.1f}s")
-    print("(linear, strict-signed-distance, geometric, lp) -> count")
+    print("(linear, strict-signed-distance, geometric, lp, highs) -> count")
     for row, count in sorted(rows.items()):
         print(f"  {row}: {count}")
     print(f"mixed rows: {mixed}")

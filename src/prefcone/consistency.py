@@ -3,9 +3,9 @@
 Whether the judgements admit an increasing quasi-concave value function,
 an increasing linear one, a pointed preference cone, and a zero-optimum
 feasibility program are one and the same question; the test answers it by
-solving a single small LP and, on success, reads a perturbation size under
-which the strict version of the construction goes through off a second LP
-with one row per criterion.
+solving a single small LP with one row per criterion, whose dual gives the
+linear weights and whose optimum the perturbation sizes under which the
+strict version of the construction goes through.
 """
 
 from __future__ import annotations
@@ -133,17 +133,16 @@ def epsilon_search(
     works).  Every smaller epsilon then works too.  Raises
     MaxIterExceededError when no schedule value is small enough.
     """
-    if not test_pointedness(inst, 0.0).pointed:
+    eps_star, weights = _margin(inst)
+    if weights is None:
         raise NotPointedError(
             "the preference cone is not pointed; no perturbation can be"
         )
-    return _epsilon_bar(inst, cfg)
+    return _first_below(eps_star, cfg)
 
 
-def _epsilon_bar(inst: PreferenceInstance, cfg: EpsilonSearchConfig | None) -> float:
-    """:func:`epsilon_search` for callers that know the unperturbed cone is pointed."""
+def _first_below(eps_star: float, cfg: EpsilonSearchConfig | None) -> float:
     cfg = cfg or EpsilonSearchConfig()
-    eps_star = _eps_star(inst)
     for i in range(cfg.max_iter):
         eps = cfg.beta**i * cfg.epsilon0
         if eps < eps_star:
@@ -153,14 +152,17 @@ def _epsilon_bar(inst: PreferenceInstance, cfg: EpsilonSearchConfig | None) -> f
     )
 
 
-def _eps_star(inst: PreferenceInstance) -> float:
-    """The supremum eps* of the perturbations whose shrunk cone is pointed.
+def _margin(inst: PreferenceInstance) -> tuple[float, np.ndarray | None]:
+    """eps* and the weights, or ``(0.0, None)`` when the cone is not pointed.
 
     The cone shrunk by eps is pointed iff ``eps < eps* = max min_j g_j.d``
-    over the simplex, and ``1 / eps*`` is the optimum of the margin program
-    ``max 1.y s.t. G^T y <= 1, y >= 0`` (unbounded when eps* is 0).  G is
-    first divided, exactly, by a power of two near its largest entry, so
-    that the absolute pivot tolerance sees entries of order one.
+    over the simplex; ``1 / eps*`` is the optimum of the margin program
+    ``max 1.y s.t. G^T y <= 1, y >= 0``, unbounded iff the cone is not pointed
+    (Gordan).  G is first divided, exactly, by a power of two near its largest
+    entry, so that the absolute pivot tolerance sees entries of order one.
+    The slack columns' reduced costs are the dual d >= 0 with ``G d >= scale``,
+    and ``w = lam d / scale + 1`` has ``w >= 1``, ``G w >= 1`` in float64, with
+    ``lam`` twice the ``max(1, 1 - min_j g_j.1)`` that exact arithmetic needs.
     """
     G = generators(inst, 0.0)
     t, p = G.shape
@@ -171,41 +173,50 @@ def _eps_star(inst: PreferenceInstance) -> float:
         objective=np.concatenate([-np.ones(t), np.zeros(p)]),
     )
     sol = solve(margin)
-    return 0.0 if sol.status == "unbounded" else scale / -sol.objective_value
+    if sol.status == "unbounded":
+        return 0.0, None
+    lam = 2.0 * max(1.0, 1.0 - float(G.sum(axis=1).min()))
+    weights = lam * np.maximum(sol.reduced_costs[t:], 0.0) / scale + 1.0
+    return scale / -sol.objective_value, weights
 
 
 def extract_linear_weights(inst: PreferenceInstance) -> np.ndarray:
     """Strictly positive weights d with d.x_j > d.x_k for every judgement.
 
-    Taken straight from the LP certificate, which already guarantees
-    d >= 1 componentwise and (x_j - x_k).d >= 1.
+    Read off the margin program's dual; they satisfy d >= 1 componentwise
+    and (x_j - x_k).d >= 1 in float64.
     """
-    result = test_pointedness(inst, 0.0)
-    if not result.pointed:
+    weights = _margin(inst)[1]
+    if weights is None:
         raise NotPointedError(
             "no increasing linear value function reproduces these judgements"
         )
-    return result.certificate
+    return weights
 
 
 def consistency_verdict(
     inst: PreferenceInstance, cfg: EpsilonSearchConfig | None = None
 ) -> ConsistencyReport:
-    """Run the full test and assemble the report."""
-    result = test_pointedness(inst, 0.0)
+    """Run the full test and assemble the report; the paper's feasibility
+    program runs only to report z* on an inconsistent verdict."""
+    eps_star, weights = _margin(inst)
+    pointed = weights is not None
+    z_star = 0.0 if pointed else test_pointedness(inst, 0.0).z_star
+    notes = []
+    if not pointed and z_star <= Z_STAR_TOL:
+        notes.append("the judgements lie within the LP tolerance of the consistency boundary")
     try:
         facet_count = extreme_rays(dual_hrep(preference_cone(inst, 0.0))).n_facets
-        notes = []
     except DimensionTooLargeError as exc:
         facet_count = None
-        notes = [f"facet count not computed: {exc}"]
+        notes.append(f"facet count not computed: {exc}")
     return ConsistencyReport(
-        pointed=result.pointed,
-        z_star=result.z_star,
-        weight_certificate=result.certificate,
-        epsilon_bar=_epsilon_bar(inst, cfg) if result.pointed else None,
+        pointed=pointed,
+        z_star=z_star,
+        weight_certificate=weights,
+        epsilon_bar=_first_below(eps_star, cfg) if pointed else None,
         facet_count=facet_count,
-        verdict_text=_verdict_text(result.pointed, result.z_star, notes),
+        verdict_text=_verdict_text(pointed, z_star, notes),
     )
 
 

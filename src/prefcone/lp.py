@@ -65,17 +65,17 @@ class StandardLP:
 @dataclass(frozen=True, eq=False)
 class LPSolution:
     status: str  # "optimal" | "unbounded"
-    objective_value: float
-    values: np.ndarray
-    basis: tuple[int, ...]
+    objective_value: float  # -inf when unbounded
+    values: np.ndarray  # the last basic point
+    reduced_costs: np.ndarray  # c - c_B B^-1 A there; minus the dual on the start columns
 
 
 def solve(lp: StandardLP) -> LPSolution:
     """Run the simplex method from the identity start to optimality.
 
     Returns an optimal basic solution, or status ``unbounded`` when the
-    objective decreases without limit (never the case for the pointedness
-    programs, whose objective is a sum of nonnegative variables).
+    objective decreases without limit (the margin program's answer when the
+    cone is not pointed; never the pointedness program's).
     """
     A, b, c = lp.constraint_matrix, lp.rhs, lp.objective
     n_rows, n_vars = A.shape
@@ -97,7 +97,7 @@ def solve(lp: StandardLP) -> LPSolution:
         rows = np.flatnonzero(col > PIVOT_TOL)
         if rows.size == 0:
             values = _basic_point(T, basis, n_vars)
-            return LPSolution("unbounded", float("-inf"), values, tuple(basis))
+            return LPSolution("unbounded", float("-inf"), values, reduced)
         ratios = T[rows, n_vars] / col[rows]
         best = ratios.min()
         ties = rows[ratios <= best + PIVOT_TOL * (1.0 + abs(best))]
@@ -116,7 +116,7 @@ def solve(lp: StandardLP) -> LPSolution:
         raise MaxIterExceededError(f"simplex did not terminate in {max_pivots} pivots")
 
     values = _basic_point(T, basis, n_vars)
-    return LPSolution("optimal", float(c @ values), values, tuple(basis))
+    return LPSolution("optimal", float(c @ values), values, reduced)
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:

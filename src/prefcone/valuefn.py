@@ -31,7 +31,7 @@ from .cones import (
     nnls,
     preference_cone,
 )
-from .consistency import _eps_star, extract_linear_weights
+from .consistency import _margin, extract_linear_weights
 from .errors import NotPointedError, WholeSpaceError
 from .instance import PreferenceInstance, require_valid
 
@@ -114,7 +114,7 @@ def make_vartheta(inst: PreferenceInstance, epsilon_bar: float) -> ValueFunction
     require_valid(inst)
     if not epsilon_bar > 0:
         raise ValueError("epsilon_bar must be strictly positive")
-    if not epsilon_bar < _eps_star(inst):
+    if not epsilon_bar < _margin(inst)[0]:
         raise NotPointedError(
             f"the cone shrunk by {epsilon_bar} is not pointed; choose a smaller epsilon"
         )

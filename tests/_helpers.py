@@ -50,6 +50,22 @@ def synthetic_dm_instance(
         return PreferenceInstance(alts, reference, preferred)
 
 
+def noisy_scorer_instance(
+    rng: np.random.Generator, t: int, p: int, noise: float
+) -> PreferenceInstance:
+    """t judgements from a positive linear scorer whose scores carry noise.
+
+    Alternatives are N(0, 1) in p criteria, the weights U(0.5, 2), and the
+    noise Gaussian at ``noise`` times the scores' spread.  Of t + 3
+    alternatives, the t best by noisy score are preferred to the next one.
+    """
+    alts = rng.normal(size=(t + 3, p))
+    scores = alts @ rng.uniform(0.5, 2.0, size=p)
+    scores = scores + rng.normal(0.0, noise * scores.std(), size=t + 3)
+    order = np.argsort(-scores, kind="stable")
+    return PreferenceInstance(alts, int(order[t]), [int(j) for j in order[:t]])
+
+
 def _distinct_points(rng, m_wanted, p, lo, hi) -> np.ndarray:
     capacity = (hi - lo + 1) ** p
     m_wanted = min(m_wanted, capacity)

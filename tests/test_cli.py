@@ -16,6 +16,8 @@ from prefcone import (
     WholeSpaceError,
     epsilon_search,
     evaluate,
+    extract_linear_weights,
+    generators,
     make_psi,
     make_vartheta,
     parse_instance,
@@ -65,10 +67,11 @@ def test_test_subcommand_above_dd_cap(capsys, tmp_path, consistent):
 
 
 def test_stalled_simplex_is_typed_cli_error(capsys, monkeypatch, tmp_path):
-    # the single generator [5, 5] makes the LP cycle once pivots are disabled
+    # the generators [5, 5] and [6, 4] make the LP cycle once pivots are disabled
     path = tmp_path / "diag.json"
     path.write_text(
-        '{"alternatives": [[0, 0], [5, 5]], "reference_index": 0, "preferred_indices": [1]}'
+        '{"alternatives": [[0, 0], [5, 5], [6, 4]], "reference_index": 0,'
+        ' "preferred_indices": [1, 2]}'
     )
     monkeypatch.setattr(prefcone.lp, "_pivot", lambda T, row, col: None)
     code, out = run_cli(capsys, "weights", str(path))
@@ -129,7 +132,7 @@ def test_eval_non_finite_point_is_bad_argument(capsys, data_dir, function, point
 
 
 def test_eval_vartheta_solves_each_lp_once(capsys, monkeypatch, data_dir):
-    # one LP at epsilon 0, one at epsilon_bar = 0.01, which the pointed fixture passes
+    # one margin LP; make_vartheta is not asked to re-solve it for epsilon_bar = 0.01
     calls = []
     solve = prefcone.consistency.solve
 
@@ -143,12 +146,12 @@ def test_eval_vartheta_solves_each_lp_once(capsys, monkeypatch, data_dir):
         "--function", "vartheta", "--point", "3,3",
     )
     assert code == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("k", range(-9, 10))
 def test_epsilon_bar_from_two_lps_at_any_scale(capsys, monkeypatch, data_dir, tmp_path, k):
-    # the eps=0 program, then one margin program, however small the shrink
+    # one margin program gives the verdict, the weights and epsilon_bar at every scale
     doc = json.loads((data_dir / "pointed.json").read_text())
     doc["alternatives"] = (np.array(doc["alternatives"]) * 10.0**k).tolist()
     path = tmp_path / "scaled.json"
@@ -156,6 +159,8 @@ def test_epsilon_bar_from_two_lps_at_any_scale(capsys, monkeypatch, data_dir, tm
     inst = parse_instance(path.read_text())
     want = backtrack_epsilon(inst)
     assert epsilon_search(inst) == want
+    d = extract_linear_weights(inst)
+    assert (d >= 1).all() and (generators(inst) @ d >= 1).all()  # exactly, in float64
 
     calls = []
     solve = prefcone.consistency.solve
@@ -173,7 +178,7 @@ def test_epsilon_bar_from_two_lps_at_any_scale(capsys, monkeypatch, data_dir, tm
         calls.clear()
         code, out = run_cli(capsys, *argv)
         assert code == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
         if key:
             assert json.loads(out)[key] == want
     svg = (tmp_path / "scaled.svg").read_text()
@@ -186,6 +191,33 @@ def test_test_subcommand_inconsistent_exit_1(capsys, data_dir):
     doc = json.loads(out)
     assert doc["pointed"] is False
     assert doc["z_star"] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize(
+    "alternatives",
+    [
+        [[0, 0], [1, -1], [-0.9999999981373549, 1]],  # 1 - 2**-29
+        [[0, 0], [3, -1], [-2.9999999925494194, 1]],
+    ],
+)
+def test_consistency_boundary_gets_one_answer(capsys, tmp_path, alternatives):
+    # the margin LP reads these as unbounded while the paper's program reads
+    # z* = 0; every subcommand reports the margin LP's verdict
+    path = tmp_path / "boundary.json"
+    path.write_text(json.dumps(
+        {"alternatives": alternatives, "reference_index": 0, "preferred_indices": [1, 2]}
+    ))
+    code, out = run_cli(capsys, "test", str(path))
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["pointed"] is False and doc["z_star"] == 0.0
+    assert doc["verdict_text"].splitlines()[-1] == (
+        "the judgements lie within the LP tolerance of the consistency boundary"
+    )
+    for subcommand in ("weights", "epsilon"):
+        code, out = run_cli(capsys, subcommand, str(path))
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == "NOT_POINTED"
 
 
 def test_test_output_byte_identical(capsys, data_dir):

@@ -23,7 +23,7 @@ from prefcone import (
     preference_cone,
     test_pointedness,
 )
-from _helpers import random_instance, synthetic_dm_instance
+from _helpers import noisy_scorer_instance, random_instance, synthetic_dm_instance
 from oracle import backtrack_epsilon, is_pointed_geometric, search_outcome
 
 
@@ -46,8 +46,67 @@ def test_verdict_computes_each_artifact_once(monkeypatch, data_dir, fixture):
     inst = parse_instance((data_dir / fixture).read_text())
     cfg = EpsilonSearchConfig()
     report = consistency_verdict(inst, cfg)
-    # the eps=0 program, then one margin program when the cone is pointed
-    assert calls == {"validate": 1, "solve": 1 + report.pointed, "extreme_rays": 1}
+    # one margin program, then the paper's program for z* when the cone is not pointed
+    assert calls == {"validate": 1, "solve": 1 + (not report.pointed), "extreme_rays": 1}
+
+
+def test_margin_verdict_and_exact_weights_on_seeded_draws():
+    # the margin program decides as the paper's program does, and its weights
+    # meet d >= 1 and G d >= 1 with no tolerance
+    rng = np.random.default_rng(419)
+    pointed = 0
+    for k in range(3000):
+        inst = (random_instance if k % 2 else synthetic_dm_instance)(rng)
+        try:
+            d = extract_linear_weights(inst)
+        except NotPointedError:
+            d = None
+        assert (d is not None) == test_pointedness(inst, 0.0).pointed, k
+        if d is not None:
+            pointed += 1
+            assert (d >= 1).all() and (generators(inst) @ d >= 1).all(), k
+    assert 1000 < pointed < 2900
+
+
+def test_margin_lp_agrees_with_highs_on_noisy_scorers():
+    from scipy.optimize import linprog
+
+    verdicts = Counter()
+    for t, p in [(8, 4), (40, 6), (100, 8), (300, 10), (600, 15)]:
+        for noise in (0.0, 0.3, 1.0, 10.0, 100.0):
+            rng = np.random.default_rng([t, p, int(10 * noise)])
+            inst = noisy_scorer_instance(rng, t, p, noise)
+            G = generators(inst)
+            highs = linprog(
+                np.zeros(p), A_ub=-G, b_ub=-np.ones(t), bounds=(1, None), method="highs"
+            )
+            assert highs.status in (0, 2), highs.message
+            try:
+                d = extract_linear_weights(inst)
+            except NotPointedError:
+                d = None
+            assert (d is not None) == (highs.status == 0), (t, p, noise)
+            verdicts[d is not None] += 1
+            if d is None:
+                with pytest.raises(NotPointedError):
+                    epsilon_search(inst)
+                continue
+            assert (d >= 1).all() and (G @ d >= 1).all()
+            # eps* = max over the simplex of min_j g_j.d, from HiGHS
+            c = np.zeros(p + 1)
+            c[-1] = -1.0
+            res = linprog(
+                c, A_ub=np.hstack([-G, np.ones((t, 1))]), b_ub=np.zeros(t),
+                A_eq=[[1.0] * p + [0.0]], b_eq=[1.0],
+                bounds=[(0, None)] * p + [(None, None)], method="highs",
+            )
+            eps_star = -res.fun
+            below = EpsilonSearchConfig(epsilon0=eps_star * (1 - 1e-7), max_iter=1)
+            assert epsilon_search(inst, below) == below.epsilon0
+            above = EpsilonSearchConfig(epsilon0=eps_star * (1 + 1e-7), max_iter=1)
+            with pytest.raises(MaxIterExceededError):
+                epsilon_search(inst, above)
+    assert verdicts[True] >= 5 and verdicts[False] >= 5
 
 
 def test_pointed_fixture(pointed_instance):
