@@ -91,9 +91,7 @@ class FacetCone:
             normals = normals.reshape(0, normals.shape[1] if normals.ndim == 2 else 0)
         if normals.ndim != 2:
             raise ValueError("facet_normals must be a 2-d array")
-        if normals.shape[0] and not np.allclose(
-            np.linalg.norm(normals, axis=1), 1.0, atol=1e-9
-        ):
+        if not (np.abs(np.linalg.norm(normals, axis=1) - 1.0) <= 1e-9).all():
             raise ValueError("facet normals must have unit Euclidean norm")
         object.__setattr__(self, "facet_normals", normals)
         object.__setattr__(self, "is_whole_space", bool(self.is_whole_space))
@@ -125,9 +123,10 @@ def extreme_rays(hrep: np.ndarray) -> FacetCone:
 
     By bipolarity these rays are the facet normals of the primal cone the
     hrep was dualized from (the primal is full-dimensional in every use
-    here).  Rays are unit-normalized, deduplicated, and sorted for
-    deterministic output.  If the hrep cone is {0} the primal is the whole
-    space and the result carries ``is_whole_space=True``.
+    here).  Double description (:func:`_dd_pointed`) finds them, bit for
+    bit as a pair-by-pair loop would; they are unit-normalized, deduplicated
+    and sorted for deterministic output.  If the hrep cone is {0} the
+    primal is the whole space and the result carries ``is_whole_space=True``.
 
     The hrep cone must be pointed (rank-p rows); one that contains a line
     raises ValueError.  :func:`dual_hrep` always qualifies, since its axis
@@ -146,9 +145,10 @@ def extreme_rays(hrep: np.ndarray) -> FacetCone:
     if rows.shape[0] == 0:
         raise ValueError("hrep rows are all zero")
 
-    sv = np.linalg.svd(rows, compute_uv=False)
-    if np.sum(sv > 1e-10 * max(rows.shape) * sv[0]) < p:
-        raise ValueError("hrep cone contains a nontrivial subspace; it is not pointed")
+    if not np.array_equal(rows[:p], np.eye(p)):  # the axis rows alone have rank p
+        sv = np.linalg.svd(rows, compute_uv=False)
+        if np.sum(sv > 1e-10 * max(rows.shape) * sv[0]) < p:
+            raise ValueError("hrep cone contains a nontrivial subspace; it is not pointed")
     rays = _dd_pointed(rows)
     if rays.shape[0] == 0:
         return FacetCone(facet_normals=np.zeros((0, p)), is_whole_space=True)
@@ -162,39 +162,41 @@ def extreme_rays(hrep: np.ndarray) -> FacetCone:
 def _dd_pointed(A: np.ndarray) -> np.ndarray:
     """Double description on {x : A.x >= 0} with trivial lineality.
 
-    Starts from a simplicial subcone built out of q independent rows and
-    inserts the remaining half-spaces one at a time, combining adjacent
-    ray pairs across each cut.  Adjacency uses the combinatorial test (no
-    third ray's active set contains the common active set), which is exact
-    for pointed cones; one matmul per insertion (per block of pairs on a
-    very large cut) runs it on every pair.
+    Starts from a simplicial subcone on q independent rows (the unit axes
+    when A starts with them, as :func:`dual_hrep`'s rows do, else the first
+    q if independent, else a greedy rank test's pick) and inserts the other
+    half-spaces one at a time, combining adjacent ray pairs across each
+    cut.  Deduplicated rays are more than RAY_DEDUP_TOL apart, so later
+    cuts dedupe only their new rays.
     """
     m, q = A.shape
-    base: list[int] = []
-    for i in range(m):
-        if np.linalg.matrix_rank(A[base + [i]]) > len(base):
-            base.append(i)
-            if len(base) == q:
-                break
-    # rank(A) == q: extreme_rays rejects rank-deficient input
-    rays = np.linalg.inv(A[base]).T  # row i solves A[base] @ ray = e_i
-    rays /= np.linalg.norm(rays, axis=1)[:, None]
-    processed = list(base)
+    rays = np.eye(q)  # the rays of the axis rows alone
+    if not np.array_equal(A[:q], rays):
+        if np.linalg.matrix_rank(A[:q]) < q:
+            base: list[int] = []
+            for i in range(m):
+                if np.linalg.matrix_rank(A[base + [i]]) > len(base):
+                    base.append(i)
+                    if len(base) == q:
+                        break
+            A = A[base + [j for j in range(m) if j not in base]]  # processed rows: A[:i]
+        rays = np.linalg.inv(A[:q]).T  # row i solves A[:q] @ ray = e_i; rank(A) == q here
+        rays /= np.linalg.norm(rays, axis=1)[:, None]
+    apart = False
 
-    for i in (j for j in range(m) if j not in base):
+    for i in range(q, m):
         vals = rays @ A[i]
         pos = vals > _ACTIVITY_TOL
         neg = vals < -_ACTIVITY_TOL
         if not neg.any():
-            processed.append(i)
             continue
         keep = rays[~neg]
         new = np.zeros((0, q))
         if pos.any():
-            active = np.abs(rays @ A[processed].T) <= _ACTIVITY_TOL  # (n_rays, n_proc)
+            active = np.abs(rays @ A[:i].T) <= _ACTIVITY_TOL  # (n_rays, i)
             new = _adjacent_combinations(rays, vals, pos, neg, active)
-        rays = _dedupe(np.vstack([keep, new]))
-        processed.append(i)
+        rays = _dedupe(np.concatenate((keep, new)), keep.shape[0] if apart else 0)
+        apart = True
         if rays.shape[0] == 0:
             break
     return rays
@@ -205,48 +207,52 @@ def _adjacent_combinations(
 ) -> np.ndarray:
     """New rays on the cut: one per adjacent (u, w) pair, u in pos, w in neg.
 
-    Pairs run in (u, w) C order.  ``contains[k, v]`` is set when ray v is
-    active on every constraint that pair k's two rays share; the pair is
-    adjacent when no third ray is.  The pairs are tested in blocks of at
-    most ``_DD_BLOCK`` matrix cells, so memory stays bounded however many
-    rays the cut crosses.
+    Pairs run in (u, w) C order.  Adjacent rays share at least q - 2 active
+    constraints (Fukuda & Prodon's rank condition), so only pairs that do
+    take the combinatorial test: the pair is adjacent when no third ray is
+    active on all the constraints it shares.  Counts of shared constraints,
+    one matmul per block of at most ``_DD_BLOCK`` cells, decide both.
     """
-    inactive = (~active).T.astype(float)  # (n_proc, n_rays)
-    cut_pos, cut_neg = np.flatnonzero(pos), np.flatnonzero(neg)
-    step = max(1, _DD_BLOCK // (cut_neg.size * max(active.shape)))
-    new = []
+    act = active.astype(np.float32)  # its 0/1 sums are exact
+    cut_pos, cut_neg = pos.nonzero()[0], neg.nonzero()[0]
+    pairs = []
+    step = max(1, _DD_BLOCK // cut_neg.size)
     for lo in range(0, cut_pos.size, step):
-        u, w = (
-            ix.ravel() for ix in np.meshgrid(cut_pos[lo : lo + step], cut_neg, indexing="ij")
-        )
-        contains = (active[u] & active[w]).astype(float) @ inactive == 0.0
-        pair = np.arange(u.size)
-        contains[pair, u] = False
-        contains[pair, w] = False
-        adjacent = ~contains.any(axis=1)
-        u, w = u[adjacent], w[adjacent]
-        combined = vals[u, None] * rays[w] - vals[w, None] * rays[u]
-        # each row scaled by its own 1-d norm, bit for bit the per-pair formula
-        combined /= np.array([np.linalg.norm(r) for r in combined]).reshape(-1, 1)
-        new.append(combined)
-    return np.vstack(new)
+        bu, bw = (act[cut_pos[lo : lo + step]] @ act[cut_neg].T >= rays.shape[1] - 2).nonzero()
+        pairs.append((cut_pos[lo + bu], cut_neg[bw]))
+    u, w = (np.concatenate(ix) for ix in zip(*pairs))
+    adjacent = np.empty(u.size, dtype=bool)
+    step = max(1, _DD_BLOCK // max(act.shape))
+    for lo in range(0, u.size, step):
+        common = act[u[lo : lo + step]] * act[w[lo : lo + step]]  # (block, n_proc)
+        # ray v is active on all of a pair's common set iff it shares as many
+        contains = common @ act.T == common.sum(axis=1, keepdims=True)
+        adjacent[lo : lo + step] = contains.sum(axis=1) == 2  # u and w only
+    u, w = u[adjacent], w[adjacent]
+    new = vals[u][:, None] * rays[w] - vals[w][:, None] * rays[u]
+    # each row scaled by its own 1-d norm, sqrt(r.dot(r)), bit for bit
+    new /= np.sqrt(new[:, None, :] @ new[:, :, None])[:, 0]
+    return new
 
 
-def _dedupe(rays: np.ndarray) -> np.ndarray:
+def _dedupe(rays: np.ndarray, start: int = 0) -> np.ndarray:
     """Drop every ray within RAY_DEDUP_TOL of an earlier ray that is kept.
 
-    Distances are taken in row blocks of at most ``_DD_BLOCK`` cells.
+    Rays before ``start`` must be pairwise farther apart than that; each
+    later ray is compared with all rays before it, in row blocks of at most
+    ``_DD_BLOCK`` cells.
     """
     n, q = rays.shape
-    kept = np.ones(n, dtype=bool)
+    dropped = set()
     step = max(1, _DD_BLOCK // max(n * q, 1))
-    for lo in range(0, n, step):
-        dist = np.linalg.norm(rays[lo : lo + step, None, :] - rays[None, :, :], axis=2)
-        # near pairs (i, j) with i < j, in row-major order
-        for i, j in zip(*np.nonzero(np.triu(dist <= RAY_DEDUP_TOL, lo + 1))):
-            if kept[lo + i]:
-                kept[j] = False
-    return rays[kept]
+    for lo in range(start, n, step):
+        diff = rays[lo : lo + step, None, :] - rays[None, : lo + step, :]
+        near = np.sqrt(np.add.reduce(diff * diff, axis=2)) <= RAY_DEDUP_TOL  # np.linalg.norm's
+        if np.count_nonzero(near) > near.shape[0]:  # a ray near another than itself
+            for i, j in zip(*np.nonzero(np.tril(near, lo - 1))):  # j before i, row-major
+                if j not in dropped:
+                    dropped.add(lo + i)
+    return np.delete(rays, list(dropped), axis=0) if dropped else rays
 
 
 def nnls(columns: np.ndarray, target: np.ndarray, *, start: np.ndarray | None = None):

@@ -58,6 +58,11 @@ class ValueFunctionHandle:
         return self.reference.shape[0]
 
     @cached_property
+    def _pointed(self) -> bool:
+        """Whether the facet normals have rank p, i.e. the cone is pointed."""
+        return bool(np.linalg.matrix_rank(self.facet_cone.facet_normals) == self.p)
+
+    @cached_property
     def _projection_split(self) -> tuple[np.ndarray, np.ndarray]:
         """The generator columns as (extreme, the rest), for :func:`evaluate_batch`.
 
@@ -68,7 +73,7 @@ class ValueFunctionHandle:
         """
         G = self.gen_cone.generator_matrix  # (p, n)
         A = self.facet_cone.facet_normals  # (k, p)
-        if np.linalg.matrix_rank(A) < self.p:
+        if not self._pointed:
             return G, G[:, :0]
         tight = np.abs(A @ G) <= CLASSIFY_TOL * np.linalg.norm(G, axis=0)  # (k, n)
         # each generator's tight normals gathered to the front of a zero-padded stack
@@ -84,7 +89,7 @@ class ValueFunctionHandle:
         (all false) when the cone is not pointed."""
         extreme = self._projection_split[0]
         A = self.facet_cone.facet_normals
-        if np.linalg.matrix_rank(A) < self.p:
+        if not self._pointed:
             return np.zeros((A.shape[0], extreme.shape[1]), dtype=bool)
         return np.abs(A @ extreme) <= CLASSIFY_TOL * np.linalg.norm(extreme, axis=0)
 

@@ -66,6 +66,34 @@ def noisy_scorer_instance(
     return PreferenceInstance(alts, int(order[t]), [int(j) for j in order[:t]])
 
 
+def gaussian_scorer_instance(t: int, p: int) -> PreferenceInstance:
+    """The double description timing instance for (t, p), seeded by ``[t, p, 7]``.
+
+    t + 1 alternatives N(0, 1) in p criteria and a positive linear scorer
+    with weights U(0.5, 2): every alternative is preferred to the
+    lowest-scored one, the reference.
+    """
+    rng = np.random.default_rng([t, p, 7])
+    alts = rng.normal(size=(t + 1, p))
+    scores = alts @ rng.uniform(0.5, 2.0, size=p)
+    reference = int(np.argmin(scores))
+    return PreferenceInstance(alts, reference, [j for j in range(t + 1) if j != reference])
+
+
+# Facet counts of gaussian_scorer_instance(t, p), as double description gives them
+GAUSSIAN_SCORER_FACETS = {
+    (40, 6): 142,
+    (40, 7): 436,
+    (40, 8): 826,
+    (40, 9): 1483,
+    (40, 10): 10080,
+    (40, 11): 24108,
+    (30, 10): 4086,
+    (30, 11): 5084,
+    (30, 12): 15598,
+}
+
+
 def _distinct_points(rng, m_wanted, p, lo, hi) -> np.ndarray:
     capacity = (hi - lo + 1) ** p
     m_wanted = min(m_wanted, capacity)

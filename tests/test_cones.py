@@ -8,6 +8,7 @@ from prefcone import (
     DimensionTooLargeError,
     FacetCone,
     GeneratorCone,
+    PreferenceInstance,
     WholeSpaceError,
     dual_hrep,
     extreme_rays,
@@ -16,10 +17,17 @@ from prefcone import (
     preference_cone,
 )
 from prefcone.cones import _dd_pointed, _dedupe, _passive_solve
-from _helpers import random_instance, synthetic_dm_instance
+from _helpers import (
+    GAUSSIAN_SCORER_FACETS,
+    gaussian_scorer_instance,
+    noisy_scorer_instance,
+    random_instance,
+    synthetic_dm_instance,
+)
 from oracle import (
     MembershipClass,
     classify,
+    dd_exact,
     dd_pointed_loop,
     dist_to_complement,
     dist_to_cone,
@@ -466,8 +474,57 @@ def test_dd_matches_loop_reference_bitwise():
         np.testing.assert_array_equal(_dd_pointed(A), dd_pointed_loop(A))
 
 
+def _unit_rows(A):
+    """What extreme_rays feeds _dd_pointed: the nonzero rows, unit-normalized."""
+    norms = np.linalg.norm(A, axis=1)
+    return A[norms > 0] / norms[norms > 0, None]
+
+
+def _twin_judgement_cone(seed):
+    """A scorer cone (p <= 7) with one judgement repeated 1e-7..1e-9 apart.
+
+    Seed 1476 gives p=7, t=17, where double description drops three near
+    duplicate rays (and, like the loop it must match, misses 6 of the 101
+    facets that exact arithmetic finds).
+    """
+    rng = np.random.default_rng([seed, 11])
+    inst = synthetic_dm_instance(rng, p_max=7, t_max=20)
+    alts = np.array(inst.alternatives)
+    j = inst.preferred_indices[int(rng.integers(inst.t))]
+    alts = np.vstack([alts, alts[j] + 10.0 ** -rng.uniform(7, 9) * rng.normal(size=inst.p)])
+    preferred = list(inst.preferred_indices) + [alts.shape[0] - 1]
+    return preference_cone(PreferenceInstance(alts, inst.reference_index, preferred), 0.0)
+
+
+def test_dd_matches_loop_on_permuted_rescaled_and_near_duplicate_rows():
+    rng = np.random.default_rng(5150)
+    greedy = 0
+    for k in range(90):
+        q = 2 + k % 6
+        t = int(rng.integers(1, 11))
+        A = np.vstack([np.eye(q), rng.integers(-4, 5, size=(t, q)).astype(float)])
+        if k % 3 == 0:
+            # shuffled, with a multiple of the first row second: the first q
+            # rows are dependent, so the base comes from the greedy rank test
+            A = A[rng.permutation(A.shape[0])]
+            A = np.vstack([A[:1], 3.0 * A[:1], A[1:]])
+        elif k % 3 == 1:
+            A *= 10.0 ** rng.uniform(-3, 3, size=(A.shape[0], 1))
+        else:
+            twin = A[-1] + 10.0 ** -rng.uniform(7, 9) * rng.normal(size=q)
+            A = np.vstack([A, twin])
+        A = _unit_rows(A)
+        greedy += np.linalg.matrix_rank(A[:q]) < q
+        np.testing.assert_array_equal(_dd_pointed(A), dd_pointed_loop(A))
+    assert greedy >= 30
+    A = _unit_rows(dual_hrep(_twin_judgement_cone(1476)))
+    np.testing.assert_array_equal(_dd_pointed(A), dd_pointed_loop(A))
+
+
 def test_dd_blocked_pairs_and_dedupe_match_unblocked(monkeypatch):
     hreps = [dual_hrep(cone) for _, cone in _dm_cones(99, 20, t_max=25)]
+    hreps.append(dual_hrep(preference_cone(gaussian_scorer_instance(20, 7), 0.0)))
+    hreps.append(dual_hrep(_twin_judgement_cone(1476)))  # the dedupe drops rays here
     want = [extreme_rays(h).facet_normals for h in hreps]
     monkeypatch.setattr(prefcone.cones, "_DD_BLOCK", 7)  # a few pairs or rows per block
     for h, w in zip(hreps, want):
@@ -508,3 +565,81 @@ def test_dd_facets_certified_up_to_t40_p6():
         tol = 1e-8 * (1.0 + np.linalg.norm(Y, axis=1))
         assert (resid[margins > tol] <= tol[margins > tol]).all()
         assert (margins[resid > tol] < 0).all()
+
+
+def _certify_facets(rng, cone, facets):
+    """The soundness, tightness and completeness checks of the p6 test above."""
+    gens = np.vstack([cone.pref_generators, cone.axis_generators])
+    gens = gens[np.linalg.norm(gens, axis=1) > 0]
+    gens /= np.linalg.norm(gens, axis=1)[:, None]
+    products = facets.facet_normals @ gens.T  # (k, n_gens)
+    assert products.min() >= -1e-9
+    for a, row in zip(facets.facet_normals, products):
+        tight = gens[np.abs(row) <= 1e-9]
+        assert np.linalg.matrix_rank(tight, tol=1e-9) == cone.p - 1, a
+    Y = rng.uniform(-4, 4, size=(300, cone.p))
+    margins = (Y @ facets.facet_normals.T).min(axis=1)
+    resid = nnls(cone.generator_matrix, Y)[1]
+    tol = 1e-8 * (1.0 + np.linalg.norm(Y, axis=1))
+    assert (resid[margins > tol] <= tol[margins > tol]).all()
+    assert (margins[resid > tol] < 0).all()
+
+
+def test_dd_facets_certified_up_to_t40_p8():
+    rng = np.random.default_rng(78)
+    cones = [preference_cone(gaussian_scorer_instance(t, p), 0.0) for p in (7, 8) for t in (12, 40)]
+    cones += [preference_cone(noisy_scorer_instance(rng, 30, p, 0.0), 0.0) for p in (7, 8)]
+    while len(cones) < 12:  # integer alternatives: many generators share a facet
+        inst = synthetic_dm_instance(rng, p_max=8, t_max=40)
+        if inst.p >= 7:
+            cones.append(preference_cone(inst, 0.0))
+    for cone in cones:
+        facets = extreme_rays(dual_hrep(cone))
+        assert not facets.is_whole_space
+        _certify_facets(rng, cone, facets)
+
+
+def test_dd_facet_counts_of_gaussian_scorer_instances():
+    # the counts of the timing table at t=40; no oracle reaches these sizes
+    for p in (6, 7, 8, 9):
+        facets = extreme_rays(dual_hrep(preference_cone(gaussian_scorer_instance(40, p), 0.0)))
+        assert facets.n_facets == GAUSSIAN_SCORER_FACETS[40, p]
+
+
+def test_extreme_rays_facet_count_matches_exact_dd():
+    rng = np.random.default_rng(1996)
+    for k in range(80):
+        p, t = int(rng.integers(2, 6)), int(rng.integers(1, 13))
+        inst = noisy_scorer_instance(rng, t, p, 0.0 if k % 4 else 0.5)
+        hrep = dual_hrep(preference_cone(inst, 0.0))
+        facets = extreme_rays(hrep)
+        exact = np.array([[x / max(map(abs, ray)) for x in ray] for ray in dd_exact(hrep)])
+        assert facets.n_facets == len(exact)
+        if len(exact):
+            exact /= np.linalg.norm(exact, axis=1)[:, None]
+            # each float facet is within 1e-9 of an exact ray, and each exact ray of a facet
+            dist = np.linalg.norm(facets.facet_normals[:, None] - exact[None], axis=2)
+            assert dist.min(axis=0).max() <= 1e-9 and dist.min(axis=1).max() <= 1e-9
+
+
+def test_dd_exact_on_known_cones():
+    assert dd_exact(np.eye(3)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    # the pointed fixture's dual: facet normals (0, 1) and (1, 2) / sqrt(5)
+    rays = dd_exact(np.array([[1, 0], [0, 1], [-1, 1], [-1, 0.5], [-1, 2]]))
+    assert sorted(rays) == [(0, 1), (1, 2)]
+    assert dd_exact(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])) == []
+    with pytest.raises(ValueError, match="not pointed"):
+        dd_exact(np.array([[1.0, 1.0], [-1.0, -1.0]]))
+
+
+def test_facet_cone_unit_norm_check_is_absolute():
+    # 1e-9 absolute, not allclose's default relative 1e-5 on top of it
+    with pytest.raises(ValueError, match="unit Euclidean norm"):
+        FacetCone(np.array([[1.0 + 1e-6, 0.0]]), False)
+    with pytest.raises(ValueError, match="unit Euclidean norm"):
+        FacetCone(np.array([[np.nan, 0.0]]), False)
+    FacetCone(np.array([[1.0 + 1e-10, 0.0]]), False)
+    # every FacetCone extreme_rays builds passes it
+    for _, cone in _dm_cones(4, 30):
+        facets = extreme_rays(dual_hrep(cone))
+        assert (np.abs(np.linalg.norm(facets.facet_normals, axis=1) - 1.0) <= 1e-9).all()
