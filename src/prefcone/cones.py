@@ -163,8 +163,8 @@ def _dd_pointed(A: np.ndarray) -> np.ndarray:
     """Double description on {x : A.x >= 0} with trivial lineality.
 
     Starts from a simplicial subcone on q independent rows (the unit axes
-    when A starts with them, as :func:`dual_hrep`'s rows do, else the first
-    q if independent, else a greedy rank test's pick) and inserts the other
+    when A starts with them, as :func:`dual_hrep`'s rows do, else a greedy
+    rank test's pick, moved to the front once) and inserts the other
     half-spaces one at a time, combining adjacent ray pairs across each
     cut.  Deduplicated rays are more than RAY_DEDUP_TOL apart, so later
     cuts dedupe only their new rays.
@@ -172,14 +172,13 @@ def _dd_pointed(A: np.ndarray) -> np.ndarray:
     m, q = A.shape
     rays = np.eye(q)  # the rays of the axis rows alone
     if not np.array_equal(A[:q], rays):
-        if np.linalg.matrix_rank(A[:q]) < q:
-            base: list[int] = []
-            for i in range(m):
-                if np.linalg.matrix_rank(A[base + [i]]) > len(base):
-                    base.append(i)
-                    if len(base) == q:
-                        break
-            A = A[base + [j for j in range(m) if j not in base]]  # processed rows: A[:i]
+        base: list[int] = []
+        for i in range(m):
+            if np.linalg.matrix_rank(A[base + [i]]) > len(base):
+                base.append(i)
+                if len(base) == q:
+                    break
+        A = A[base + [j for j in range(m) if j not in base]]  # processed rows: A[:i]
         rays = np.linalg.inv(A[:q]).T  # row i solves A[:q] @ ray = e_i; rank(A) == q here
         rays /= np.linalg.norm(rays, axis=1)[:, None]
     apart = False
@@ -215,20 +214,21 @@ def _adjacent_combinations(
     """
     act = active.astype(np.float32)  # its 0/1 sums are exact
     cut_pos, cut_neg = pos.nonzero()[0], neg.nonzero()[0]
+    act_neg = act[cut_neg].T
     pairs = []
     step = max(1, _DD_BLOCK // cut_neg.size)
+    sub = max(1, _DD_BLOCK // max(act.shape))
     for lo in range(0, cut_pos.size, step):
-        bu, bw = (act[cut_pos[lo : lo + step]] @ act[cut_neg].T >= rays.shape[1] - 2).nonzero()
-        pairs.append((cut_pos[lo + bu], cut_neg[bw]))
+        bu, bw = (act[cut_pos[lo : lo + step]] @ act_neg >= rays.shape[1] - 2).nonzero()
+        u, w = cut_pos[lo + bu], cut_neg[bw]
+        adjacent = np.empty(u.size, dtype=bool)
+        for s in range(0, u.size, sub):
+            common = act[u[s : s + sub]] * act[w[s : s + sub]]  # (block, n_proc)
+            # ray v is active on all of a pair's common set iff it shares as many
+            contains = common @ act.T == common.sum(axis=1, keepdims=True)
+            adjacent[s : s + sub] = contains.sum(axis=1) == 2  # u and w only
+        pairs.append((u[adjacent], w[adjacent]))
     u, w = (np.concatenate(ix) for ix in zip(*pairs))
-    adjacent = np.empty(u.size, dtype=bool)
-    step = max(1, _DD_BLOCK // max(act.shape))
-    for lo in range(0, u.size, step):
-        common = act[u[lo : lo + step]] * act[w[lo : lo + step]]  # (block, n_proc)
-        # ray v is active on all of a pair's common set iff it shares as many
-        contains = common @ act.T == common.sum(axis=1, keepdims=True)
-        adjacent[lo : lo + step] = contains.sum(axis=1) == 2  # u and w only
-    u, w = u[adjacent], w[adjacent]
     new = vals[u][:, None] * rays[w] - vals[w][:, None] * rays[u]
     # each row scaled by its own 1-d norm, sqrt(r.dot(r)), bit for bit
     new /= np.sqrt(new[:, None, :] @ new[:, :, None])[:, 0]
