@@ -9,9 +9,10 @@ of the paper's feasibility program, and HiGHS (scipy's ``linprog``) finding
 d >= 1 with g_j.d >= 1 for every judgement direction.  Also runs the
 sampled value-function property checks on every instance whose cone has a
 nonempty complement, checks that the engine's epsilon search returns
-the value (or raises the error) of the LP-trial reference search, and
+the value (or raises the error) of the LP-trial reference search,
 checks psi's exterior values against scipy's NNLS distance to the cone of
-every generator.
+every generator, and checks that double description finds as many facets
+as the exact-rational double description of ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from _helpers import random_instance  # noqa: E402
 from oracle import (  # noqa: E402
     backtrack_epsilon,
     check_properties,
+    dd_exact,
     is_pointed_geometric,
     search_outcome,
 )
@@ -44,6 +46,7 @@ from prefcone import (  # noqa: E402
     evaluate,
     evaluate_batch,
     extract_linear_weights,
+    extreme_rays,
     generators,
     make_psi,
     make_vartheta,
@@ -84,10 +87,13 @@ def highs_pointed(inst) -> bool:
     return res.status == 0
 
 
-def audit_one(inst, seed: int, n_samples: int) -> tuple[tuple[bool, ...], int, bool, int]:
+def audit_one(
+    inst, seed: int, n_samples: int
+) -> tuple[tuple[bool, ...], int, bool, int, bool]:
+    hrep = dual_hrep(preference_cone(inst, 0.0))
     by_lp = test_pointedness(inst, 0.0).pointed
     by_highs = highs_pointed(inst)
-    by_geometry = is_pointed_geometric(dual_hrep(preference_cone(inst, 0.0)))
+    by_geometry = is_pointed_geometric(hrep)
     try:
         weights = extract_linear_weights(inst)
         ref = float(weights @ inst.reference)
@@ -117,8 +123,9 @@ def audit_one(inst, seed: int, n_samples: int) -> tuple[tuple[bool, ...], int, b
         search_outcome(epsilon_search, inst, cfg) == search_outcome(backtrack_epsilon, inst, cfg)
         for cfg in EPSILON_SCHEDULES
     )
+    facets_agree = extreme_rays(hrep).n_facets == len(dd_exact(hrep))
     row = (by_linear, by_strict, by_geometry, by_lp, by_highs)
-    return row, violations, epsilon_agrees, mismatches
+    return row, violations, epsilon_agrees, mismatches, facets_agree
 
 
 def main() -> None:
@@ -134,10 +141,11 @@ def main() -> None:
     mixed = 0
     epsilon_mismatches = 0
     total_mismatches = 0
+    facet_mismatches = 0
     start = time.perf_counter()
     for i in range(args.instances):
         inst = random_instance(rng)
-        row, violations, epsilon_agrees, mismatches = audit_one(
+        row, violations, epsilon_agrees, mismatches, facets_agree = audit_one(
             inst, seed=args.seed + i, n_samples=args.samples
         )
         if mismatches:
@@ -147,6 +155,9 @@ def main() -> None:
         if not epsilon_agrees:
             epsilon_mismatches += 1
             print(f"EPSILON MISMATCH at instance {i}")
+        if not facets_agree:
+            facet_mismatches += 1
+            print(f"FACET COUNT MISMATCH at instance {i}")
         total_violations += violations
         if len(set(row)) != 1:
             mixed += 1
@@ -161,7 +172,8 @@ def main() -> None:
     print(f"sampled property violations: {total_violations}")
     print(f"epsilon search mismatches: {epsilon_mismatches}")
     print(f"projection mismatches: {total_mismatches}")
-    if mixed or total_violations or epsilon_mismatches or total_mismatches:
+    print(f"facet count mismatches: {facet_mismatches}")
+    if mixed or total_violations or epsilon_mismatches or total_mismatches or facet_mismatches:
         sys.exit(1)
 
 

@@ -23,7 +23,6 @@ from .instance import PreferenceInstance, generators
 
 __all__ = [
     "CLASSIFY_TOL",
-    "RAY_DEDUP_TOL",
     "MAX_DD_DIM",
     "GeneratorCone",
     "FacetCone",
@@ -34,11 +33,10 @@ __all__ = [
 ]
 
 CLASSIFY_TOL = 1e-9
-RAY_DEDUP_TOL = 1e-9
 MAX_DD_DIM = 12
 
 _ACTIVITY_TOL = 1e-9
-_DD_BLOCK = 1 << 20  # cells per block of the DD pair and distance arrays
+_DD_BLOCK = 1 << 20  # cells per block of the DD pair arrays
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,9 +98,6 @@ class FacetCone:
     def n_facets(self) -> int:
         return self.facet_normals.shape[0]
 
-    def to_dict(self) -> dict:
-        return {"normals": self.facet_normals.tolist()}
-
 
 def preference_cone(inst: PreferenceInstance, epsilon: float = 0.0) -> GeneratorCone:
     """Cone generated by the instance's judgement directions and the orthant."""
@@ -124,9 +119,9 @@ def extreme_rays(hrep: np.ndarray) -> FacetCone:
     By bipolarity these rays are the facet normals of the primal cone the
     hrep was dualized from (the primal is full-dimensional in every use
     here).  Double description (:func:`_dd_pointed`) finds them, bit for
-    bit as a pair-by-pair loop would; they are unit-normalized, deduplicated
-    and sorted for deterministic output.  If the hrep cone is {0} the
-    primal is the whole space and the result carries ``is_whole_space=True``.
+    bit as a pair-by-pair loop would; they are unit-normalized and sorted
+    for deterministic output.  If the hrep cone is {0} the primal is the
+    whole space and the result carries ``is_whole_space=True``.
 
     The hrep cone must be pointed (rank-p rows); one that contains a line
     raises ValueError.  :func:`dual_hrep` always qualifies, since its axis
@@ -166,8 +161,9 @@ def _dd_pointed(A: np.ndarray) -> np.ndarray:
     when A starts with them, as :func:`dual_hrep`'s rows do, else a greedy
     rank test's pick, moved to the front once) and inserts the other
     half-spaces one at a time, combining adjacent ray pairs across each
-    cut.  Deduplicated rays are more than RAY_DEDUP_TOL apart, so later
-    cuts dedupe only their new rays.
+    cut.  An adjacent pair spans a 2-face of the current cone and its new
+    ray lies inside that face, so each new ray is distinct from every other
+    ray (Fukuda & Prodon 1996) and nothing is deduplicated.
     """
     m, q = A.shape
     rays = np.eye(q)  # the rays of the axis rows alone
@@ -181,7 +177,6 @@ def _dd_pointed(A: np.ndarray) -> np.ndarray:
         A = A[base + [j for j in range(m) if j not in base]]  # processed rows: A[:i]
         rays = np.linalg.inv(A[:q]).T  # row i solves A[:q] @ ray = e_i; rank(A) == q here
         rays /= np.linalg.norm(rays, axis=1)[:, None]
-    apart = False
 
     for i in range(q, m):
         vals = rays @ A[i]
@@ -194,8 +189,7 @@ def _dd_pointed(A: np.ndarray) -> np.ndarray:
         if pos.any():
             active = np.abs(rays @ A[:i].T) <= _ACTIVITY_TOL  # (n_rays, i)
             new = _adjacent_combinations(rays, vals, pos, neg, active)
-        rays = _dedupe(np.concatenate((keep, new)), keep.shape[0] if apart else 0)
-        apart = True
+        rays = np.concatenate((keep, new))
         if rays.shape[0] == 0:
             break
     return rays
@@ -233,26 +227,6 @@ def _adjacent_combinations(
     # each row scaled by its own 1-d norm, sqrt(r.dot(r)), bit for bit
     new /= np.sqrt(new[:, None, :] @ new[:, :, None])[:, 0]
     return new
-
-
-def _dedupe(rays: np.ndarray, start: int = 0) -> np.ndarray:
-    """Drop every ray within RAY_DEDUP_TOL of an earlier ray that is kept.
-
-    Rays before ``start`` must be pairwise farther apart than that; each
-    later ray is compared with all rays before it, in row blocks of at most
-    ``_DD_BLOCK`` cells.
-    """
-    n, q = rays.shape
-    dropped = set()
-    step = max(1, _DD_BLOCK // max(n * q, 1))
-    for lo in range(start, n, step):
-        diff = rays[lo : lo + step, None, :] - rays[None, : lo + step, :]
-        near = np.sqrt(np.add.reduce(diff * diff, axis=2)) <= RAY_DEDUP_TOL  # np.linalg.norm's
-        if np.count_nonzero(near) > near.shape[0]:  # a ray near another than itself
-            for i, j in zip(*np.nonzero(np.tril(near, lo - 1))):  # j before i, row-major
-                if j not in dropped:
-                    dropped.add(lo + i)
-    return np.delete(rays, list(dropped), axis=0) if dropped else rays
 
 
 def nnls(columns: np.ndarray, target: np.ndarray, *, start: np.ndarray | None = None):

@@ -36,7 +36,7 @@ from prefcone import (
     nnls,
     test_pointedness,
 )
-from prefcone.cones import _ACTIVITY_TOL, CLASSIFY_TOL, RAY_DEDUP_TOL
+from prefcone.cones import _ACTIVITY_TOL, CLASSIFY_TOL
 
 __all__ = [
     "MembershipClass",
@@ -183,7 +183,7 @@ def is_pointed_geometric(hrep: np.ndarray) -> bool:
 
 
 def dd_pointed_loop(A: np.ndarray) -> np.ndarray:
-    """Double description with the adjacency test and dedupe as plain loops.
+    """Double description with the adjacency test as a plain loop.
 
     The reference for ``prefcone.cones._dd_pointed``: the same insertion
     order, tolerances and per-pair ray formula, so its rays must agree
@@ -220,11 +220,7 @@ def dd_pointed_loop(A: np.ndarray) -> np.ndarray:
                     ray = vals[u] * rays[w] - vals[w] * rays[u]
                     ray /= np.linalg.norm(ray)
                     new.append(ray)
-        kept: list[np.ndarray] = []
-        for ray in np.vstack([rays[~neg]] + new):
-            if not any(np.linalg.norm(ray - other) <= RAY_DEDUP_TOL for other in kept):
-                kept.append(ray)
-        rays = np.array(kept).reshape(-1, q)
+        rays = np.vstack([rays[~neg]] + new)
         processed.append(i)
         if rays.shape[0] == 0:
             break

@@ -16,7 +16,7 @@ from prefcone import (
     nnls,
     preference_cone,
 )
-from prefcone.cones import _dd_pointed, _dedupe, _passive_solve
+from prefcone.cones import MAX_DD_DIM, _dd_pointed, _passive_solve
 from _helpers import (
     GAUSSIAN_SCORER_FACETS,
     gaussian_scorer_instance,
@@ -94,12 +94,6 @@ def test_extreme_rays_output_is_deterministic(pointed_instance):
     a = extreme_rays(hrep).facet_normals
     b = extreme_rays(hrep).facet_normals
     np.testing.assert_array_equal(a, b)
-
-
-def test_facet_cone_json_shape(pointed_facets):
-    doc = pointed_facets.to_dict()
-    assert set(doc) == {"normals"}
-    assert doc["normals"] == pointed_facets.facet_normals.tolist()
 
 
 def test_extreme_rays_halfspace_with_lineality_rejected():
@@ -483,9 +477,8 @@ def _unit_rows(A):
 def _twin_judgement_cone(seed):
     """A scorer cone (p <= 7) with one judgement repeated 1e-7..1e-9 apart.
 
-    Seed 1476 gives p=7, t=17, where double description drops three near
-    duplicate rays (and, like the loop it must match, misses 6 of the 101
-    facets that exact arithmetic finds).
+    Seed 1476 gives p=7, t=17, where double description, like the loop it
+    must match, misses 3 of the 101 facets that exact arithmetic finds.
     """
     rng = np.random.default_rng([seed, 11])
     inst = synthetic_dm_instance(rng, p_max=7, t_max=20)
@@ -521,25 +514,26 @@ def test_dd_matches_loop_on_permuted_rescaled_and_near_duplicate_rows():
     np.testing.assert_array_equal(_dd_pointed(A), dd_pointed_loop(A))
 
 
-def test_dd_blocked_pairs_and_dedupe_match_unblocked(monkeypatch):
+def test_dd_blocked_pairs_match_unblocked(monkeypatch):
     hreps = [dual_hrep(cone) for _, cone in _dm_cones(99, 20, t_max=25)]
     hreps.append(dual_hrep(preference_cone(gaussian_scorer_instance(20, 7), 0.0)))
-    hreps.append(dual_hrep(_twin_judgement_cone(1476)))  # the dedupe drops rays here
+    hreps.append(dual_hrep(_twin_judgement_cone(1476)))  # near-duplicate rows
     want = [extreme_rays(h).facet_normals for h in hreps]
     monkeypatch.setattr(prefcone.cones, "_DD_BLOCK", 7)  # a few pairs or rows per block
     for h, w in zip(hreps, want):
         np.testing.assert_array_equal(extreme_rays(h).facet_normals, w)
 
 
-def test_dedupe_keeps_first_of_each_cluster():
-    rng = np.random.default_rng(8)
-    base = rng.normal(size=(6, 3))
-    base /= np.linalg.norm(base, axis=1)[:, None]
-    shift = np.array([0.6e-9, 0.0, 0.0])
-    # 0, 0+s and 0+2s chain: the third is 1.2e-9 from the kept first, so it stays
-    rays = np.vstack([base[0], base[0] + shift, base[0] + 2 * shift, base[1:], base[2], base[3]])
-    got = _dedupe(rays)
-    np.testing.assert_array_equal(got, np.vstack([base[0], base[0] + 2 * shift, base[1:]]))
+def test_dd_keeps_the_rays_of_near_duplicate_judgements():
+    # new rays less than 1e-9 apart are distinct facets here, not duplicates
+    for seed in (920, 938, 1013, 1174, 1332):
+        hrep = dual_hrep(_twin_judgement_cone(seed))
+        assert extreme_rays(hrep).n_facets == len(dd_exact(hrep))
+    # a thin facet is still missed here (24 and 26 exact), but rays closer
+    # than 1e-9 to another, which lift the count above 22, are kept
+    for seed, least in ((520, 23), (739, 24)):
+        hrep = dual_hrep(_twin_judgement_cone(seed))
+        assert least <= extreme_rays(hrep).n_facets <= len(dd_exact(hrep))
 
 
 def test_dd_facets_certified_up_to_t40_p6():
@@ -600,10 +594,11 @@ def test_dd_facets_certified_up_to_t40_p8():
 
 
 def test_dd_facet_counts_of_gaussian_scorer_instances():
-    # the counts of the timing table at t=40; no oracle reaches these sizes
-    for p in (6, 7, 8, 9):
-        facets = extreme_rays(dual_hrep(preference_cone(gaussian_scorer_instance(40, p), 0.0)))
-        assert facets.n_facets == GAUSSIAN_SCORER_FACETS[40, p]
+    # counts of the timing table, up to the dimension cap; no oracle reaches these sizes
+    sizes = [(40, 6), (40, 7), (40, 8), (40, 9), (30, 10), (30, 11), (30, MAX_DD_DIM)]
+    for t, p in sizes:
+        facets = extreme_rays(dual_hrep(preference_cone(gaussian_scorer_instance(t, p), 0.0)))
+        assert facets.n_facets == GAUSSIAN_SCORER_FACETS[t, p]
 
 
 def test_extreme_rays_facet_count_matches_exact_dd():
