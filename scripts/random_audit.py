@@ -40,6 +40,7 @@ from oracle import (  # noqa: E402
 from prefcone import (  # noqa: E402
     EpsilonSearchConfig,
     NotPointedError,
+    PrefconeError,
     WholeSpaceError,
     dual_hrep,
     epsilon_search,
@@ -61,11 +62,8 @@ EPSILON_SCHEDULES = (None, EpsilonSearchConfig(epsilon0=10.0, beta=0.3))
 
 
 def projection_mismatches(psi, seed: int, n_samples: int) -> int:
-    """Exterior points where psi is not minus scipy's NNLS distance to the cone.
-
-    The reference projects onto the full generator matrix, so a generator
-    wrongly left out of the engine's projection shows up here.
-    """
+    """Exterior points where psi is not minus scipy's NNLS distance to the cone
+    of every generator."""
     rng = np.random.default_rng(seed)
     X = psi.reference + rng.normal(scale=3.0, size=(n_samples, psi.p))
     values = evaluate_batch(psi, X)
@@ -89,7 +87,7 @@ def highs_pointed(inst) -> bool:
 
 def audit_one(
     inst, seed: int, n_samples: int
-) -> tuple[tuple[bool, ...], int, bool, int, bool]:
+) -> tuple[tuple[bool, ...], int, bool, int, str | None, bool]:
     hrep = dual_hrep(preference_cone(inst, 0.0))
     by_lp = test_pointedness(inst, 0.0).pointed
     by_highs = highs_pointed(inst)
@@ -112,20 +110,22 @@ def audit_one(
         by_strict = False
 
     violations = mismatches = 0
+    failure = None  # the code of a PrefconeError raised while building or evaluating psi
     try:
         psi = make_psi(inst)
-    except WholeSpaceError:
-        psi = None
-    if psi is not None:
         violations = len(check_properties(psi, n_samples, seed=seed))
         mismatches = projection_mismatches(psi, seed, n_samples)
+    except WholeSpaceError:
+        pass
+    except PrefconeError as exc:
+        failure = exc.code
     epsilon_agrees = all(
         search_outcome(epsilon_search, inst, cfg) == search_outcome(backtrack_epsilon, inst, cfg)
         for cfg in EPSILON_SCHEDULES
     )
     facets_agree = extreme_rays(hrep).n_facets == len(dd_exact(hrep))
     row = (by_linear, by_strict, by_geometry, by_lp, by_highs)
-    return row, violations, epsilon_agrees, mismatches, facets_agree
+    return row, violations, epsilon_agrees, mismatches, failure, facets_agree
 
 
 def main() -> None:
@@ -141,16 +141,20 @@ def main() -> None:
     mixed = 0
     epsilon_mismatches = 0
     total_mismatches = 0
+    projection_failures = 0
     facet_mismatches = 0
     start = time.perf_counter()
     for i in range(args.instances):
         inst = random_instance(rng)
-        row, violations, epsilon_agrees, mismatches, facets_agree = audit_one(
+        row, violations, epsilon_agrees, mismatches, failure, facets_agree = audit_one(
             inst, seed=args.seed + i, n_samples=args.samples
         )
         if mismatches:
             print(f"PROJECTION MISMATCH at instance {i}: {mismatches} points")
         total_mismatches += mismatches
+        if failure:
+            projection_failures += 1
+            print(f"PROJECTION FAILURE at instance {i}: {failure}")
         rows[row] += 1
         if not epsilon_agrees:
             epsilon_mismatches += 1
@@ -172,8 +176,10 @@ def main() -> None:
     print(f"sampled property violations: {total_violations}")
     print(f"epsilon search mismatches: {epsilon_mismatches}")
     print(f"projection mismatches: {total_mismatches}")
+    print(f"projection failures: {projection_failures}")
     print(f"facet count mismatches: {facet_mismatches}")
-    if mixed or total_violations or epsilon_mismatches or total_mismatches or facet_mismatches:
+    if (mixed or total_violations or epsilon_mismatches or total_mismatches
+            or projection_failures or facet_mismatches):
         sys.exit(1)
 
 

@@ -244,12 +244,16 @@ def nnls(columns: np.ndarray, target: np.ndarray, *, start: np.ndarray | None = 
     passive columns.  Their least-squares solution, clipped to its positive
     part and settled by the inner loop, is where Lawson-Hanson starts.  The
     same KKT test ends it, so any start gives the cold answer to rounding.
+    A start can hold two numerically parallel columns, whose minimum-norm
+    solution breaks Lawson-Hanson's invariant and can cycle; a started run
+    that passes the iteration cap is therefore solved again cold, and a
+    cold run never makes both columns of such a pair passive.
 
     Columns are rescaled to unit norm internally (zero columns are
     dropped), which leaves the residual unchanged.  Raises
-    NnlsMaxIterError when a row's active-set loop exceeds ``3 * n_columns
-    * p`` iterations, counting the columns passed in (a sign of numerical
-    pathology, not a routine outcome).
+    NnlsMaxIterError when a cold row's active-set loop exceeds ``3 *
+    n_columns * p`` iterations, counting the columns passed in (a sign of
+    numerical pathology, not a routine outcome).
     """
     G = np.atleast_2d(np.asarray(columns, dtype=float))
     Y = np.asarray(target, dtype=float)
@@ -265,7 +269,26 @@ def nnls(columns: np.ndarray, target: np.ndarray, *, start: np.ndarray | None = 
     scale = np.linalg.norm(G, axis=0)
     live = np.flatnonzero(scale > 1e-13)
     Gn = G[:, live] / scale[live]
-    coef = np.zeros((Y.shape[0], live.size))
+    if start is not None:
+        start = np.asarray(start, dtype=bool).reshape(-1, n)[:, live]
+    try:
+        coef = _lawson_hanson(Gn, Y, start, max_iter)
+    except NnlsMaxIterError:
+        if start is None:
+            raise
+        coef = _lawson_hanson(Gn, Y, None, max_iter)
+
+    full = np.zeros((Y.shape[0], n))
+    full[:, live] = coef / scale[live]
+    resid = np.linalg.norm(Y - coef @ Gn.T, axis=1)
+    if single:
+        return full[0], float(resid[0])
+    return full, resid
+
+
+def _lawson_hanson(Gn: np.ndarray, Y: np.ndarray, start: np.ndarray | None, max_iter: int):
+    """:func:`nnls` coefficients of the rows of Y on the unit columns Gn."""
+    coef = np.zeros((Y.shape[0], Gn.shape[1]))
     passive = np.zeros(coef.shape, dtype=bool)
     grad_tol = 1e-11 * (1.0 + np.linalg.norm(Y, axis=1))
     iters = np.zeros(Y.shape[0], dtype=int)
@@ -296,7 +319,7 @@ def nnls(columns: np.ndarray, target: np.ndarray, *, start: np.ndarray | None = 
             passive[rows] &= step > 0.0
 
     if start is not None:
-        passive[:] = np.asarray(start, dtype=bool).reshape(-1, n)[:, live]
+        passive[:] = start
         rows = np.flatnonzero(passive.any(axis=1))
         if rows.size:
             trial = _passive_solve(Gn, Y[rows], passive[rows])
@@ -317,13 +340,7 @@ def nnls(columns: np.ndarray, target: np.ndarray, *, start: np.ndarray | None = 
         passive[todo, masked[go].argmax(axis=1)] = True
         settle(todo)
         grad[todo] = (Y[todo] - coef[todo] @ Gn.T) @ Gn
-
-    full = np.zeros((Y.shape[0], n))
-    full[:, live] = coef / scale[live]
-    resid = np.linalg.norm(Y - coef @ Gn.T, axis=1)
-    if single:
-        return full[0], float(resid[0])
-    return full, resid
+    return coef
 
 
 def _count_iteration(iters: np.ndarray, rows: np.ndarray, max_iter: int) -> None:

@@ -58,40 +58,11 @@ class ValueFunctionHandle:
         return self.reference.shape[0]
 
     @cached_property
-    def _pointed(self) -> bool:
-        """Whether the facet normals have rank p, i.e. the cone is pointed."""
-        return bool(np.linalg.matrix_rank(self.facet_cone.facet_normals) == self.p)
-
-    @cached_property
-    def _projection_split(self) -> tuple[np.ndarray, np.ndarray]:
-        """The generator columns as (extreme, the rest), for :func:`evaluate_batch`.
-
-        A pointed cone is generated by its extreme rays, and a generator is
-        extreme iff the facets tight on it (``|a.g| <= CLASSIFY_TOL * |g|``)
-        have rank p - 1.  When the facet normals have rank below p the cone
-        is not pointed, and every column counts as extreme.
-        """
-        G = self.gen_cone.generator_matrix  # (p, n)
-        A = self.facet_cone.facet_normals  # (k, p)
-        if not self._pointed:
-            return G, G[:, :0]
-        tight = np.abs(A @ G) <= CLASSIFY_TOL * np.linalg.norm(G, axis=0)  # (k, n)
-        # each generator's tight normals gathered to the front of a zero-padded stack
-        m = max(1, int(tight.sum(axis=0).max()))
-        rows = np.argsort(~tight, axis=0, kind="stable")[:m].T  # (n, m)
-        stacks = np.where(np.take_along_axis(tight.T, rows, axis=1)[:, :, None], A[rows], 0.0)
-        extreme = np.linalg.matrix_rank(stacks) == self.p - 1
-        return G[:, extreme], G[:, ~extreme]
-
-    @cached_property
     def _projection_starts(self) -> np.ndarray:
-        """(k, m) :func:`nnls` starts: the extreme columns tight on each facet, or cold
-        (all false) when the cone is not pointed."""
-        extreme = self._projection_split[0]
+        """(k, n) :func:`nnls` starts: the generator columns tight on each facet."""
+        G = self.gen_cone.generator_matrix
         A = self.facet_cone.facet_normals
-        if not self._pointed:
-            return np.zeros((A.shape[0], extreme.shape[1]), dtype=bool)
-        return np.abs(A @ extreme) <= CLASSIFY_TOL * np.linalg.norm(extreme, axis=0)
+        return np.abs(A @ G) <= CLASSIFY_TOL * np.linalg.norm(G, axis=0)
 
 
 def make_psi(inst: PreferenceInstance) -> ValueFunctionHandle:
@@ -166,18 +137,13 @@ def evaluate_batch(handle: ValueFunctionHandle, points: np.ndarray) -> np.ndarra
 
     A signed-distance handle whose cone is the whole space raises
     WholeSpaceError, as :func:`make_psi` does for such an instance.  All
-    exterior points are projected onto the cone by one batched
-    :func:`~prefcone.cones.nnls` call on the cone's extreme generators.
-    The other generators ride along as targets of the same call: the
-    facets come from floating-point double description, which can miss the
-    thin facet between two nearly parallel generators and so call both
-    non-extreme.  If the extreme columns leave one of them farther than
-    ``CLASSIFY_TOL * |g|`` from their cone, the points are projected again,
-    cold, onto every generator.  The first call starts each target on the
-    extreme generators tight on its lowest-slack facet (a point's most
-    violated one), which saves steps; values agree with a cold solve to
-    rounding, not bitwise.  A row whose squared distance to the reference
-    overflows float64, or whose linear value does, raises ValueError.
+    exterior points are projected onto the cone of every generator by one
+    batched :func:`~prefcone.cones.nnls` call, so their values do not
+    depend on the facet list being complete.  Each point starts on the
+    generators tight on its lowest-slack facet (its most violated one),
+    which saves steps; values agree with a cold solve to rounding, not
+    bitwise.  A row whose squared distance to the reference overflows
+    float64, or whose linear value does, raises ValueError.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     if X.shape[1] != handle.p:
@@ -198,12 +164,6 @@ def evaluate_batch(handle: ValueFunctionHandle, points: np.ndarray) -> np.ndarra
     interior = margins > thresholds
     values[interior] = margins[interior]
     exterior = margins < -thresholds
-    extreme, rest = handle._projection_split
-    facet = np.hstack([slack[:, exterior], handle.facet_cone.facet_normals @ rest]).argmin(axis=0)
-    start = handle._projection_starts[facet]
-    n = int(exterior.sum())
-    resid = nnls(extreme, np.vstack([Y[exterior], rest.T]), start=start)[1]
-    if (resid[n:] > CLASSIFY_TOL * np.linalg.norm(rest, axis=0)).any():
-        resid = nnls(handle.gen_cone.generator_matrix, Y[exterior])[1]
-    values[exterior] = -resid[:n]
+    start = handle._projection_starts[slack[:, exterior].argmin(axis=0)]
+    values[exterior] = -nnls(handle.gen_cone.generator_matrix, Y[exterior], start=start)[1]
     return values

@@ -50,6 +50,17 @@ def synthetic_dm_instance(
         return PreferenceInstance(alts, reference, preferred)
 
 
+def twin_judgement_instance(seed: int) -> PreferenceInstance:
+    """A scorer instance (p <= 7) with one judgement repeated 1e-7..1e-9 apart."""
+    rng = np.random.default_rng([seed, 11])
+    inst = synthetic_dm_instance(rng, p_max=7, t_max=20)
+    alts = np.array(inst.alternatives)
+    j = inst.preferred_indices[int(rng.integers(inst.t))]
+    alts = np.vstack([alts, alts[j] + 10.0 ** -rng.uniform(7, 9) * rng.normal(size=inst.p)])
+    preferred = list(inst.preferred_indices) + [alts.shape[0] - 1]
+    return PreferenceInstance(alts, inst.reference_index, preferred)
+
+
 def noisy_scorer_instance(
     rng: np.random.Generator, t: int, p: int, noise: float
 ) -> PreferenceInstance:

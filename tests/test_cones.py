@@ -8,7 +8,6 @@ from prefcone import (
     DimensionTooLargeError,
     FacetCone,
     GeneratorCone,
-    PreferenceInstance,
     WholeSpaceError,
     dual_hrep,
     extreme_rays,
@@ -23,6 +22,7 @@ from _helpers import (
     noisy_scorer_instance,
     random_instance,
     synthetic_dm_instance,
+    twin_judgement_instance,
 )
 from oracle import (
     MembershipClass,
@@ -396,6 +396,21 @@ def _start_systems(rng):
         yield G, rng.normal(size=(10, p))
 
 
+def test_nnls_start_on_parallel_columns_gives_the_cold_answer():
+    # the generators tight on facet 4 include columns 2 and 4, parallel to
+    # the last bit: their minimum-norm solution makes a started run cycle
+    cone = _twin_judgement_cone(198)
+    G = cone.generator_matrix
+    a = extreme_rays(dual_hrep(cone)).facet_normals[4]
+    g = G[:, 4]
+    x = g - 1e-6 * np.linalg.norm(g) * a
+    start = np.abs(a @ G) <= 1e-9 * np.linalg.norm(G, axis=0)
+    np.testing.assert_array_equal(np.flatnonzero(start), [1, 2, 4, 5, 6])
+    cold = nnls(G, x)[1]
+    assert cold == pytest.approx(9.2196e-06, rel=1e-4)
+    assert nnls(G, x, start=start)[1] == pytest.approx(cold, rel=0, abs=1e-15)
+
+
 def test_nnls_start_gives_the_cold_answer():
     # a start only moves where Lawson-Hanson begins; the KKT test that ends
     # it certifies the optimum whatever the start
@@ -475,18 +490,12 @@ def _unit_rows(A):
 
 
 def _twin_judgement_cone(seed):
-    """A scorer cone (p <= 7) with one judgement repeated 1e-7..1e-9 apart.
+    """The cone of ``twin_judgement_instance(seed)``.
 
     Seed 1476 gives p=7, t=17, where double description, like the loop it
     must match, misses 3 of the 101 facets that exact arithmetic finds.
     """
-    rng = np.random.default_rng([seed, 11])
-    inst = synthetic_dm_instance(rng, p_max=7, t_max=20)
-    alts = np.array(inst.alternatives)
-    j = inst.preferred_indices[int(rng.integers(inst.t))]
-    alts = np.vstack([alts, alts[j] + 10.0 ** -rng.uniform(7, 9) * rng.normal(size=inst.p)])
-    preferred = list(inst.preferred_indices) + [alts.shape[0] - 1]
-    return preference_cone(PreferenceInstance(alts, inst.reference_index, preferred), 0.0)
+    return preference_cone(twin_judgement_instance(seed), 0.0)
 
 
 def test_dd_matches_loop_on_permuted_rescaled_and_near_duplicate_rows():

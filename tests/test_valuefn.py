@@ -25,7 +25,7 @@ from prefcone import (
     nnls,
 )
 from prefcone.cli import run
-from _helpers import random_instance, synthetic_dm_instance
+from _helpers import random_instance, synthetic_dm_instance, twin_judgement_instance
 from oracle import check_properties, judgement_points
 
 SQRT5 = np.sqrt(5.0)
@@ -305,25 +305,16 @@ def _exterior_values_match_full_projection(handle, rng, tol):
     assert (np.abs(-values[exterior] - full) <= tol * (1.0 + np.linalg.norm(Y, axis=1))).all()
 
 
-def test_extreme_generators_span_the_cone():
+def test_exterior_values_match_projection_on_every_generator(halfplane_instance):
     rng = np.random.default_rng(909)
-    dropped = 0
-    for handle in _pruning_handles():
-        extreme, rest = handle._projection_split
-        assert extreme.shape[1] + rest.shape[1] == handle.gen_cone.generator_matrix.shape[1]
-        dropped += rest.shape[1]
-        # every other generator is a nonnegative combination of the extreme ones
-        for g in rest.T:
-            assert nnls(extreme, g)[1] <= 1e-9 * np.linalg.norm(g)
+    for handle in [*_pruning_handles(), make_psi(halfplane_instance)]:
         _exterior_values_match_full_projection(handle, rng, 1e-12)
-    assert dropped > 0
 
 
-def test_nearly_parallel_generators_fall_back_to_every_column():
+def test_nearly_parallel_generators_match_projection_on_every_generator():
     # double description misses the thin facet between two judgements 1e-7..1e-9
-    # apart, and so calls both non-extreme
+    # apart; the exterior values come from the generators alone
     rng = np.random.default_rng(5)
-    uncovered = 0
     for _ in range(300):
         inst = synthetic_dm_instance(rng, p_max=5, t_max=8)
         j = inst.preferred_indices[0]
@@ -332,15 +323,30 @@ def test_nearly_parallel_generators_fall_back_to_every_column():
         handle = make_psi(
             PreferenceInstance(alts, inst.reference_index, [*inst.preferred_indices, len(alts) - 1])
         )
-        extreme, rest = handle._projection_split
-        if rest.shape[1] and (nnls(extreme, rest.T)[1] > 1e-9 * np.linalg.norm(rest, axis=0)).any():
-            uncovered += 1
         _exterior_values_match_full_projection(handle, rng, 1e-9)
-    assert uncovered > 0
 
 
-def test_non_pointed_cone_keeps_every_generator(halfplane_instance):
-    handle = make_psi(halfplane_instance)
-    extreme, rest = handle._projection_split
-    np.testing.assert_array_equal(extreme, handle.gen_cone.generator_matrix)
-    assert rest.shape[1] == 0
+def test_twin_judgement_psi_matches_cold_projection(capsys, tmp_path):
+    # facet starts here hold two numerically parallel generators, on which
+    # Lawson-Hanson can cycle; psi must still give the cold projection
+    inst = twin_judgement_instance(750)
+    psi = make_psi(inst)
+    assert evaluate(psi, inst.reference) == 0.0
+    X = inst.reference + np.random.default_rng(750).normal(scale=3.0, size=(100, inst.p))
+    values = evaluate_batch(psi, X)
+    exterior = values < 0
+    assert exterior.sum() > 50
+    Y = X[exterior] - inst.reference
+    cold = nnls(psi.gen_cone.generator_matrix, Y)[1]
+    # nearly parallel columns leave cold solves ~1e-10 apart from warm ones
+    assert (np.abs(-values[exterior] - cold) <= 1e-9 * (1.0 + np.linalg.norm(Y, axis=1))).all()
+    path = tmp_path / "twin.json"
+    path.write_text(json.dumps({
+        "alternatives": inst.alternatives.tolist(),
+        "reference_index": inst.reference_index,
+        "preferred_indices": list(inst.preferred_indices),
+    }))
+    point = ",".join(repr(float(v)) for v in inst.reference)
+    code = run(["eval", "--instance", str(path), "--function", "psi", f"--point={point}"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["classification"] == "boundary"
