@@ -305,10 +305,21 @@ def _exterior_values_match_full_projection(handle, rng, tol):
     assert (np.abs(-values[exterior] - full) <= tol * (1.0 + np.linalg.norm(Y, axis=1))).all()
 
 
-def test_exterior_values_match_projection_on_every_generator(halfplane_instance):
+def test_extreme_generators_span_the_cone():
+    # in a pointed cone with p >= 2 every extreme generator is tight on a
+    # facet, so the generators of the nnls starts span the cone
     rng = np.random.default_rng(909)
-    for handle in [*_pruning_handles(), make_psi(halfplane_instance)]:
+    dropped = 0
+    for handle in _pruning_handles():
+        G = handle.gen_cone.generator_matrix
+        if handle.p >= 2 and np.linalg.matrix_rank(handle.facet_cone.facet_normals) == handle.p:
+            on_facet = handle._projection_starts.any(axis=0)
+            extreme, rest = G[:, on_facet], G[:, ~on_facet]
+            for g in rest.T:
+                assert nnls(extreme, g)[1] <= 1e-9 * np.linalg.norm(g)
+            dropped += rest.shape[1]
         _exterior_values_match_full_projection(handle, rng, 1e-12)
+    assert dropped > 0
 
 
 def test_nearly_parallel_generators_match_projection_on_every_generator():
@@ -350,3 +361,20 @@ def test_twin_judgement_psi_matches_cold_projection(capsys, tmp_path):
     code = run(["eval", "--instance", str(path), "--function", "psi", f"--point={point}"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["classification"] == "boundary"
+
+
+def test_non_pointed_cone_keeps_every_generator(halfplane_instance):
+    # the cone is x1 + x2 >= 0 around the reference; every start is a mask
+    # over all generator columns, and the exterior value is the distance
+    handle = make_psi(halfplane_instance)
+    G = handle.gen_cone.generator_matrix
+    assert np.linalg.matrix_rank(handle.facet_cone.facet_normals) < handle.p
+    assert handle._projection_starts.shape == (handle.facet_cone.n_facets, G.shape[1])
+    rng = np.random.default_rng(909)
+    _exterior_values_match_full_projection(handle, rng, 1e-12)
+    X = handle.reference + rng.normal(scale=3.0, size=(200, 2))
+    values = evaluate_batch(handle, X)
+    exterior = values < 0
+    assert exterior.any()
+    Y = X[exterior] - handle.reference
+    np.testing.assert_allclose(values[exterior], Y.sum(axis=1) / np.sqrt(2.0), atol=1e-12)
