@@ -9,7 +9,8 @@ of the paper's feasibility program, and HiGHS (scipy's ``linprog``) finding
 d >= 1 with g_j.d >= 1 for every judgement direction.  Also runs the
 sampled value-function property checks on every instance whose cone has a
 nonempty complement, checks that the engine's epsilon search returns
-the value (or raises the error) of the LP-trial reference search,
+the value (or raises the error) of the LP-trial reference search, on the
+draw and on a copy scaled by 2^-k that moves eps* down the schedule,
 checks psi's exterior values against scipy's NNLS distance to the cone of
 every generator, and checks that double description finds as many facets
 as the exact-rational double description of ``tests/oracle.py``.
@@ -38,9 +39,9 @@ from oracle import (  # noqa: E402
 )
 
 from prefcone import (  # noqa: E402
-    EpsilonSearchConfig,
     NotPointedError,
     PrefconeError,
+    PreferenceInstance,
     WholeSpaceError,
     dual_hrep,
     epsilon_search,
@@ -56,9 +57,15 @@ from prefcone import (  # noqa: E402
 )
 
 
-# The default schedule passes on its first value for most draws; a start
-# above the typical margin makes the search stop next to it.
-EPSILON_SCHEDULES = (None, EpsilonSearchConfig(epsilon0=10.0, beta=0.3))
+def scaled_copy(inst, k: int):
+    """The draw with its alternatives scaled by 2^-k, which scales eps* exactly.
+
+    The schedule 0.01 * 2^-i passes on its first value for most draws; on
+    the copy it stops next to eps*, further down.
+    """
+    return PreferenceInstance(
+        inst.alternatives * 2.0**-k, inst.reference_index, inst.preferred_indices
+    )
 
 
 def projection_mismatches(psi, seed: int, n_samples: int) -> int:
@@ -89,7 +96,7 @@ def audit_one(
     inst, seed: int, n_samples: int
 ) -> tuple[tuple[bool, ...], int, bool, int, str | None, bool]:
     hrep = dual_hrep(preference_cone(inst, 0.0))
-    by_lp = test_pointedness(inst, 0.0).pointed
+    by_lp = test_pointedness(inst).pointed
     by_highs = highs_pointed(inst)
     by_geometry = is_pointed_geometric(hrep)
     try:
@@ -120,8 +127,8 @@ def audit_one(
     except PrefconeError as exc:
         failure = exc.code
     epsilon_agrees = all(
-        search_outcome(epsilon_search, inst, cfg) == search_outcome(backtrack_epsilon, inst, cfg)
-        for cfg in EPSILON_SCHEDULES
+        search_outcome(epsilon_search, case) == search_outcome(backtrack_epsilon, case)
+        for case in (inst, scaled_copy(inst, 1 + seed % 16))
     )
     facets_agree = extreme_rays(hrep).n_facets == len(dd_exact(hrep))
     row = (by_linear, by_strict, by_geometry, by_lp, by_highs)

@@ -8,7 +8,6 @@ and a linear one) whenever the answer is yes.
 """
 
 from .consistency import (
-    EpsilonSearchConfig,
     ConsistencyReport,
     PointednessResult,
     Z_STAR_TOL,
@@ -63,7 +62,6 @@ __all__ = [
     "ConsistencyReport",
     "DimensionMismatchError",
     "DimensionTooLargeError",
-    "EpsilonSearchConfig",
     "FacetCone",
     "GeneratorCone",
     "InvalidInstanceError",

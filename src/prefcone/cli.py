@@ -17,12 +17,7 @@ import re
 import sys
 from pathlib import Path
 
-from .consistency import (
-    EpsilonSearchConfig,
-    consistency_verdict,
-    epsilon_search,
-    extract_linear_weights,
-)
+from .consistency import consistency_verdict, epsilon_search, extract_linear_weights
 from .errors import (
     InvalidInstanceError,
     MaxIterExceededError,
@@ -80,34 +75,24 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("test", help="run the consistency test and print the verdict")
     add_common(sp)
-    _add_epsilon_flags(sp)
 
     sp = sub.add_parser("weights", help="extract strictly separating linear weights")
     add_common(sp)
 
     sp = sub.add_parser("epsilon", help="pick a perturbation size that keeps the cone pointed")
     add_common(sp)
-    _add_epsilon_flags(sp)
 
     sp = sub.add_parser("eval", help="evaluate a constructed value function at a point")
     sp.add_argument("--instance", required=True, help="instance file (.json or .csv)")
     sp.add_argument("--function", choices=("psi", "vartheta", "linear"), required=True)
     sp.add_argument("--point", required=True, help='comma-separated coordinates, e.g. "3,3"')
     add_common(sp, positional_instance=False)
-    _add_epsilon_flags(sp)
 
     sp = sub.add_parser("plot", help="write a 2-criteria SVG schematic")
     sp.add_argument("instance", help="instance file (.json or .csv)")
     sp.add_argument("--output", help="SVG path (default: instance path with .svg)")
     sp.add_argument("--format", choices=("json", "text"), default="json")
-    _add_epsilon_flags(sp)
     return parser
-
-
-def _add_epsilon_flags(sp):
-    sp.add_argument("--epsilon0", type=float, default=1e-2)
-    sp.add_argument("--beta", type=float, default=0.5)
-    sp.add_argument("--max-iter", type=int, default=60)
 
 
 def run(argv=None) -> int:
@@ -158,7 +143,7 @@ def _dispatch(ns) -> tuple[dict, int]:
 
     if ns.subcommand == "test":
         inst = _load(ns.instance)
-        report = consistency_verdict(inst, _cfg(ns))
+        report = consistency_verdict(inst)
         return report.to_dict(), 0 if report.pointed else 1
 
     if ns.subcommand == "weights":
@@ -168,7 +153,7 @@ def _dispatch(ns) -> tuple[dict, int]:
 
     if ns.subcommand == "epsilon":
         inst = _load(ns.instance)
-        eps = epsilon_search(inst, _cfg(ns))
+        eps = epsilon_search(inst)
         return {"epsilon_bar": eps}, 0
 
     if ns.subcommand == "eval":
@@ -178,7 +163,7 @@ def _dispatch(ns) -> tuple[dict, int]:
         if ns.function == "psi":
             handle = make_psi(inst)
         elif ns.function == "vartheta":
-            handle = _vartheta(inst, epsilon_search(inst, _cfg(ns)))
+            handle = _vartheta(inst, epsilon_search(inst))
         else:
             handle = make_linear(inst)
         value = evaluate(handle, point)
@@ -187,14 +172,10 @@ def _dispatch(ns) -> tuple[dict, int]:
     if ns.subcommand == "plot":
         inst = _load(ns.instance)
         out = ns.output or str(Path(ns.instance).with_suffix(".svg"))
-        plot2d(inst, out, _cfg(ns))
+        plot2d(inst, out)
         return {"svg": out}, 0
 
     raise AssertionError(f"unhandled subcommand {ns.subcommand}")
-
-
-def _cfg(ns) -> EpsilonSearchConfig:
-    return EpsilonSearchConfig(epsilon0=ns.epsilon0, beta=ns.beta, max_iter=ns.max_iter)
 
 
 def _load(path: str):

@@ -24,7 +24,6 @@ from .lp import StandardLP, build_pointedness_lp, solve
 
 __all__ = [
     "Z_STAR_TOL",
-    "EpsilonSearchConfig",
     "PointednessResult",
     "ConsistencyReport",
     "test_pointedness",
@@ -37,22 +36,10 @@ __all__ = [
 # below this is a numerically exact zero.
 Z_STAR_TOL = 1e-7
 
-
-@dataclass(frozen=True)
-class EpsilonSearchConfig:
-    """Schedule of perturbation sizes epsilon0 * beta^i for i = 0, 1, 2, ..."""
-
-    epsilon0: float = 1e-2
-    beta: float = 0.5
-    max_iter: int = 60
-
-    def __post_init__(self):
-        if not 0 < self.epsilon0 < math.inf:
-            raise ValueError("epsilon0 must be positive and finite")
-        if not 0 < self.beta < 1:
-            raise ValueError("beta must lie strictly between 0 and 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be a positive integer")
+# epsilon_bar is the first _EPSILON0 * _BETA**i, i < _MAX_ITER, below eps*
+_EPSILON0 = 1e-2
+_BETA = 0.5
+_MAX_ITER = 60
 
 
 class PointednessResult(NamedTuple):
@@ -104,17 +91,16 @@ class ConsistencyReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def test_pointedness(
-    inst: PreferenceInstance, epsilon: float = 0.0
-) -> PointednessResult:
-    """Decide pointedness of the (possibly perturbed) preference cone by LP.
+def test_pointedness(inst: PreferenceInstance) -> PointednessResult:
+    """Decide pointedness of the preference cone by the paper's program.
 
     Pointed iff the feasibility program's optimum is zero; in that case the
     d part of the optimal solution is returned as certificate.  It satisfies
-    d >= 1 componentwise and ``gen_j . d >= 1`` for every generator.
+    d >= 1 componentwise and ``gen_j . d >= 1`` for every generator.  The
+    verdict comes from the margin program instead; this one prices
+    ``z_star`` on an inconsistent verdict.
     """
-    gens = generators(inst, epsilon)
-    sol = solve(build_pointedness_lp(gens, inst.p))
+    sol = solve(build_pointedness_lp(generators(inst, 0.0), inst.p))
     z_star = float(sol.objective_value)
     pointed = z_star <= Z_STAR_TOL
     certificate = sol.values[: inst.p].copy() if pointed else None
@@ -124,10 +110,9 @@ def test_pointedness(
 test_pointedness.__test__ = False  # not a pytest case despite the name
 
 
-def epsilon_search(
-    inst: PreferenceInstance, cfg: EpsilonSearchConfig | None = None
-) -> float:
-    """The first schedule value whose shrunk cone is still pointed.
+def epsilon_search(inst: PreferenceInstance) -> float:
+    """The first schedule value ``0.01 * 0.5**i``, ``i < 60``, whose shrunk
+    cone is still pointed.
 
     Requires the unperturbed cone to be pointed (otherwise no perturbation
     works).  Every smaller epsilon then works too.  Raises
@@ -138,17 +123,16 @@ def epsilon_search(
         raise NotPointedError(
             "the preference cone is not pointed; no perturbation can be"
         )
-    return _first_below(eps_star, cfg)
+    return _first_below(eps_star)
 
 
-def _first_below(eps_star: float, cfg: EpsilonSearchConfig | None) -> float:
-    cfg = cfg or EpsilonSearchConfig()
-    for i in range(cfg.max_iter):
-        eps = cfg.beta**i * cfg.epsilon0
+def _first_below(eps_star: float) -> float:
+    for i in range(_MAX_ITER):
+        eps = _BETA**i * _EPSILON0
         if eps < eps_star:
             return eps
     raise MaxIterExceededError(
-        f"no pointed perturbation found in {cfg.max_iter} trials from {cfg.epsilon0}"
+        f"no pointed perturbation found in {_MAX_ITER} trials from {_EPSILON0}"
     )
 
 
@@ -194,14 +178,12 @@ def extract_linear_weights(inst: PreferenceInstance) -> np.ndarray:
     return weights
 
 
-def consistency_verdict(
-    inst: PreferenceInstance, cfg: EpsilonSearchConfig | None = None
-) -> ConsistencyReport:
+def consistency_verdict(inst: PreferenceInstance) -> ConsistencyReport:
     """Run the full test and assemble the report; the paper's feasibility
     program runs only to report z* on an inconsistent verdict."""
     eps_star, weights = _margin(inst)
     pointed = weights is not None
-    z_star = 0.0 if pointed else test_pointedness(inst, 0.0).z_star
+    z_star = 0.0 if pointed else test_pointedness(inst).z_star
     notes = []
     if not pointed and z_star <= Z_STAR_TOL:
         notes.append("the judgements lie within the LP tolerance of the consistency boundary")
@@ -214,7 +196,7 @@ def consistency_verdict(
         pointed=pointed,
         z_star=z_star,
         weight_certificate=weights,
-        epsilon_bar=_first_below(eps_star, cfg) if pointed else None,
+        epsilon_bar=_first_below(eps_star) if pointed else None,
         facet_count=facet_count,
         verdict_text=_verdict_text(pointed, z_star, notes),
     )

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .consistency import EpsilonSearchConfig, epsilon_search
+from .consistency import epsilon_search
 from .cones import FacetCone, dual_hrep, extreme_rays, preference_cone
 from .errors import NotPointedError, UnsupportedDimensionError
 from .instance import PreferenceInstance, require_valid
@@ -43,11 +43,7 @@ def boundary_rays(facets: FacetCone) -> list[list[float]]:
     ]
 
 
-def plot2d(
-    inst: PreferenceInstance,
-    out_svg_path,
-    cfg: EpsilonSearchConfig | None = None,
-) -> None:
+def plot2d(inst: PreferenceInstance, out_svg_path) -> None:
     """Write the instance schematic to ``out_svg_path``; requires p = 2."""
     require_valid(inst)
     if inst.p != 2:
@@ -56,7 +52,7 @@ def plot2d(
         )
     facets = extreme_rays(dual_hrep(preference_cone(inst, 0.0)))
     try:
-        eps_bar = epsilon_search(inst, cfg)
+        eps_bar = epsilon_search(inst)
     except NotPointedError:
         eps_bar = eps_facets = None
     else:

@@ -128,7 +128,8 @@ def evaluate(handle: ValueFunctionHandle, x: np.ndarray) -> float:
 
 
 def evaluate_batch(handle: ValueFunctionHandle, points: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`evaluate` over the rows of ``points``.
+    """Vectorized :func:`evaluate` over the rows of ``points``, an ``(N, p)``
+    array; a single ``(p,)`` point counts as one row.
 
     A signed-distance value's sign is the point's membership, decided by the
     smallest facet margin against ``CLASSIFY_TOL * (1 + |y|)``: the margin
@@ -142,12 +143,14 @@ def evaluate_batch(handle: ValueFunctionHandle, points: np.ndarray) -> np.ndarra
     depend on the facet list being complete.  Each point starts on the
     generators tight on its lowest-slack facet (its most violated one),
     which saves steps; values agree with a cold solve to rounding, not
-    bitwise.  A row whose squared distance to the reference overflows
-    float64, or whose linear value does, raises ValueError.
+    bitwise, except on numerically parallel generators (see
+    :func:`~prefcone.cones.nnls`).  A row whose squared distance to the
+    reference overflows float64, or whose linear value does, raises
+    ValueError.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
-    if X.shape[1] != handle.p:
-        raise ValueError(f"points have dimension {X.shape[1]}, expected {handle.p}")
+    if X.ndim != 2 or X.shape[1] != handle.p:
+        raise ValueError(f"points must be an (N, {handle.p}) array, got shape {X.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         Y = X - handle.reference
         squares = (Y * Y).sum(axis=1)

@@ -1,11 +1,11 @@
 """Brute-force verifiers used by the test suite and the audit script.
 
 Nothing here is imported by the engine: the distance oracle, the LP basis
-enumerator, the geometric pointedness test, the LP-trial epsilon search and
-the sampled property checker exist to pin expected values independently of
-the code paths they audit.  The per-point membership and distance functions
-are the references for the label and value ``evaluate_batch`` computes for
-a whole batch.
+enumerator, the geometric pointedness test, the shrunk cone's feasibility
+program, the LP-trial epsilon search and the sampled property checker exist
+to pin expected values independently of the code paths they audit.  The
+per-point membership and distance functions are the references for the
+label and value ``evaluate_batch`` computes for a whole batch.
 Everything is deterministic under a fixed seed.
 """
 
@@ -21,20 +21,23 @@ from typing import Any
 import numpy as np
 
 from prefcone import (
-    EpsilonSearchConfig,
     GeneratorCone,
     MaxIterExceededError,
     NotPointedError,
+    PointednessResult,
     PreferenceInstance,
     PrefconeError,
     StandardLP,
     FacetCone,
     ValueFunctionHandle,
     WholeSpaceError,
+    Z_STAR_TOL,
+    build_pointedness_lp,
     evaluate_batch,
     extreme_rays,
+    generators,
     nnls,
-    test_pointedness,
+    solve,
 )
 from prefcone.cones import _ACTIVITY_TOL, CLASSIFY_TOL
 
@@ -43,6 +46,7 @@ __all__ = [
     "PropertyViolation",
     "TooLargeError",
     "backtrack_epsilon",
+    "shrunk_pointedness",
     "search_outcome",
     "brute_dist_to_cone",
     "classify",
@@ -311,31 +315,38 @@ def _inverse_columns(square: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [_integer_vector([aug[i][n + j] for i in range(n)]) for j in range(n)]
 
 
-def backtrack_epsilon(
-    inst: PreferenceInstance, cfg: EpsilonSearchConfig | None = None
-) -> float:
+def shrunk_pointedness(inst: PreferenceInstance, epsilon: float) -> PointednessResult:
+    """``prefcone.test_pointedness`` on the cone shrunk by ``epsilon``.
+
+    The paper's feasibility program on the generators ``x_j - x_k - epsilon``:
+    pointed iff its optimum is zero, with the d part as certificate.
+    """
+    sol = solve(build_pointedness_lp(generators(inst, epsilon), inst.p))
+    z_star = float(sol.objective_value)
+    pointed = z_star <= Z_STAR_TOL
+    return PointednessResult(pointed, z_star, sol.values[: inst.p].copy() if pointed else None)
+
+
+def backtrack_epsilon(inst: PreferenceInstance) -> float:
     """``prefcone.epsilon_search`` as one pointedness LP per schedule value.
 
     The reference for the engine's single margin LP: test the unperturbed
-    cone, then return the first ``epsilon0 * beta^i`` whose shrunk cone the
-    full feasibility program finds pointed.
+    cone, then return the first ``0.01 * 0.5**i``, ``i < 60``, whose shrunk
+    cone the full feasibility program finds pointed.
     """
-    if not test_pointedness(inst, 0.0).pointed:
+    if not shrunk_pointedness(inst, 0.0).pointed:
         raise NotPointedError("the preference cone is not pointed; no perturbation can be")
-    cfg = cfg or EpsilonSearchConfig()
-    for i in range(cfg.max_iter):
-        eps = cfg.beta**i * cfg.epsilon0
-        if test_pointedness(inst, eps).pointed:
+    for i in range(60):
+        eps = 0.5**i * 1e-2
+        if shrunk_pointedness(inst, eps).pointed:
             return eps
-    raise MaxIterExceededError(
-        f"no pointed perturbation found in {cfg.max_iter} trials from {cfg.epsilon0}"
-    )
+    raise MaxIterExceededError("no pointed perturbation found in 60 trials from 0.01")
 
 
-def search_outcome(search, inst: PreferenceInstance, cfg: EpsilonSearchConfig | None):
-    """``search(inst, cfg)``, or the type of the search error it raises, for comparison."""
+def search_outcome(search, inst: PreferenceInstance):
+    """``search(inst)``, or the type of the search error it raises, for comparison."""
     try:
-        return search(inst, cfg)
+        return search(inst)
     except (NotPointedError, MaxIterExceededError) as exc:
         return type(exc)
 

@@ -103,7 +103,7 @@ def test_c4_property_battery(battery):
         if psi is not None:
             n_psi += 1
             violations += check_properties(psi, 1000, seed=seed)
-        pointed, _, weights = test_pointedness(inst, 0.0)
+        pointed, _, weights = test_pointedness(inst)
         if not pointed:
             continue
         n_pointed += 1
@@ -124,7 +124,7 @@ def test_c4_property_battery(battery):
 
 def test_c5_equivalence_audit(battery):
     for inst in battery:
-        by_lp = test_pointedness(inst, 0.0).pointed
+        by_lp = test_pointedness(inst).pointed
         by_geometry = is_pointed_geometric(dual_hrep(preference_cone(inst, 0.0)))
         try:
             weights = extract_linear_weights(inst)
@@ -158,7 +158,7 @@ def test_c6_synthetic_dm_soundness():
 def test_c7_epsilon_search_and_interiority(battery):
     checked = 0
     for inst in battery:
-        if not test_pointedness(inst, 0.0).pointed:
+        if not test_pointedness(inst).pointed:
             continue
         checked += 1
         eps_bar = epsilon_search(inst)  # raises MaxIterExceededError on failure

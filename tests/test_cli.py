@@ -1,5 +1,9 @@
 import json
+import re
+import shlex
+import shutil
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,18 +83,19 @@ def test_stalled_simplex_is_typed_cli_error(capsys, monkeypatch, tmp_path):
     assert json.loads(out)["error"]["code"] == "MAX_ITER_EXCEEDED"
 
 
-def test_exhausted_epsilon_schedule_exits_3(capsys, data_dir):
-    code, out = run_cli(
-        capsys, "epsilon", str(data_dir / "pointed.json"), "--epsilon0", "1e6", "--max-iter", "1"
-    )
+def test_exhausted_epsilon_schedule_exits_3(capsys, data_dir, tmp_path):
+    # eps* = 0.5 * 2**-70 lies below the last schedule value, 0.01 * 2**-59
+    doc = json.loads((data_dir / "pointed.json").read_text())
+    doc["alternatives"] = (np.array(doc["alternatives"]) * 2.0**-70).tolist()
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    assert prefcone.consistency._margin(parse_instance(path.read_text()))[0] == 0.5 * 2.0**-70
+    code, out = run_cli(capsys, "epsilon", str(path))
     assert code == 3
-    assert json.loads(out)["error"]["code"] == "MAX_ITER_EXCEEDED"
-
-
-def test_infinite_epsilon0_is_bad_argument(capsys, data_dir):
-    code, out = run_cli(capsys, "epsilon", str(data_dir / "pointed.json"), "--epsilon0", "inf")
-    assert code == 2
-    assert json.loads(out)["error"]["code"] == "BAD_ARGUMENT"
+    assert json.loads(out)["error"] == {
+        "code": "MAX_ITER_EXCEEDED",
+        "message": "no pointed perturbation found in 60 trials from 0.01",
+    }
 
 
 def test_nnls_iteration_cap_exits_3(capsys, monkeypatch, data_dir):
@@ -258,6 +263,22 @@ def test_usage_errors_exit_64(capsys):
     assert run(["eval", "--instance", "x.json"]) == 64  # missing required flags
 
 
+def test_epsilon_schedule_flags_are_usage_errors(capsys, data_dir, tmp_path):
+    # the schedule 0.01 * 0.5**i, i < 60, is fixed; its old flags are unknown options
+    path = str(data_dir / "pointed.json")
+    commands = [
+        ["epsilon", path],
+        ["test", path],
+        ["eval", "--instance", path, "--function", "vartheta", "--point", "3,3"],
+        ["plot", path, "--output", str(tmp_path / "pointed.svg")],
+    ]
+    for argv in commands:
+        for flag in (["--epsilon0", "0.01"], ["--beta", "0.5"], ["--max-iter", "60"]):
+            assert run(argv + flag) == 64, argv + flag
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "pointed.svg").exists()
+
+
 def test_weights_subcommand(capsys, data_dir):
     code, out = run_cli(capsys, "weights", str(data_dir / "pointed.json"))
     assert code == 0
@@ -273,11 +294,6 @@ def test_epsilon_subcommand(capsys, data_dir):
     code, out = run_cli(capsys, "epsilon", str(data_dir / "pointed.json"))
     assert code == 0
     assert json.loads(out)["epsilon_bar"] == pytest.approx(0.01)
-
-    code, out = run_cli(
-        capsys, "epsilon", str(data_dir / "pointed.json"), "--epsilon0", "0.4", "--beta", "0.25"
-    )
-    assert code == 0
 
 
 def test_eval_subcommand(capsys, data_dir):
@@ -471,3 +487,24 @@ def test_plot_output_deterministic(capsys, data_dir, tmp_path):
     run_cli(capsys, "plot", str(data_dir / "pointed.json"), "--output", str(a))
     run_cli(capsys, "plot", str(data_dir / "pointed.json"), "--output", str(b))
     assert a.read_text() == b.read_text()
+
+
+def _readme_cli_lines():
+    """The ``prefcone ...`` lines of README's CLI block, with their comments."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("prefcone ")]
+
+
+def test_readme_cli_block_runs_as_documented(capsys, monkeypatch, data_dir, tmp_path):
+    # each line exits with the code its comment states, or 0 when it states none
+    shutil.copytree(data_dir, tmp_path / "data")
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_lines()
+    assert len(lines) >= 7
+    for line in lines:
+        command, _, comment = line.partition("#")
+        stated = re.search(r"\bexit (\d+)", comment)
+        code = run(shlex.split(command)[1:])
+        capsys.readouterr()
+        assert code == (int(stated.group(1)) if stated else 0), line

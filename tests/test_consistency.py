@@ -1,5 +1,4 @@
 import json
-import math
 from collections import Counter
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 import prefcone.consistency
 import prefcone.instance
 from prefcone import (
-    EpsilonSearchConfig,
     InvalidInstanceError,
     MaxIterExceededError,
     NotPointedError,
@@ -24,7 +22,7 @@ from prefcone import (
     test_pointedness,
 )
 from _helpers import noisy_scorer_instance, random_instance, synthetic_dm_instance
-from oracle import backtrack_epsilon, is_pointed_geometric, search_outcome
+from oracle import backtrack_epsilon, is_pointed_geometric, search_outcome, shrunk_pointedness
 
 
 @pytest.mark.parametrize("fixture", ["pointed.json", "halfplane.json"])
@@ -44,8 +42,7 @@ def test_verdict_computes_each_artifact_once(monkeypatch, data_dir, fixture):
     count(prefcone.consistency, "solve")
     count(prefcone.consistency, "extreme_rays")
     inst = parse_instance((data_dir / fixture).read_text())
-    cfg = EpsilonSearchConfig()
-    report = consistency_verdict(inst, cfg)
+    report = consistency_verdict(inst)
     # one margin program, then the paper's program for z* when the cone is not pointed
     assert calls == {"validate": 1, "solve": 1 + (not report.pointed), "extreme_rays": 1}
 
@@ -61,7 +58,7 @@ def test_margin_verdict_and_exact_weights_on_seeded_draws():
             d = extract_linear_weights(inst)
         except NotPointedError:
             d = None
-        assert (d is not None) == test_pointedness(inst, 0.0).pointed, k
+        assert (d is not None) == test_pointedness(inst).pointed, k
         if d is not None:
             pointed += 1
             assert (d >= 1).all() and (generators(inst) @ d >= 1).all(), k
@@ -101,23 +98,20 @@ def test_margin_lp_agrees_with_highs_on_noisy_scorers():
                 bounds=[(0, None)] * p + [(None, None)], method="highs",
             )
             eps_star = -res.fun
-            below = EpsilonSearchConfig(epsilon0=eps_star * (1 - 1e-7), max_iter=1)
-            assert epsilon_search(inst, below) == below.epsilon0
-            above = EpsilonSearchConfig(epsilon0=eps_star * (1 + 1e-7), max_iter=1)
-            with pytest.raises(MaxIterExceededError):
-                epsilon_search(inst, above)
+            assert eps_star * (1 - 1e-7) < prefcone.consistency._margin(inst)[0]
+            assert prefcone.consistency._margin(inst)[0] <= eps_star * (1 + 1e-7)
     assert verdicts[True] >= 5 and verdicts[False] >= 5
 
 
 def test_pointed_fixture(pointed_instance):
-    pointed, z_star, d = test_pointedness(pointed_instance, 0.0)
+    pointed, z_star, d = test_pointedness(pointed_instance)
     assert pointed and z_star == pytest.approx(0.0, abs=1e-9)
     assert (d >= 1 - 1e-7).all()
     assert (generators(pointed_instance, 0.0) @ d >= 1 - 1e-7).all()
 
 
 def test_halfplane_fixture_not_pointed(halfplane_instance):
-    pointed, z_star, d = test_pointedness(halfplane_instance, 0.0)
+    pointed, z_star, d = test_pointedness(halfplane_instance)
     assert not pointed
     assert z_star == pytest.approx(2.0, abs=1e-9)
     assert d is None
@@ -125,16 +119,27 @@ def test_halfplane_fixture_not_pointed(halfplane_instance):
 
 def test_single_judgement_along_ones():
     inst = PreferenceInstance([[1.0, 1.0], [2.0, 2.0]], 0, [1])
-    pointed, z_star, d = test_pointedness(inst, 0.0)
+    pointed, z_star, d = test_pointedness(inst)
     assert pointed and z_star <= 1e-9
     assert (d >= 1 - 1e-9).all()
 
 
+def _scaled(inst, k):
+    """``inst`` with its alternatives scaled by 2**-k, which scales eps* exactly."""
+    return PreferenceInstance(
+        inst.alternatives * 2.0**-k, inst.reference_index, inst.preferred_indices
+    )
+
+
 def test_epsilon_search_first_trial(pointed_instance):
-    assert epsilon_search(pointed_instance) == pytest.approx(0.01)
-    cfg = EpsilonSearchConfig(epsilon0=0.25, beta=0.5, max_iter=20)
-    eps = epsilon_search(pointed_instance, cfg)
-    assert test_pointedness(pointed_instance, eps).pointed
+    eps = epsilon_search(pointed_instance)
+    assert eps == pytest.approx(0.01)
+    assert shrunk_pointedness(pointed_instance, eps).pointed
+    # eps* = 0.5 * 2**-7 lies below 0.01: the schedule halves twice more
+    scaled = _scaled(pointed_instance, 7)
+    eps = epsilon_search(scaled)
+    assert eps == 0.0025
+    assert shrunk_pointedness(scaled, eps).pointed
 
 
 def test_epsilon_search_rejects_non_pointed(halfplane_instance):
@@ -142,37 +147,40 @@ def test_epsilon_search_rejects_non_pointed(halfplane_instance):
         epsilon_search(halfplane_instance)
 
 
-def test_epsilon_search_huge_start_terminates(pointed_instance):
-    cfg = EpsilonSearchConfig(epsilon0=1e6, beta=0.5, max_iter=60)
-    try:
-        eps = epsilon_search(pointed_instance, cfg)
-    except MaxIterExceededError:
-        return  # permitted by the contract
-    assert eps > 0
-    assert test_pointedness(pointed_instance, eps).pointed
+def test_epsilon_search_exhausts_below_the_last_schedule_value(pointed_instance):
+    # the last schedule value is 0.01 * 2**-59; eps* = 0.5 here scales exactly
+    # with the instance, so the search fails exactly when 0.5 * 2**-k lies below it
+    eps_star = prefcone.consistency._margin(pointed_instance)[0]
+    assert eps_star == 0.5
+    for k in (62, 66, 70):
+        scaled = _scaled(pointed_instance, k)
+        assert prefcone.consistency._margin(scaled)[0] == eps_star * 2.0**-k
+        if k == 62:
+            assert epsilon_search(scaled) == 0.5**57 * 1e-2
+        else:
+            with pytest.raises(MaxIterExceededError, match="in 60 trials from 0.01"):
+                epsilon_search(scaled)
 
 
 def test_epsilon_search_matches_trial_backtracking():
-    schedules = [
-        None,
-        EpsilonSearchConfig(0.25, 0.5, 20),
-        EpsilonSearchConfig(10, 0.3, 60),
-        EpsilonSearchConfig(1e6, 0.5, 1),
-    ]
+    # each draw, and a copy scaled by 2**-k that pushes eps* down the schedule
     rng = np.random.default_rng(211)
     outcomes = Counter()
-    for k in range(400):
-        draw = random_instance if k % 2 else synthetic_dm_instance
+    for n in range(400):
+        draw = random_instance if n % 2 else synthetic_dm_instance
         inst = draw(rng)
-        for cfg in schedules:
-            got = search_outcome(epsilon_search, inst, cfg)
-            assert got == search_outcome(backtrack_epsilon, inst, cfg), (k, cfg)
+        k = 1 + n % 16
+        scaled = _scaled(inst, k)
+        for case in (inst, scaled):
+            got = search_outcome(epsilon_search, case)
+            assert got == search_outcome(backtrack_epsilon, case), (n, case is inst)
             if not isinstance(got, type):
-                make_vartheta(inst, got)  # accepts every value the search returns
-            epsilon0 = (cfg or EpsilonSearchConfig()).epsilon0
-            outcomes[got if isinstance(got, type) else got < epsilon0] += 1
-    # values past the first trial, first-trial values and both errors all occur
-    assert min(outcomes[key] for key in (True, False, NotPointedError, MaxIterExceededError)) > 20
+                make_vartheta(case, got)  # accepts every value the search returns
+            outcomes[got if isinstance(got, type) else got < 0.01] += 1
+        eps_star = prefcone.consistency._margin(inst)[0]
+        assert prefcone.consistency._margin(scaled)[0] == eps_star * 2.0**-k, n
+    # values past the first trial, first-trial values and the not-pointed error all occur
+    assert min(outcomes[key] for key in (True, False, NotPointedError)) > 20
 
 
 def test_epsilon_monotone_in_pointedness():
@@ -180,25 +188,14 @@ def test_epsilon_monotone_in_pointedness():
     checked = 0
     while checked < 25:
         inst = random_instance(rng)
-        if not test_pointedness(inst, 0.0).pointed:
+        if not test_pointedness(inst).pointed:
             continue
         checked += 1
         eps_grid = [0.0, 1e-4, 1e-3, 1e-2, 0.1, 0.5]
-        flags = [test_pointedness(inst, e).pointed for e in eps_grid]
+        flags = [shrunk_pointedness(inst, e).pointed for e in eps_grid]
         # once pointedness is lost at some epsilon it never comes back smaller
         for small, big in zip(flags, flags[1:]):
             assert small or not big
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        EpsilonSearchConfig(epsilon0=0.0)
-    with pytest.raises(ValueError):
-        EpsilonSearchConfig(epsilon0=math.inf)
-    with pytest.raises(ValueError):
-        EpsilonSearchConfig(beta=1.0)
-    with pytest.raises(ValueError):
-        EpsilonSearchConfig(max_iter=0)
 
 
 def test_extract_weights(pointed_instance, halfplane_instance):
@@ -271,7 +268,7 @@ def test_lp_agrees_with_geometry_on_random_instances():
     seen_pointed = seen_not = 0
     for _ in range(200):
         inst = random_instance(rng)
-        by_lp = test_pointedness(inst, 0.0).pointed
+        by_lp = test_pointedness(inst).pointed
         by_geometry = is_pointed_geometric(dual_hrep(preference_cone(inst, 0.0)))
         assert by_lp == by_geometry
         seen_pointed += by_lp
@@ -284,7 +281,7 @@ def test_certificate_soundness_random():
     for _ in range(60):
         inst = random_instance(rng)
         eps = float(rng.uniform(0.0, 0.05))
-        pointed, _, d = test_pointedness(inst, eps)
+        pointed, _, d = shrunk_pointedness(inst, eps)
         if pointed:
             assert (d >= 1 - 1e-7).all()
             assert (generators(inst, eps) @ d >= 1 - 1e-7).all()
@@ -294,7 +291,7 @@ def test_synthetic_dm_instances_test_consistent():
     rng = np.random.default_rng(59)
     for _ in range(25):
         inst = synthetic_dm_instance(rng)
-        assert test_pointedness(inst, 0.0).pointed
+        assert test_pointedness(inst).pointed
 
 
 def test_concurrent_verdicts_are_identical(pointed_instance):
@@ -311,11 +308,11 @@ def test_verdict_scale_invariant():
     rng = np.random.default_rng(73)
     for _ in range(25):
         inst = random_instance(rng)
-        base = test_pointedness(inst, 0.0).pointed
+        base = test_pointedness(inst).pointed
         for alpha in (0.5, 3.7):
             scaled = PreferenceInstance(
                 inst.alternatives * alpha,
                 inst.reference_index,
                 inst.preferred_indices,
             )
-            assert test_pointedness(scaled, 0.0).pointed == base
+            assert test_pointedness(scaled).pointed == base

@@ -176,6 +176,14 @@ def test_evaluate_dimension_checked(psi):
         evaluate(psi, np.array([1.0, 2.0, 3.0]))
 
 
+@pytest.mark.parametrize("shape", [(1, 2, 2), (5, 2, 1), (5, 2, 3)])
+def test_evaluate_batch_rejects_points_of_rank_three(psi, vartheta, pointed_instance, shape):
+    X = np.ones(shape)
+    for handle in (psi, vartheta, make_linear(pointed_instance)):
+        with pytest.raises(ValueError, match="points must be"):
+            evaluate_batch(handle, X)
+
+
 def test_whole_space_handle_rejected_by_both_evaluators(psi):
     whole = ValueFunctionHandle(
         kind="psi",
