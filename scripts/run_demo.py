@@ -16,12 +16,15 @@ import numpy as np
 from prefcone import (
     WholeSpaceError,
     consistency_verdict,
+    dual_hrep,
     evaluate,
+    extreme_rays,
     make_linear,
     make_psi,
     make_vartheta,
     parse_instance,
     plot2d,
+    preference_cone,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,7 +42,7 @@ def main() -> None:
         report = consistency_verdict(inst)
         print(f"=== {path.name} ===")
         print(report.verdict_text)
-        print(f"facets: {report.facet_count}")
+        print(f"facets: {extreme_rays(dual_hrep(preference_cone(inst, 0.0))).n_facets}")
 
         try:
             psi = make_psi(inst)

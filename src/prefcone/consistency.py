@@ -5,7 +5,8 @@ an increasing linear one, a pointed preference cone, and a zero-optimum
 feasibility program are one and the same question; the test answers it by
 solving a single small LP with one row per criterion, whose dual gives the
 linear weights and whose optimum the perturbation sizes under which the
-strict version of the construction goes through.
+strict version of the construction goes through.  The test needs no facets,
+so it runs no double description and works at any number of criteria.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cones import dual_hrep, extreme_rays, preference_cone
-from .errors import DimensionTooLargeError, MaxIterExceededError, NotPointedError
+# Unused here; bound only as perfbench's ``consistency.extreme_rays`` span
+# target, and removed together with that target.
+from .cones import extreme_rays  # noqa: F401
+from .errors import MaxIterExceededError, NotPointedError
 from .instance import PreferenceInstance, generators
 from .lp import StandardLP, build_pointedness_lp, solve
 
@@ -53,15 +56,14 @@ class ConsistencyReport:
     """Verdict bundle; the four equivalent statements share one truth value.
 
     ``weight_certificate`` and ``epsilon_bar`` are present exactly when the
-    verdict is consistent.  ``facet_count`` is None when p exceeds the
-    double description cap; the verdict itself does not depend on it.
+    verdict is consistent.  The report carries no facet count: the verdict
+    needs none, and ``extreme_rays`` computes one when it is wanted.
     """
 
     pointed: bool
     z_star: float
     weight_certificate: np.ndarray | None
     epsilon_bar: float | None
-    facet_count: int | None
     verdict_text: str
 
     @property
@@ -82,7 +84,6 @@ class ConsistencyReport:
             "z_star": self.z_star,
             "weight_certificate": weights,
             "epsilon_bar": self.epsilon_bar,
-            "facet_count": self.facet_count,
             "verdict_text": self.verdict_text,
             "equivalent_statements": self.statements,
         }
@@ -184,25 +185,16 @@ def consistency_verdict(inst: PreferenceInstance) -> ConsistencyReport:
     eps_star, weights = _margin(inst)
     pointed = weights is not None
     z_star = 0.0 if pointed else test_pointedness(inst).z_star
-    notes = []
-    if not pointed and z_star <= Z_STAR_TOL:
-        notes.append("the judgements lie within the LP tolerance of the consistency boundary")
-    try:
-        facet_count = extreme_rays(dual_hrep(preference_cone(inst, 0.0))).n_facets
-    except DimensionTooLargeError as exc:
-        facet_count = None
-        notes.append(f"facet count not computed: {exc}")
     return ConsistencyReport(
         pointed=pointed,
         z_star=z_star,
         weight_certificate=weights,
         epsilon_bar=_first_below(eps_star) if pointed else None,
-        facet_count=facet_count,
-        verdict_text=_verdict_text(pointed, z_star, notes),
+        verdict_text=_verdict_text(pointed, z_star),
     )
 
 
-def _verdict_text(pointed: bool, z_star: float, notes: list[str]) -> str:
+def _verdict_text(pointed: bool, z_star: float) -> str:
     yn = "yes" if pointed else "no"
     lines = [
         "consistent with an increasing quasi-concave value function"
@@ -213,6 +205,7 @@ def _verdict_text(pointed: bool, z_star: float, notes: list[str]) -> str:
         f"(2) an increasing quasi-concave value function strictly separates: {yn}",
         f"(3) the preference cone is pointed: {yn}",
         f"(4) the feasibility program attains optimum zero (z* = {z_star:.3g}): {yn}",
-        *notes,
     ]
+    if not pointed and z_star <= Z_STAR_TOL:
+        lines.append("the judgements lie within the LP tolerance of the consistency boundary")
     return "\n".join(lines)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import prefcone.cones
 import prefcone.consistency
 import prefcone.lp
 import prefcone.valuefn
@@ -18,6 +19,7 @@ from prefcone import (
     NotPointedError,
     UnsupportedDimensionError,
     WholeSpaceError,
+    consistency_verdict,
     epsilon_search,
     evaluate,
     extract_linear_weights,
@@ -41,15 +43,15 @@ def test_test_subcommand_consistent(capsys, data_dir):
     doc = json.loads(out)
     assert doc["pointed"] is True
     assert doc["z_star"] == 0.0
-    assert doc["facet_count"] == 2
+    assert "facet_count" not in doc
     assert doc["epsilon_bar"] == pytest.approx(0.01)
     assert set(doc["equivalent_statements"].values()) == {True}
 
 
 @pytest.mark.parametrize("consistent", [True, False])
-def test_test_subcommand_above_dd_cap(capsys, tmp_path, consistent):
-    # p = 13 is past the double description cap; the LP verdict still holds
-    p = 13
+@pytest.mark.parametrize("p", [13, 20])
+def test_test_subcommand_wide_instance(capsys, tmp_path, p, consistent):
+    # past the double description cap; the verdict is the LP's alone
     eye = np.eye(p)
     alts = [np.zeros(p)] + [eye[j] - 0.5 * eye[(j + 1) % p] for j in range(p)]
     if not consistent:
@@ -64,10 +66,26 @@ def test_test_subcommand_above_dd_cap(capsys, tmp_path, consistent):
     doc = json.loads(out)
     assert code == (0 if consistent else 1)
     assert doc["pointed"] is consistent
-    assert doc["facet_count"] is None
-    assert doc["verdict_text"].splitlines()[-1] == (
-        "facet count not computed: double description capped at dimension 12, got 13"
+    assert doc["verdict_text"].splitlines()[-1].startswith(
+        "(4) the feasibility program attains optimum zero"
     )
+
+
+def test_test_subcommand_runs_no_double_description(capsys, monkeypatch, data_dir):
+    def answers():
+        return [
+            (consistency_verdict(parse_instance(path.read_text())).to_dict(),
+             run_cli(capsys, "test", str(path)))
+            for path in sorted(data_dir.glob("*.json"))
+        ]
+
+    def no_dd(hrep):
+        raise AssertionError("double description ran")
+
+    want = answers()
+    for module in (prefcone.cones, prefcone.consistency, prefcone.valuefn):
+        monkeypatch.setattr(module, "extreme_rays", no_dd)
+    assert answers() == want
 
 
 def test_stalled_simplex_is_typed_cli_error(capsys, monkeypatch, tmp_path):

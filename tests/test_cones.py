@@ -60,11 +60,13 @@ def test_extreme_rays_pointed_fixture(pointed_facets):
     got = sorted(map(tuple, np.round(pointed_facets.facet_normals, 10)))
     want = sorted([(0.0, 1.0), tuple(np.round([1 / SQRT5, 2 / SQRT5], 10))])
     assert got == want
+    assert pointed_facets.n_facets == 2
     assert not pointed_facets.is_whole_space
 
 
 def test_extreme_rays_halfplane_fixture(halfplane_instance):
     facets = extreme_rays(dual_hrep(preference_cone(halfplane_instance, 0.0)))
+    assert facets.n_facets == 1
     assert not facets.is_whole_space
     np.testing.assert_allclose(
         facets.facet_normals, [[1 / np.sqrt(2), 1 / np.sqrt(2)]], atol=1e-12

@@ -43,8 +43,9 @@ def test_verdict_computes_each_artifact_once(monkeypatch, data_dir, fixture):
     count(prefcone.consistency, "extreme_rays")
     inst = parse_instance((data_dir / fixture).read_text())
     report = consistency_verdict(inst)
-    # one margin program, then the paper's program for z* when the cone is not pointed
-    assert calls == {"validate": 1, "solve": 1 + (not report.pointed), "extreme_rays": 1}
+    # one margin program, then the paper's program for z* when the cone is not
+    # pointed, and no double description
+    assert calls == {"validate": 1, "solve": 1 + (not report.pointed)}
 
 
 def test_margin_verdict_and_exact_weights_on_seeded_draws():
@@ -214,7 +215,6 @@ def test_verdict_pointed_fixture(pointed_instance):
     assert report.z_star == pytest.approx(0.0, abs=1e-9)
     assert report.weight_certificate is not None
     assert report.epsilon_bar == pytest.approx(0.01)
-    assert report.facet_count == 2
     assert all(report.statements.values())
     assert "yes" in report.verdict_text
 
@@ -224,7 +224,6 @@ def test_verdict_halfplane_fixture(halfplane_instance):
     assert not report.pointed
     assert report.z_star == pytest.approx(2.0, abs=1e-9)
     assert report.weight_certificate is None and report.epsilon_bar is None
-    assert report.facet_count == 1
     assert not any(report.statements.values())
     assert "inconsistent" in report.verdict_text
 
@@ -232,7 +231,7 @@ def test_verdict_halfplane_fixture(halfplane_instance):
 def test_verdict_whole_plane_fixture(whole_plane_instance):
     report = consistency_verdict(whole_plane_instance)
     assert not report.pointed
-    assert report.facet_count == 0
+    assert report.z_star == pytest.approx(4.0, abs=1e-9)
 
 
 def test_verdict_rejects_invalid_instance():
@@ -248,7 +247,6 @@ def test_report_json_schema(pointed_instance):
         "z_star",
         "weight_certificate",
         "epsilon_bar",
-        "facet_count",
         "verdict_text",
         "equivalent_statements",
     }
