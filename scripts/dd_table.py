@@ -4,9 +4,9 @@
 For each (t, p) size, builds ``gaussian_scorer_instance(t, p)`` (t + 1
 N(0, 1) alternatives, a positive linear scorer, every alternative preferred
 to the lowest-scored one; seeded by ``[t, p, 7]``), runs ``extreme_rays``
-on its dual cone once and prints one table row: t, p, the facet count and
-the seconds taken.  Exits 1 if a facet count differs from the one recorded
-in ``tests/_helpers.py::GAUSSIAN_SCORER_FACETS``.
+on its judgement generators once and prints one table row: t, p, the facet
+count and the seconds taken.  Exits 1 if a facet count differs from the one
+recorded in ``tests/_helpers.py::GAUSSIAN_SCORER_FACETS``.
 
     python scripts/dd_table.py              # every recorded size, up to p=12
     python scripts/dd_table.py --max-p 9    # t=40, p=6..9
@@ -22,7 +22,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from _helpers import GAUSSIAN_SCORER_FACETS, gaussian_scorer_instance  # noqa: E402
 
-from prefcone import dual_hrep, extreme_rays, preference_cone  # noqa: E402
+from prefcone import extreme_rays, generators  # noqa: E402
 
 
 def main() -> int:
@@ -36,9 +36,9 @@ def main() -> int:
     for (t, p), recorded in GAUSSIAN_SCORER_FACETS.items():
         if p > args.max_p:
             continue
-        hrep = dual_hrep(preference_cone(gaussian_scorer_instance(t, p), 0.0))
+        gens = generators(gaussian_scorer_instance(t, p), 0.0)
         start = time.perf_counter()
-        facets = extreme_rays(hrep).n_facets
+        facets = extreme_rays(gens).n_facets
         seconds = time.perf_counter() - start
         print(f"| {t}, {p} | {facets} | {seconds:.3f} |", flush=True)
         if facets != recorded:

@@ -43,7 +43,6 @@ from prefcone import (  # noqa: E402
     PrefconeError,
     PreferenceInstance,
     WholeSpaceError,
-    dual_hrep,
     epsilon_search,
     evaluate,
     evaluate_batch,
@@ -52,7 +51,6 @@ from prefcone import (  # noqa: E402
     generators,
     make_psi,
     make_vartheta,
-    preference_cone,
     test_pointedness,
 )
 
@@ -74,7 +72,7 @@ def projection_mismatches(psi, seed: int, n_samples: int) -> int:
     rng = np.random.default_rng(seed)
     X = psi.reference + rng.normal(scale=3.0, size=(n_samples, psi.p))
     values = evaluate_batch(psi, X)
-    G = psi.gen_cone.generator_matrix
+    G = psi.generator_matrix
     return sum(
         abs(-value - scipy_nnls(G, y)[1]) > 1e-9 * (1.0 + np.linalg.norm(y))
         for value, y in zip(values, X - psi.reference)
@@ -95,10 +93,10 @@ def highs_pointed(inst) -> bool:
 def audit_one(
     inst, seed: int, n_samples: int
 ) -> tuple[tuple[bool, ...], int, bool, int, str | None, bool]:
-    hrep = dual_hrep(preference_cone(inst, 0.0))
+    gens = generators(inst, 0.0)
     by_lp = test_pointedness(inst).pointed
     by_highs = highs_pointed(inst)
-    by_geometry = is_pointed_geometric(hrep)
+    by_geometry = is_pointed_geometric(gens)
     try:
         weights = extract_linear_weights(inst)
         ref = float(weights @ inst.reference)
@@ -120,7 +118,8 @@ def audit_one(
     failure = None  # the code of a PrefconeError raised while building or evaluating psi
     try:
         psi = make_psi(inst)
-        violations = len(check_properties(psi, n_samples, seed=seed))
+        points = inst.alternatives[list(inst.preferred_indices)]
+        violations = len(check_properties(psi, n_samples, seed=seed, judgement_points=points))
         mismatches = projection_mismatches(psi, seed, n_samples)
     except WholeSpaceError:
         pass
@@ -130,7 +129,8 @@ def audit_one(
         search_outcome(epsilon_search, case) == search_outcome(backtrack_epsilon, case)
         for case in (inst, scaled_copy(inst, 1 + seed % 16))
     )
-    facets_agree = extreme_rays(hrep).n_facets == len(dd_exact(hrep))
+    hrep = np.vstack([np.eye(inst.p), gens])
+    facets_agree = extreme_rays(gens).n_facets == len(dd_exact(hrep))
     row = (by_linear, by_strict, by_geometry, by_lp, by_highs)
     return row, violations, epsilon_agrees, mismatches, failure, facets_agree
 

@@ -16,14 +16,7 @@ from .consistency import (
     extract_linear_weights,
     test_pointedness,
 )
-from .cones import (
-    FacetCone,
-    GeneratorCone,
-    dual_hrep,
-    extreme_rays,
-    nnls,
-    preference_cone,
-)
+from .cones import FacetCone, extreme_rays, nnls
 from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
@@ -63,7 +56,6 @@ __all__ = [
     "DimensionMismatchError",
     "DimensionTooLargeError",
     "FacetCone",
-    "GeneratorCone",
     "InvalidInstanceError",
     "LPSolution",
     "MaxIterExceededError",
@@ -81,7 +73,6 @@ __all__ = [
     "Z_STAR_TOL",
     "build_pointedness_lp",
     "consistency_verdict",
-    "dual_hrep",
     "epsilon_search",
     "evaluate",
     "evaluate_batch",
@@ -94,7 +85,6 @@ __all__ = [
     "nnls",
     "parse_instance",
     "plot2d",
-    "preference_cone",
     "require_valid",
     "serialize_instance",
     "solve",

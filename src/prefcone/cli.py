@@ -108,31 +108,30 @@ def run(argv=None) -> int:
     try:
         payload, code = _dispatch(ns)
     except (NotPointedError, WholeSpaceError) as exc:
-        _emit({"error": {"code": exc.code, "message": str(exc)}}, ns)
-        return 1
+        payload, code = _error(exc.code, exc), 1
     except InvalidInstanceError as exc:
-        _emit(
-            {
-                "error": {"code": exc.code, "message": str(exc)},
-                "violations": [{"code": c, "message": m} for c, m in exc.violations],
-            },
-            ns,
-        )
-        return _INPUT_ERRORS
+        payload, code = _error(exc.code, exc), _INPUT_ERRORS
+        payload["violations"] = [{"code": c, "message": m} for c, m in exc.violations]
     except (MaxIterExceededError, NnlsMaxIterError) as exc:
-        _emit({"error": {"code": exc.code, "message": str(exc)}}, ns)
-        return _NUMERICAL_FAILURE
+        payload, code = _error(exc.code, exc), _NUMERICAL_FAILURE
     except PrefconeError as exc:
-        _emit({"error": {"code": exc.code, "message": str(exc)}}, ns)
-        return _INPUT_ERRORS
+        payload, code = _error(exc.code, exc), _INPUT_ERRORS
     except OSError as exc:
-        _emit({"error": {"code": "IO_ERROR", "message": str(exc)}}, ns)
-        return _INPUT_ERRORS
+        payload, code = _error("IO_ERROR", exc), _INPUT_ERRORS
     except ValueError as exc:
-        _emit({"error": {"code": "BAD_ARGUMENT", "message": str(exc)}}, ns)
-        return _INPUT_ERRORS
-    _emit(payload, ns)
+        payload, code = _error("BAD_ARGUMENT", exc), _INPUT_ERRORS
+    if ns.output and ns.subcommand != "plot":
+        try:
+            Path(ns.output).write_text(_render(payload, ns), encoding="utf-8")
+            return code
+        except OSError as exc:  # an unwritable --output: report that on stdout instead
+            payload, code = _error("IO_ERROR", exc), _INPUT_ERRORS
+    sys.stdout.write(_render(payload, ns))
     return code
+
+
+def _error(code: str, exc: Exception) -> dict:
+    return {"error": {"code": code, "message": str(exc)}}
 
 
 def _dispatch(ns) -> tuple[dict, int]:
@@ -180,7 +179,7 @@ def _dispatch(ns) -> tuple[dict, int]:
 
 def _load(path: str):
     text = Path(path).read_text(encoding="utf-8")
-    fmt = "csv" if path.endswith(".csv") else "json"
+    fmt = "csv" if path.lower().endswith(".csv") else "json"
     return parse_instance(text, fmt)
 
 
@@ -198,16 +197,10 @@ def _parse_point(text: str):
         raise ValueError(f"--point must be comma-separated numbers, got {text!r}") from None
 
 
-def _emit(payload: dict, ns) -> None:
-    if getattr(ns, "format", "json") == "text":
-        body = _as_text(payload)
-    else:
-        body = json.dumps(payload, indent=2) + "\n"
-    output = getattr(ns, "output", None)
-    if output and ns.subcommand != "plot":
-        Path(output).write_text(body, encoding="utf-8")
-    else:
-        sys.stdout.write(body)
+def _render(payload: dict, ns) -> str:
+    if ns.format == "text":
+        return _as_text(payload)
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _as_text(payload: dict, indent: str = "") -> str:

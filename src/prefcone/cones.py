@@ -1,12 +1,14 @@
-"""Geometry of the preference cone: its two representations and projection.
+"""Geometry of the preference cone: its facets and projection onto it.
 
 The cone of interest is generated by the judgement directions plus the
-nonnegative orthant, so it is always full-dimensional.  Its facet normals
-are obtained as the extreme rays of the dual cone (which has a clean
-half-space description) via the double description method, and
-:func:`nnls` projects points onto the cone by Lawson-Hanson nonnegative
-least squares on its generators.  Membership and the signed distances
-built from both live in :func:`prefcone.valuefn.evaluate_batch`.
+nonnegative orthant, so it is always full-dimensional.  It is given by its
+judgement generators, as :func:`~prefcone.instance.generators` returns
+them.  :func:`extreme_rays` builds the dual cone's half-space rows from
+them and finds its extreme rays, the primal's facet normals, by the double
+description method; :func:`nnls` projects points onto the cone by
+Lawson-Hanson nonnegative least squares on its generators.  Membership
+and the signed distances built from both live in
+:func:`prefcone.valuefn.evaluate_batch`.
 
 Cone objects are immutable and every operation here is a pure function,
 safe for concurrent use.
@@ -19,15 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooLargeError, NnlsMaxIterError
-from .instance import PreferenceInstance, generators
 
 __all__ = [
     "CLASSIFY_TOL",
     "MAX_DD_DIM",
-    "GeneratorCone",
     "FacetCone",
-    "preference_cone",
-    "dual_hrep",
     "extreme_rays",
     "nnls",
 ]
@@ -40,48 +38,16 @@ _DD_BLOCK = 1 << 20  # cells per block of the DD pair arrays
 
 
 @dataclass(frozen=True, eq=False)
-class GeneratorCone:
-    """V-representation: judgement generators plus the p unit axis generators."""
-
-    pref_generators: np.ndarray  # (t, p)
-    epsilon: float
-
-    def __post_init__(self):
-        pref = np.atleast_2d(np.asarray(self.pref_generators, dtype=float))
-        object.__setattr__(self, "pref_generators", pref)
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-
-    @property
-    def p(self) -> int:
-        return self.pref_generators.shape[1]
-
-    @property
-    def axis_generators(self) -> np.ndarray:
-        """(p, p) standard basis: the orthant part of the cone."""
-        return np.eye(self.p)
-
-    @property
-    def t(self) -> int:
-        return self.pref_generators.shape[0]
-
-    @property
-    def generator_matrix(self) -> np.ndarray:
-        """(p, t+p) matrix whose columns generate the cone."""
-        return np.vstack([self.pref_generators, self.axis_generators]).T
-
-
-@dataclass(frozen=True, eq=False)
 class FacetCone:
     """H-representation: cone = {y : a.y >= 0 for every unit facet normal a}.
 
     The normals are the extreme rays of the dual cone.  Because the primal
     contains the nonnegative orthant, every normal is componentwise
-    nonnegative.  ``is_whole_space`` is set when the dual is {0}, i.e. the
-    primal is all of R^p and has no facets.
+    nonnegative, and the dual is {0}, with no facets, exactly when the
+    primal is all of R^p.
     """
 
     facet_normals: np.ndarray  # (k, p), unit rows
-    is_whole_space: bool
 
     def __post_init__(self):
         normals = np.asarray(self.facet_normals, dtype=float)
@@ -92,61 +58,45 @@ class FacetCone:
         if not (np.abs(np.linalg.norm(normals, axis=1) - 1.0) <= 1e-9).all():
             raise ValueError("facet normals must have unit Euclidean norm")
         object.__setattr__(self, "facet_normals", normals)
-        object.__setattr__(self, "is_whole_space", bool(self.is_whole_space))
 
     @property
     def n_facets(self) -> int:
         return self.facet_normals.shape[0]
 
+    @property
+    def is_whole_space(self) -> bool:
+        return self.n_facets == 0
 
-def preference_cone(inst: PreferenceInstance, epsilon: float = 0.0) -> GeneratorCone:
-    """Cone generated by the instance's judgement directions and the orthant."""
-    return GeneratorCone(generators(inst, epsilon), epsilon)
 
+def extreme_rays(gens: np.ndarray) -> FacetCone:
+    """Facet normals of the cone generated by ``gens`` and the orthant.
 
-def dual_hrep(cone: GeneratorCone) -> np.ndarray:
-    """Half-space rows describing the dual cone {d : d >= 0, gen.d >= 0}.
-
-    The p axis rows come first, then the judgement generator rows in input
-    order.
+    ``gens`` holds the ``(t, p)`` judgement generators, as
+    :func:`~prefcone.instance.generators` returns them.  By bipolarity the
+    normals are the extreme rays of the dual cone {d : d >= 0, g.d >= 0}.
+    Its half-space rows are the p unit axes, then each nonzero generator
+    scaled to unit length, in input order; the axis rows pin the dual inside
+    the orthant, so it is pointed.  Double description (:func:`_dd_pointed`)
+    finds the rays, bit for bit as a pair-by-pair loop would; they are
+    unit-normalized and sorted for deterministic output.  No ray means the
+    cone is the whole space.
     """
-    return np.vstack([cone.axis_generators, cone.pref_generators])
-
-
-def extreme_rays(hrep: np.ndarray) -> FacetCone:
-    """Extreme rays of {d : row.d >= 0 for all rows}, as a FacetCone.
-
-    By bipolarity these rays are the facet normals of the primal cone the
-    hrep was dualized from (the primal is full-dimensional in every use
-    here).  Double description (:func:`_dd_pointed`) finds them, bit for
-    bit as a pair-by-pair loop would; they are unit-normalized and sorted
-    for deterministic output.  If the hrep cone is {0} the primal is the
-    whole space and the result carries ``is_whole_space=True``.
-
-    The hrep must start with the p unit axis rows, as every
-    :func:`dual_hrep` does; they pin the cone inside the nonnegative orthant,
-    so it is pointed.  Any other hrep raises ValueError.
-    """
-    rows = np.atleast_2d(np.asarray(hrep, dtype=float))
-    if rows.shape[0] == 0:
-        raise ValueError("hrep must contain at least one row")
-    p = rows.shape[1]
+    G = np.atleast_2d(np.asarray(gens, dtype=float))
+    p = G.shape[1]
     if p > MAX_DD_DIM:
         raise DimensionTooLargeError(
             f"double description capped at dimension {MAX_DD_DIM}, got {p}"
         )
+    rows = np.vstack([np.eye(p), G])
     norms = np.linalg.norm(rows, axis=1)
-    rows = rows[norms > 1e-12] / norms[norms > 1e-12, None]
-    if not np.array_equal(rows[:p], np.eye(p)):
-        raise ValueError("hrep must start with the p unit axis rows, as dual_hrep's do")
-    rays = _dd_pointed(rows)
+    rays = _dd_pointed(rows[norms > 1e-12] / norms[norms > 1e-12, None])
     if rays.shape[0] == 0:
-        return FacetCone(facet_normals=np.zeros((0, p)), is_whole_space=True)
+        return FacetCone(facet_normals=np.zeros((0, p)))
     rays = np.ascontiguousarray(rays)  # the row norms' rounding depends on memory order
     rays[np.abs(rays) < 1e-12] = 0.0
     rays /= np.linalg.norm(rays, axis=1)[:, None]
     order = np.lexsort(np.round(rays, 12).T[::-1])
-    return FacetCone(facet_normals=rays[order], is_whole_space=False)
+    return FacetCone(facet_normals=rays[order])
 
 
 def _dd_pointed(A: np.ndarray) -> np.ndarray:

@@ -265,7 +265,8 @@ def generators(inst: PreferenceInstance, epsilon: float = 0.0) -> np.ndarray:
     """Judgement direction vectors ``x_j - epsilon*ones - x_k``, in input order.
 
     These generate the judgement part of the preference cone; the unit axis
-    directions are appended by the cones module.  ``epsilon > 0`` shrinks
+    directions are added where the cone is used (``extreme_rays`` and the
+    signed-distance value functions).  ``epsilon > 0`` shrinks
     every generator by the same amount on each coordinate.
     """
     require_valid(inst)

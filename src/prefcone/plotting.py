@@ -15,9 +15,9 @@ import math
 import numpy as np
 
 from .consistency import epsilon_search
-from .cones import FacetCone, dual_hrep, extreme_rays, preference_cone
+from .cones import FacetCone, extreme_rays
 from .errors import NotPointedError, UnsupportedDimensionError
-from .instance import PreferenceInstance, require_valid
+from .instance import PreferenceInstance, generators, require_valid
 
 __all__ = ["plot2d", "cone_angular_interval", "boundary_rays"]
 
@@ -50,13 +50,13 @@ def plot2d(inst: PreferenceInstance, out_svg_path) -> None:
         raise UnsupportedDimensionError(
             f"plots are only available for 2 criteria, got {inst.p}"
         )
-    facets = extreme_rays(dual_hrep(preference_cone(inst, 0.0)))
+    facets = extreme_rays(generators(inst, 0.0))
     try:
         eps_bar = epsilon_search(inst)
     except NotPointedError:
         eps_bar = eps_facets = None
     else:
-        eps_facets = extreme_rays(dual_hrep(preference_cone(inst, eps_bar)))
+        eps_facets = extreme_rays(generators(inst, eps_bar))
 
     svg = _render(inst, facets, eps_bar, eps_facets)
     with open(out_svg_path, "w", encoding="utf-8") as fh:

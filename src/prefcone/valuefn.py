@@ -22,18 +22,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .cones import (
-    CLASSIFY_TOL,
-    FacetCone,
-    GeneratorCone,
-    dual_hrep,
-    extreme_rays,
-    nnls,
-    preference_cone,
-)
+from .cones import CLASSIFY_TOL, FacetCone, extreme_rays, nnls
 from .consistency import _margin, extract_linear_weights
 from .errors import NotPointedError, WholeSpaceError
-from .instance import PreferenceInstance, require_valid
+from .instance import PreferenceInstance, generators, require_valid
 
 __all__ = [
     "ValueFunctionHandle",
@@ -49,7 +41,7 @@ __all__ = [
 class ValueFunctionHandle:
     kind: str  # "psi" | "vartheta" | "linear"
     reference: np.ndarray
-    gen_cone: GeneratorCone | None = None
+    generator_matrix: np.ndarray | None = None  # (p, t+p): judgement, then axis columns
     facet_cone: FacetCone | None = None
     weights: np.ndarray | None = None
 
@@ -60,7 +52,7 @@ class ValueFunctionHandle:
     @cached_property
     def _projection_starts(self) -> np.ndarray:
         """(k, n) :func:`nnls` starts: the generator columns tight on each facet."""
-        G = self.gen_cone.generator_matrix
+        G = self.generator_matrix
         A = self.facet_cone.facet_normals
         return np.abs(A @ G) <= CLASSIFY_TOL * np.linalg.norm(G, axis=0)
 
@@ -70,15 +62,12 @@ def make_psi(inst: PreferenceInstance) -> ValueFunctionHandle:
 
     Needs no pointedness; only the cone's complement must be nonempty.
     """
-    cone = preference_cone(inst, 0.0)
-    facets = extreme_rays(dual_hrep(cone))
-    if facets.is_whole_space:
+    handle = _signed_distance("psi", inst, 0.0)
+    if handle.facet_cone.is_whole_space:
         raise WholeSpaceError(
             "the preference cone is the whole space; the signed distance is undefined"
         )
-    return ValueFunctionHandle(
-        kind="psi", reference=inst.reference.copy(), gen_cone=cone, facet_cone=facets
-    )
+    return handle
 
 
 def make_vartheta(inst: PreferenceInstance, epsilon_bar: float) -> ValueFunctionHandle:
@@ -99,10 +88,17 @@ def make_vartheta(inst: PreferenceInstance, epsilon_bar: float) -> ValueFunction
 
 def _vartheta(inst: PreferenceInstance, epsilon_bar: float) -> ValueFunctionHandle:
     """:func:`make_vartheta` for callers that know the shrunk cone is pointed."""
-    cone = preference_cone(inst, epsilon_bar)
-    facets = extreme_rays(dual_hrep(cone))
+    return _signed_distance("vartheta", inst, epsilon_bar)
+
+
+def _signed_distance(kind: str, inst: PreferenceInstance, epsilon: float) -> ValueFunctionHandle:
+    """Handle on the cone of ``generators(inst, epsilon)`` and the orthant."""
+    gens = generators(inst, epsilon)
     return ValueFunctionHandle(
-        kind="vartheta", reference=inst.reference.copy(), gen_cone=cone, facet_cone=facets
+        kind=kind,
+        reference=inst.reference.copy(),
+        generator_matrix=np.vstack([gens, np.eye(inst.p)]).T,
+        facet_cone=extreme_rays(gens),
     )
 
 
@@ -168,5 +164,5 @@ def evaluate_batch(handle: ValueFunctionHandle, points: np.ndarray) -> np.ndarra
     values[interior] = margins[interior]
     exterior = margins < -thresholds
     start = handle._projection_starts[slack[:, exterior].argmin(axis=0)]
-    values[exterior] = -nnls(handle.gen_cone.generator_matrix, Y[exterior], start=start)[1]
+    values[exterior] = -nnls(handle.generator_matrix, Y[exterior], start=start)[1]
     return values

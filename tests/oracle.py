@@ -21,7 +21,6 @@ from typing import Any
 import numpy as np
 
 from prefcone import (
-    GeneratorCone,
     MaxIterExceededError,
     NotPointedError,
     PointednessResult,
@@ -50,13 +49,13 @@ __all__ = [
     "search_outcome",
     "brute_dist_to_cone",
     "classify",
+    "cone_columns",
     "dist_to_cone",
     "dist_to_complement",
     "dd_pointed_loop",
     "dd_exact",
     "enumerate_lp_optimum",
     "is_pointed_geometric",
-    "judgement_points",
     "check_properties",
 ]
 
@@ -100,14 +99,22 @@ def classify(y: np.ndarray, facets: FacetCone) -> MembershipClass:
     return MembershipClass.BOUNDARY
 
 
-def dist_to_cone(y: np.ndarray, cone: GeneratorCone) -> float:
-    """Euclidean distance from y to the finitely generated cone.
+def cone_columns(gens: np.ndarray) -> np.ndarray:
+    """(p, t+p) generators of the cone of the ``(t, p)`` judgement generators
+    and the orthant: the judgement columns, then the unit axes, as
+    ``ValueFunctionHandle.generator_matrix`` holds them."""
+    G = np.atleast_2d(np.asarray(gens, dtype=float))
+    return np.vstack([G, np.eye(G.shape[1])]).T
+
+
+def dist_to_cone(y: np.ndarray, gens: np.ndarray) -> float:
+    """Euclidean distance from y to the cone of ``gens`` and the orthant.
 
     The residual of the package's :func:`~prefcone.nnls` on the judgement
     and axis generators, one point at a time.  Zero (within 1e-8) exactly
     when y is inside the closed cone.
     """
-    return nnls(cone.generator_matrix, y)[1]
+    return nnls(cone_columns(gens), y)[1]
 
 
 def dist_to_complement(y: np.ndarray, facets: FacetCone) -> float:
@@ -125,11 +132,12 @@ def dist_to_complement(y: np.ndarray, facets: FacetCone) -> float:
 
 def brute_dist_to_cone(
     y: np.ndarray,
-    cone: GeneratorCone,
+    gens: np.ndarray,
     samples: int = 1000,
     refine_rounds: int = 120,
 ) -> float:
-    """Upper bound on the distance from y to the cone, no projections involved.
+    """Upper bound on the distance from y to the cone of ``gens`` and the
+    orthant, no projections involved.
 
     Random nonnegative coefficient vectors seed a cyclic coordinate descent
     on ||G.coef - y|| over coef >= 0; each coordinate update is the exact
@@ -139,7 +147,7 @@ def brute_dist_to_cone(
     if samples < 1000:
         raise ValueError("need at least 1000 samples for a trustworthy bound")
     y = np.asarray(y, dtype=float)
-    G = cone.generator_matrix  # (p, n)
+    G = cone_columns(gens)  # (p, n)
     n = G.shape[1]
     col_sq = np.einsum("ij,ij->j", G, G)
     rng = np.random.default_rng(int(np.abs(y).sum() * 1e6) % (2**32))
@@ -168,22 +176,24 @@ def brute_dist_to_cone(
     return best
 
 
-def is_pointed_geometric(hrep: np.ndarray) -> bool:
-    """Pointedness of the primal cone, decided purely from dual geometry.
+def is_pointed_geometric(gens: np.ndarray) -> bool:
+    """Pointedness of the cone of ``gens`` and the orthant, decided purely
+    from dual geometry.
 
-    The primal is pointed iff its dual is full-dimensional: the dual's
-    extreme rays must span R^p and their sum must satisfy every dual
-    constraint strictly.  Serves as an oracle independent of the LP test.
+    The primal is pointed iff its dual {d : d >= 0, g.d >= 0} is
+    full-dimensional: the dual's extreme rays must span R^p and their sum
+    must satisfy every dual constraint strictly.  Serves as an oracle
+    independent of the LP test.
     """
-    facets = extreme_rays(hrep)
+    facets = extreme_rays(gens)
     if facets.is_whole_space:
         return False
-    p = np.atleast_2d(np.asarray(hrep, dtype=float)).shape[1]
     rays = facets.facet_normals
+    p = rays.shape[1]
     if np.linalg.matrix_rank(rays, tol=1e-9) < p:
         return False
     witness = rays.sum(axis=0)
-    return bool((np.asarray(hrep, dtype=float) @ witness).min() > 1e-9)
+    return bool((cone_columns(gens).T @ witness).min() > 1e-9)
 
 
 def dd_pointed_loop(A: np.ndarray) -> np.ndarray:
@@ -351,14 +361,6 @@ def search_outcome(search, inst: PreferenceInstance):
         return type(exc)
 
 
-def judgement_points(handle: ValueFunctionHandle) -> np.ndarray:
-    """The preferred alternatives, recovered from a signed-distance handle's cone."""
-    if handle.gen_cone is None:
-        raise ValueError("linear handles do not carry the judgement cone")
-    cone = handle.gen_cone
-    return cone.pref_generators + cone.epsilon + handle.reference
-
-
 def enumerate_lp_optimum(lp: StandardLP, max_rows: int = 6, max_vars: int = 14) -> float:
     """Exact optimum by scanning every basic feasible solution of a small LP."""
     A, b, c = lp.constraint_matrix, lp.rhs, lp.objective
@@ -399,8 +401,11 @@ def check_properties(
     sign pattern, and cone monotonicity for the signed-distance kinds; weak
     or strict separation at the judgement points for psi/vartheta; strict
     linear separation when ``judgement_points`` is supplied for a linear
-    handle.
+    handle.  ``judgement_points``, the instance's preferred alternatives,
+    is required for psi and vartheta handles.
     """
+    if handle.kind != "linear" and judgement_points is None:
+        raise ValueError(f"a {handle.kind} handle needs its judgement points")
     rng = np.random.default_rng(seed)
     p = handle.p
     out: list[PropertyViolation] = []
@@ -443,7 +448,7 @@ def check_properties(
 
     if handle.kind in ("psi", "vartheta"):
         out += _signed_distance_checks(handle, rng, X, vals, A, B, fa, fb)
-        out += _separation_checks(handle)
+        out += _separation_checks(handle, judgement_points)
     elif judgement_points is not None:
         ref_val = float(handle.weights @ handle.reference)
         for xj in np.atleast_2d(judgement_points):
@@ -499,9 +504,9 @@ def _signed_distance_checks(handle, rng, X, vals, A, B, fa, fb):
 
     # shifts along the cone keep the value from dropping
     half = A.shape[0]
-    cone = handle.gen_cone
-    lam = rng.uniform(0.0, 1.0, size=(half, cone.t + cone.p))
-    Z = lam @ cone.generator_matrix.T
+    G = handle.generator_matrix
+    lam = rng.uniform(0.0, 1.0, size=(half, G.shape[1]))
+    Z = lam @ G.T
     fshift = evaluate_batch(handle, A + Z)
     for i in np.flatnonzero(fa > fshift + 1e-9):
         out.append(
@@ -516,7 +521,7 @@ def _signed_distance_checks(handle, rng, X, vals, A, B, fa, fb):
     return out
 
 
-def _separation_checks(handle):
+def _separation_checks(handle, judgement_points):
     out = []
     ref_val = float(evaluate_batch(handle, handle.reference[None, :])[0])
     if abs(ref_val) > 1e-8:
@@ -529,7 +534,7 @@ def _separation_checks(handle):
                 abs(ref_val),
             )
         )
-    points = judgement_points(handle)
+    points = np.atleast_2d(np.asarray(judgement_points, dtype=float))
     jvals = evaluate_batch(handle, points)
     if handle.kind == "psi":
         for xj, val in zip(points, jvals):

@@ -14,7 +14,6 @@ from prefcone import (
     NotPointedError,
     build_pointedness_lp,
     consistency_verdict,
-    dual_hrep,
     epsilon_search,
     evaluate,
     extract_linear_weights,
@@ -22,10 +21,8 @@ from prefcone import (
     generators,
     make_psi,
     make_vartheta,
-    preference_cone,
     solve,
     test_pointedness,
-    GeneratorCone,
     WholeSpaceError,
 )
 from prefcone.cli import run
@@ -102,7 +99,8 @@ def test_c4_property_battery(battery):
             psi = None
         if psi is not None:
             n_psi += 1
-            violations += check_properties(psi, 1000, seed=seed)
+            points = inst.alternatives[list(inst.preferred_indices)]
+            violations += check_properties(psi, 1000, seed=seed, judgement_points=points)
         pointed, _, weights = test_pointedness(inst)
         if not pointed:
             continue
@@ -125,7 +123,7 @@ def test_c4_property_battery(battery):
 def test_c5_equivalence_audit(battery):
     for inst in battery:
         by_lp = test_pointedness(inst).pointed
-        by_geometry = is_pointed_geometric(dual_hrep(preference_cone(inst, 0.0)))
+        by_geometry = is_pointed_geometric(generators(inst, 0.0))
         try:
             weights = extract_linear_weights(inst)
             ref_score = float(weights @ inst.reference)
@@ -163,7 +161,7 @@ def test_c7_epsilon_search_and_interiority(battery):
         checked += 1
         eps_bar = epsilon_search(inst)  # raises MaxIterExceededError on failure
         assert eps_bar > 0
-        facets = extreme_rays(dual_hrep(preference_cone(inst, eps_bar)))
+        facets = extreme_rays(generators(inst, eps_bar))
         for j in inst.preferred_indices:
             y = inst.alternatives[j] - inst.reference
             assert classify(y, facets) is MembershipClass.INTERIOR
@@ -175,16 +173,16 @@ def test_c8_distance_engine_vs_oracles(battery):
     pairs = 0
     while pairs < 500:
         inst = battery[pairs % len(battery)]
-        cone = preference_cone(inst, 0.0)
+        gens = generators(inst, 0.0)
         for _ in range(5):
             y = rng.uniform(-6, 6, size=inst.p)
-            engine = dist_to_cone(y, cone)
-            assert engine <= brute_dist_to_cone(y, cone) + 1e-6
+            engine = dist_to_cone(y, gens)
+            assert engine <= brute_dist_to_cone(y, gens) + 1e-6
             pairs += 1
 
     for theta_lo, theta_hi, point, expected in _hand_2d_cases():
-        cone = GeneratorCone(np.array([_unit(theta_lo), _unit(theta_hi)]), 0.0)
-        assert dist_to_cone(np.array(point), cone) == pytest.approx(expected, abs=1e-8)
+        gens = np.array([_unit(theta_lo), _unit(theta_hi)])
+        assert dist_to_cone(np.array(point), gens) == pytest.approx(expected, abs=1e-8)
 
 
 def _unit(degrees: float) -> list[float]:

@@ -1,7 +1,10 @@
 import json
+import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -255,6 +258,14 @@ def test_csv_input_by_extension(capsys, data_dir):
     assert json.loads(out)["pointed"] is True
 
 
+def test_csv_suffix_is_case_insensitive(capsys, data_dir, tmp_path):
+    path = tmp_path / "P.CSV"
+    shutil.copy(data_dir / "pointed.csv", path)
+    assert run_cli(capsys, "test", str(path)) == run_cli(
+        capsys, "test", str(data_dir / "pointed.csv")
+    )
+
+
 def test_validate_subcommand(capsys, data_dir, tmp_path):
     code, out = run_cli(capsys, "validate", str(data_dir / "pointed.json"))
     assert code == 0 and json.loads(out)["ok"] is True
@@ -273,6 +284,31 @@ def test_missing_file_is_input_error(capsys):
     code, out = run_cli(capsys, "test", "no_such_file.json")
     assert code == 2
     assert json.loads(out)["error"]["code"] == "IO_ERROR"
+
+
+@pytest.mark.parametrize("instance", ["pointed.json", "no_such_file.json"])
+def test_unwritable_output_is_io_error_on_stdout(capsys, data_dir, tmp_path, instance):
+    # a success report and an error report alike: neither can be written there
+    unwritable = tmp_path / "no_such_dir" / "report.json"
+    code, out = run_cli(capsys, "test", str(data_dir / instance), "--output", str(unwritable))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == "IO_ERROR" and str(unwritable) in error["message"]
+    assert not unwritable.parent.exists()
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test extra only; the package's runtime dependency is numpy
+    src = Path(prefcone.cones.__file__).resolve().parents[1]
+    code = (
+        "import sys, prefcone, prefcone.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.stdout == "[]\n"
 
 
 def test_usage_errors_exit_64(capsys):
@@ -372,7 +408,7 @@ def test_eval_label_matches_oracle_on_random_handles():
         except NotPointedError:
             pass
         for handle in handles:
-            G = handle.gen_cone.generator_matrix.T
+            G = handle.generator_matrix.T
             pairs = G[:, None, :] + G[None, :, :]
             Y = np.vstack([
                 np.zeros((1, inst.p)),

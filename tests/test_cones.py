@@ -7,13 +7,10 @@ import prefcone.cones
 from prefcone import (
     DimensionTooLargeError,
     FacetCone,
-    GeneratorCone,
     WholeSpaceError,
-    dual_hrep,
     extreme_rays,
     generators,
     nnls,
-    preference_cone,
 )
 from prefcone.cones import MAX_DD_DIM, _dd_pointed, _passive_solve
 from _helpers import (
@@ -27,6 +24,7 @@ from _helpers import (
 from oracle import (
     MembershipClass,
     classify,
+    cone_columns,
     dd_exact,
     dd_pointed_loop,
     dist_to_complement,
@@ -39,21 +37,7 @@ SQRT5 = np.sqrt(5.0)
 
 @pytest.fixture(scope="module")
 def pointed_facets(pointed_instance):
-    return extreme_rays(dual_hrep(preference_cone(pointed_instance, 0.0)))
-
-
-def test_dual_hrep_rows(pointed_instance, halfplane_instance):
-    rows = dual_hrep(preference_cone(pointed_instance, 0.0))
-    np.testing.assert_array_equal(
-        rows, [[1, 0], [0, 1], [-1, 1], [-1, 0.5], [-1, 2]]
-    )
-    rows = dual_hrep(preference_cone(halfplane_instance, 0.0))
-    np.testing.assert_array_equal(rows, [[1, 0], [0, 1], [-1, 1], [1, -1]])
-
-
-def test_dual_hrep_no_judgements_is_axes_only():
-    cone = GeneratorCone(np.zeros((0, 3)), 0.0)
-    np.testing.assert_array_equal(dual_hrep(cone), np.eye(3))
+    return extreme_rays(generators(pointed_instance, 0.0))
 
 
 def test_extreme_rays_pointed_fixture(pointed_facets):
@@ -65,7 +49,7 @@ def test_extreme_rays_pointed_fixture(pointed_facets):
 
 
 def test_extreme_rays_halfplane_fixture(halfplane_instance):
-    facets = extreme_rays(dual_hrep(preference_cone(halfplane_instance, 0.0)))
+    facets = extreme_rays(generators(halfplane_instance, 0.0))
     assert facets.n_facets == 1
     assert not facets.is_whole_space
     np.testing.assert_allclose(
@@ -74,12 +58,12 @@ def test_extreme_rays_halfplane_fixture(halfplane_instance):
 
 
 def test_extreme_rays_orthant_is_self_dual():
-    facets = extreme_rays(np.eye(2))
+    facets = extreme_rays(np.zeros((0, 2)))
     assert {tuple(r) for r in facets.facet_normals} == {(1.0, 0.0), (0.0, 1.0)}
 
 
 def test_extreme_rays_whole_space(whole_plane_instance):
-    facets = extreme_rays(dual_hrep(preference_cone(whole_plane_instance, 0.0)))
+    facets = extreme_rays(generators(whole_plane_instance, 0.0))
     assert facets.is_whole_space
     assert facets.n_facets == 0
 
@@ -92,21 +76,25 @@ def test_extreme_rays_dimension_cap():
 
 
 def test_extreme_rays_output_is_deterministic(pointed_instance):
-    hrep = dual_hrep(preference_cone(pointed_instance, 0.0))
-    a = extreme_rays(hrep).facet_normals
-    b = extreme_rays(hrep).facet_normals
+    gens = generators(pointed_instance, 0.0)
+    a = extreme_rays(gens).facet_normals
+    b = extreme_rays(gens).facet_normals
     np.testing.assert_array_equal(a, b)
 
 
-def test_extreme_rays_halfspace_with_lineality_rejected():
-    # a single half-space contains a line; with no axis rows in front it is rejected
-    with pytest.raises(ValueError, match="unit axis rows"):
-        extreme_rays(np.array([[1.0, 1.0]]))
+def test_extreme_rays_feeds_dd_the_unit_dual_rows(monkeypatch):
+    # the unit axes, then the nonzero generators unit-normalized, in input order
+    seen = []
 
+    def spy(A):
+        seen.append(A)
+        return _dd_pointed(A)
 
-def test_extreme_rays_pure_subspace_rejected():
-    with pytest.raises(ValueError, match="unit axis rows"):
-        extreme_rays(np.array([[1.0, 1.0], [-1.0, -1.0]]))
+    monkeypatch.setattr(prefcone.cones, "_dd_pointed", spy)
+    extreme_rays(np.array([[3.0, -4.0], [0.0, 0.0], [-1.0, 2.0]]))
+    np.testing.assert_array_equal(
+        seen[0], [[1.0, 0.0], [0.0, 1.0], [0.6, -0.8], [-1 / SQRT5, 2 / SQRT5]]
+    )
 
 
 def _brute_rays(A):
@@ -138,7 +126,7 @@ def test_extreme_rays_match_brute_enumeration():
         q = int(rng.integers(2, 5))
         t = int(rng.integers(0, 6))
         A = np.vstack([np.eye(q), rng.integers(-3, 4, size=(t, q)).astype(float)])
-        fc = extreme_rays(A)
+        fc = extreme_rays(A[q:])
         got = sorted(map(tuple, np.round(fc.facet_normals, 9)))
         assert got == _brute_rays(A)
         done += 1
@@ -151,7 +139,7 @@ def test_classify_fixture_points(pointed_facets):
 
 
 def test_classify_whole_space_rejected():
-    facets = FacetCone(np.zeros((0, 2)), True)
+    facets = FacetCone(np.zeros((0, 2)))
     with pytest.raises(WholeSpaceError):
         classify(np.array([1.0, 1.0]), facets)
     with pytest.raises(WholeSpaceError):
@@ -159,12 +147,12 @@ def test_classify_whole_space_rejected():
 
 
 def test_dist_to_cone_fixture_values(pointed_instance):
-    cone = preference_cone(pointed_instance, 0.0)
-    assert dist_to_cone(np.array([2.0, 2.0]), cone) <= 1e-8
-    assert dist_to_cone(np.array([-3.0, -3.0]), cone) == pytest.approx(
+    gens = generators(pointed_instance, 0.0)
+    assert dist_to_cone(np.array([2.0, 2.0]), gens) <= 1e-8
+    assert dist_to_cone(np.array([-3.0, -3.0]), gens) == pytest.approx(
         9 / SQRT5, abs=1e-8
     )
-    assert dist_to_cone(np.array([0.5, 0.25]), cone) <= 1e-8  # orthant point
+    assert dist_to_cone(np.array([0.5, 0.25]), gens) <= 1e-8  # orthant point
 
 
 def test_dist_to_complement_fixture_values(pointed_instance, pointed_facets):
@@ -178,12 +166,11 @@ def test_dist_to_complement_fixture_values(pointed_instance, pointed_facets):
 def test_is_pointed_geometric_examples(
     pointed_instance, halfplane_instance, whole_plane_instance
 ):
-    assert is_pointed_geometric(dual_hrep(preference_cone(pointed_instance, 0.0)))
-    assert not is_pointed_geometric(dual_hrep(preference_cone(halfplane_instance, 0.0)))
-    assert not is_pointed_geometric(dual_hrep(preference_cone(whole_plane_instance, 0.0)))
+    assert is_pointed_geometric(generators(pointed_instance, 0.0))
+    assert not is_pointed_geometric(generators(halfplane_instance, 0.0))
+    assert not is_pointed_geometric(generators(whole_plane_instance, 0.0))
     # single generator pointing down the only axis: the cone is the whole line
-    cone = GeneratorCone(np.array([[-1.0]]), 0.0)
-    assert not is_pointed_geometric(dual_hrep(cone))
+    assert not is_pointed_geometric(np.array([[-1.0]]))
 
 
 def test_nnls_matches_scipy():
@@ -236,17 +223,16 @@ def test_nnls_kkt_certificate_on_degenerate_systems():
 def test_duality_round_trip(seed):
     rng = np.random.default_rng(seed)
     inst = random_instance(rng)
-    cone = preference_cone(inst, 0.0)
-    facets = extreme_rays(dual_hrep(cone))
+    gens = generators(inst, 0.0)
+    facets = extreme_rays(gens)
     if facets.is_whole_space:
         return
     # every generator satisfies every facet inequality
-    gens = np.vstack([cone.pref_generators, cone.axis_generators])
-    assert (facets.facet_normals @ gens.T).min() >= -1e-8
+    assert (facets.facet_normals @ cone_columns(gens)).min() >= -1e-8
     # facet-feasible points are in the generated cone
     y = rng.uniform(-4, 4, size=inst.p)
     if (facets.facet_normals @ y).min() >= 0:
-        assert dist_to_cone(y, cone) <= 1e-7 * (1 + np.linalg.norm(y))
+        assert dist_to_cone(y, gens) <= 1e-7 * (1 + np.linalg.norm(y))
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(0.1, 50.0))
@@ -254,11 +240,11 @@ def test_duality_round_trip(seed):
 def test_distances_positively_homogeneous(seed, alpha):
     rng = np.random.default_rng(seed)
     inst = random_instance(rng)
-    cone = preference_cone(inst, 0.0)
-    facets = extreme_rays(dual_hrep(cone))
+    gens = generators(inst, 0.0)
+    facets = extreme_rays(gens)
     y = rng.uniform(-4, 4, size=inst.p)
-    d1 = dist_to_cone(y, cone)
-    d2 = dist_to_cone(alpha * y, cone)
+    d1 = dist_to_cone(y, gens)
+    d2 = dist_to_cone(alpha * y, gens)
     assert d2 == pytest.approx(alpha * d1, rel=1e-8, abs=1e-8)
     if not facets.is_whole_space:
         c1 = dist_to_complement(y, facets)
@@ -271,13 +257,13 @@ def test_distances_positively_homogeneous(seed, alpha):
 def test_zero_distance_iff_not_exterior(seed):
     rng = np.random.default_rng(seed)
     inst = random_instance(rng)
-    cone = preference_cone(inst, 0.0)
-    facets = extreme_rays(dual_hrep(cone))
+    gens = generators(inst, 0.0)
+    facets = extreme_rays(gens)
     if facets.is_whole_space:
         return
     y = rng.uniform(-4, 4, size=inst.p)
     cls = classify(y, facets)
-    dist = dist_to_cone(y, cone)
+    dist = dist_to_cone(y, gens)
     if cls is MembershipClass.EXTERIOR:
         assert dist > 1e-8
         assert dist_to_complement(y, facets) == 0.0
@@ -401,9 +387,9 @@ def _start_systems(rng):
 def test_nnls_start_on_parallel_columns_gives_the_cold_answer():
     # the generators tight on facet 4 include columns 2 and 4, parallel to
     # the last bit: their minimum-norm solution makes a started run cycle
-    cone = _twin_judgement_cone(198)
-    G = cone.generator_matrix
-    a = extreme_rays(dual_hrep(cone)).facet_normals[4]
+    gens = _twin_judgement_cone(198)
+    G = cone_columns(gens)
+    a = extreme_rays(gens).facet_normals[4]
     g = G[:, 4]
     x = g - 1e-6 * np.linalg.norm(g) * a
     start = np.abs(a @ G) <= 1e-9 * np.linalg.norm(G, axis=0)
@@ -465,11 +451,11 @@ def test_nnls_target_shape_checked(shape):
 
 
 def _dm_cones(seed, count, p_max=6, t_max=40):
-    """Preference cones of scorer-consistent instances up to t=40, p=6."""
+    """Judgement generators of scorer-consistent instances up to t=40, p=6."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         inst = synthetic_dm_instance(rng, p_max=p_max, t_max=t_max)
-        yield rng, preference_cone(inst, 0.0)
+        yield rng, generators(inst, 0.0)
 
 
 def test_dd_matches_loop_reference_bitwise():
@@ -485,6 +471,11 @@ def test_dd_matches_loop_reference_bitwise():
         np.testing.assert_array_equal(_dd_pointed(A), dd_pointed_loop(A))
 
 
+def _dual_rows(gens):
+    """The dual cone's half-space rows: the unit axes, then the generators."""
+    return np.vstack([np.eye(gens.shape[1]), gens])
+
+
 def _unit_rows(A):
     """What extreme_rays feeds _dd_pointed: the nonzero rows, unit-normalized."""
     norms = np.linalg.norm(A, axis=1)
@@ -492,12 +483,12 @@ def _unit_rows(A):
 
 
 def _twin_judgement_cone(seed):
-    """The cone of ``twin_judgement_instance(seed)``.
+    """The judgement generators of ``twin_judgement_instance(seed)``.
 
     Seed 1476 gives p=7, t=17, where double description, like the loop it
     must match, misses 3 of the 101 facets that exact arithmetic finds.
     """
-    return preference_cone(twin_judgement_instance(seed), 0.0)
+    return generators(twin_judgement_instance(seed), 0.0)
 
 
 def test_dd_matches_loop_on_permuted_rescaled_and_near_duplicate_rows():
@@ -516,40 +507,40 @@ def test_dd_matches_loop_on_permuted_rescaled_and_near_duplicate_rows():
             twin = A[-1] + 10.0 ** -rng.uniform(7, 9) * rng.normal(size=q)
             A = np.vstack([A, twin])
         A = _unit_rows(A)
-        np.testing.assert_array_equal(A[:q], np.eye(q))  # what extreme_rays requires
+        np.testing.assert_array_equal(A[:q], np.eye(q))  # the axis rows extreme_rays puts first
         np.testing.assert_array_equal(_dd_pointed(A), dd_pointed_loop(A))
-    A = _unit_rows(dual_hrep(_twin_judgement_cone(1476)))
+    A = _unit_rows(_dual_rows(_twin_judgement_cone(1476)))
     np.testing.assert_array_equal(_dd_pointed(A), dd_pointed_loop(A))
 
 
 def test_dd_blocked_pairs_match_unblocked(monkeypatch):
-    hreps = [dual_hrep(cone) for _, cone in _dm_cones(99, 20, t_max=25)]
-    hreps.append(dual_hrep(preference_cone(gaussian_scorer_instance(20, 7), 0.0)))
-    hreps.append(dual_hrep(_twin_judgement_cone(1476)))  # near-duplicate rows
-    want = [extreme_rays(h).facet_normals for h in hreps]
+    cones = [gens for _, gens in _dm_cones(99, 20, t_max=25)]
+    cones.append(generators(gaussian_scorer_instance(20, 7), 0.0))
+    cones.append(_twin_judgement_cone(1476))  # near-duplicate rows
+    want = [extreme_rays(g).facet_normals for g in cones]
     monkeypatch.setattr(prefcone.cones, "_DD_BLOCK", 7)  # a few pairs or rows per block
-    for h, w in zip(hreps, want):
-        np.testing.assert_array_equal(extreme_rays(h).facet_normals, w)
+    for g, w in zip(cones, want):
+        np.testing.assert_array_equal(extreme_rays(g).facet_normals, w)
 
 
 def test_dd_keeps_the_rays_of_near_duplicate_judgements():
     # new rays less than 1e-9 apart are distinct facets here, not duplicates
     for seed in (920, 938, 1013, 1174, 1332):
-        hrep = dual_hrep(_twin_judgement_cone(seed))
-        assert extreme_rays(hrep).n_facets == len(dd_exact(hrep))
+        gens = _twin_judgement_cone(seed)
+        assert extreme_rays(gens).n_facets == len(dd_exact(_dual_rows(gens)))
     # a thin facet is still missed here (24 and 26 exact), but rays closer
     # than 1e-9 to another, which lift the count above 22, are kept
     for seed, least in ((520, 23), (739, 24)):
-        hrep = dual_hrep(_twin_judgement_cone(seed))
-        assert least <= extreme_rays(hrep).n_facets <= len(dd_exact(hrep))
+        gens = _twin_judgement_cone(seed)
+        assert least <= extreme_rays(gens).n_facets <= len(dd_exact(_dual_rows(gens)))
 
 
 def test_dd_facets_certified_up_to_t40_p6():
     for rng, cone in _dm_cones(31, 40):
-        facets = extreme_rays(dual_hrep(cone))
+        facets = extreme_rays(cone)
         if facets.is_whole_space:
             continue
-        gens = np.vstack([cone.pref_generators, cone.axis_generators])
+        gens = cone_columns(cone).T
         gens = gens[np.linalg.norm(gens, axis=1) > 0]
         gens /= np.linalg.norm(gens, axis=1)[:, None]
         products = facets.facet_normals @ gens.T  # (k, n_gens)
@@ -558,12 +549,12 @@ def test_dd_facets_certified_up_to_t40_p6():
         # each normal is a facet: p - 1 independent generators are tight on it
         for a, row in zip(facets.facet_normals, products):
             tight = gens[np.abs(row) <= 1e-9]
-            assert np.linalg.matrix_rank(tight, tol=1e-9) == cone.p - 1, a
+            assert np.linalg.matrix_rank(tight, tol=1e-9) == cone.shape[1] - 1, a
         # completeness: facet-interior points are in the cone, points off the
         # cone violate some facet
-        Y = rng.uniform(-4, 4, size=(300, cone.p))
+        Y = rng.uniform(-4, 4, size=(300, cone.shape[1]))
         margins = (Y @ facets.facet_normals.T).min(axis=1)
-        resid = nnls(cone.generator_matrix, Y)[1]
+        resid = nnls(cone_columns(cone), Y)[1]
         tol = 1e-8 * (1.0 + np.linalg.norm(Y, axis=1))
         assert (resid[margins > tol] <= tol[margins > tol]).all()
         assert (margins[resid > tol] < 0).all()
@@ -571,17 +562,17 @@ def test_dd_facets_certified_up_to_t40_p6():
 
 def _certify_facets(rng, cone, facets):
     """The soundness, tightness and completeness checks of the p6 test above."""
-    gens = np.vstack([cone.pref_generators, cone.axis_generators])
+    gens = cone_columns(cone).T
     gens = gens[np.linalg.norm(gens, axis=1) > 0]
     gens /= np.linalg.norm(gens, axis=1)[:, None]
     products = facets.facet_normals @ gens.T  # (k, n_gens)
     assert products.min() >= -1e-9
     for a, row in zip(facets.facet_normals, products):
         tight = gens[np.abs(row) <= 1e-9]
-        assert np.linalg.matrix_rank(tight, tol=1e-9) == cone.p - 1, a
-    Y = rng.uniform(-4, 4, size=(300, cone.p))
+        assert np.linalg.matrix_rank(tight, tol=1e-9) == cone.shape[1] - 1, a
+    Y = rng.uniform(-4, 4, size=(300, cone.shape[1]))
     margins = (Y @ facets.facet_normals.T).min(axis=1)
-    resid = nnls(cone.generator_matrix, Y)[1]
+    resid = nnls(cone_columns(cone), Y)[1]
     tol = 1e-8 * (1.0 + np.linalg.norm(Y, axis=1))
     assert (resid[margins > tol] <= tol[margins > tol]).all()
     assert (margins[resid > tol] < 0).all()
@@ -589,14 +580,14 @@ def _certify_facets(rng, cone, facets):
 
 def test_dd_facets_certified_up_to_t40_p8():
     rng = np.random.default_rng(78)
-    cones = [preference_cone(gaussian_scorer_instance(t, p), 0.0) for p in (7, 8) for t in (12, 40)]
-    cones += [preference_cone(noisy_scorer_instance(rng, 30, p, 0.0), 0.0) for p in (7, 8)]
+    cones = [generators(gaussian_scorer_instance(t, p), 0.0) for p in (7, 8) for t in (12, 40)]
+    cones += [generators(noisy_scorer_instance(rng, 30, p, 0.0), 0.0) for p in (7, 8)]
     while len(cones) < 12:  # integer alternatives: many generators share a facet
         inst = synthetic_dm_instance(rng, p_max=8, t_max=40)
         if inst.p >= 7:
-            cones.append(preference_cone(inst, 0.0))
+            cones.append(generators(inst, 0.0))
     for cone in cones:
-        facets = extreme_rays(dual_hrep(cone))
+        facets = extreme_rays(cone)
         assert not facets.is_whole_space
         _certify_facets(rng, cone, facets)
 
@@ -605,7 +596,7 @@ def test_dd_facet_counts_of_gaussian_scorer_instances():
     # counts of the timing table, up to the dimension cap; no oracle reaches these sizes
     sizes = [(40, 6), (40, 7), (40, 8), (40, 9), (30, 10), (30, 11), (30, MAX_DD_DIM)]
     for t, p in sizes:
-        facets = extreme_rays(dual_hrep(preference_cone(gaussian_scorer_instance(t, p), 0.0)))
+        facets = extreme_rays(generators(gaussian_scorer_instance(t, p), 0.0))
         assert facets.n_facets == GAUSSIAN_SCORER_FACETS[t, p]
 
 
@@ -614,9 +605,10 @@ def test_extreme_rays_facet_count_matches_exact_dd():
     for k in range(80):
         p, t = int(rng.integers(2, 6)), int(rng.integers(1, 13))
         inst = noisy_scorer_instance(rng, t, p, 0.0 if k % 4 else 0.5)
-        hrep = dual_hrep(preference_cone(inst, 0.0))
-        facets = extreme_rays(hrep)
-        exact = np.array([[x / max(map(abs, ray)) for x in ray] for ray in dd_exact(hrep)])
+        gens = generators(inst, 0.0)
+        facets = extreme_rays(gens)
+        rays = dd_exact(_dual_rows(gens))
+        exact = np.array([[x / max(map(abs, ray)) for x in ray] for ray in rays])
         assert facets.n_facets == len(exact)
         if len(exact):
             exact /= np.linalg.norm(exact, axis=1)[:, None]
@@ -638,11 +630,11 @@ def test_dd_exact_on_known_cones():
 def test_facet_cone_unit_norm_check_is_absolute():
     # 1e-9 absolute, not allclose's default relative 1e-5 on top of it
     with pytest.raises(ValueError, match="unit Euclidean norm"):
-        FacetCone(np.array([[1.0 + 1e-6, 0.0]]), False)
+        FacetCone(np.array([[1.0 + 1e-6, 0.0]]))
     with pytest.raises(ValueError, match="unit Euclidean norm"):
-        FacetCone(np.array([[np.nan, 0.0]]), False)
-    FacetCone(np.array([[1.0 + 1e-10, 0.0]]), False)
+        FacetCone(np.array([[np.nan, 0.0]]))
+    FacetCone(np.array([[1.0 + 1e-10, 0.0]]))
     # every FacetCone extreme_rays builds passes it
     for _, cone in _dm_cones(4, 30):
-        facets = extreme_rays(dual_hrep(cone))
+        facets = extreme_rays(cone)
         assert (np.abs(np.linalg.norm(facets.facet_normals, axis=1) - 1.0) <= 1e-9).all()

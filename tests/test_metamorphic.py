@@ -15,9 +15,8 @@ import pytest
 from prefcone import (
     PreferenceInstance,
     consistency_verdict,
-    dual_hrep,
     extreme_rays,
-    preference_cone,
+    generators,
 )
 from _helpers import random_instance
 
@@ -76,7 +75,7 @@ TRANSFORMS = [
 
 
 def _answer(inst):
-    facets = extreme_rays(dual_hrep(preference_cone(inst, 0.0)))
+    facets = extreme_rays(generators(inst, 0.0))
     return consistency_verdict(inst).pointed, facets.n_facets
 
 

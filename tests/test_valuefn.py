@@ -7,13 +7,11 @@ import pytest
 import prefcone.consistency
 from prefcone import (
     FacetCone,
-    GeneratorCone,
     NotPointedError,
     PreferenceInstance,
     ValueFunctionHandle,
     WholeSpaceError,
     consistency_verdict,
-    dual_hrep,
     epsilon_search,
     evaluate,
     evaluate_batch,
@@ -26,7 +24,7 @@ from prefcone import (
 )
 from prefcone.cli import run
 from _helpers import random_instance, synthetic_dm_instance, twin_judgement_instance
-from oracle import check_properties, judgement_points
+from oracle import check_properties, cone_columns
 
 SQRT5 = np.sqrt(5.0)
 
@@ -41,9 +39,16 @@ def vartheta(pointed_instance):
     return make_vartheta(pointed_instance, epsilon_search(pointed_instance))
 
 
-def test_make_psi_fixture(psi):
+def _points(inst):
+    """The instance's preferred alternatives, the judgement points of its handles."""
+    return inst.alternatives[list(inst.preferred_indices)]
+
+
+def test_make_psi_fixture(psi, pointed_instance):
     assert psi.kind == "psi"
-    assert psi.gen_cone.epsilon == 0.0
+    np.testing.assert_array_equal(
+        psi.generator_matrix, cone_columns(generators(pointed_instance, 0.0))
+    )
     assert not psi.facet_cone.is_whole_space
 
 
@@ -92,7 +97,7 @@ def test_make_vartheta_accepts_epsilon_just_below_eps_star(capsys, tmp_path):
     eps = consistency_verdict(inst).epsilon_bar
     assert eps == 0.01
     handle = make_vartheta(inst, eps)
-    assert check_properties(handle, 1000, seed=3) == []
+    assert check_properties(handle, 1000, seed=3, judgement_points=_points(inst)) == []
 
     path = tmp_path / "band.json"
     path.write_text(json.dumps(doc))
@@ -121,11 +126,10 @@ def test_make_vartheta_solves_one_margin_lp(monkeypatch, pointed_instance):
 
 def test_make_vartheta_fixture(vartheta, pointed_instance):
     assert vartheta.kind == "vartheta"
-    assert vartheta.gen_cone.epsilon > 0
-    np.testing.assert_allclose(
-        judgement_points(vartheta),
-        pointed_instance.alternatives[list(pointed_instance.preferred_indices)],
-        atol=1e-12,
+    eps = epsilon_search(pointed_instance)
+    assert eps > 0
+    np.testing.assert_array_equal(
+        vartheta.generator_matrix, cone_columns(generators(pointed_instance, eps))
     )
 
 
@@ -188,8 +192,8 @@ def test_whole_space_handle_rejected_by_both_evaluators(psi):
     whole = ValueFunctionHandle(
         kind="psi",
         reference=psi.reference,
-        gen_cone=psi.gen_cone,
-        facet_cone=FacetCone(np.zeros((0, 2)), True),
+        generator_matrix=psi.generator_matrix,
+        facet_cone=FacetCone(np.zeros((0, 2))),
     )
     with pytest.raises(WholeSpaceError):
         evaluate(whole, np.array([1.0, 1.0]))
@@ -235,29 +239,41 @@ def test_evaluate_batch_matches_pointwise(psi, vartheta, pointed_instance):
         np.testing.assert_allclose(batch, single, atol=1e-12)
 
 
-def test_check_properties_clean_on_fixture(psi):
-    assert check_properties(psi, 1000, seed=42) == []
+def test_check_properties_clean_on_fixture(psi, pointed_instance):
+    points = _points(pointed_instance)
+    assert check_properties(psi, 1000, seed=42, judgement_points=points) == []
+    below = [psi.reference - 1.0]  # a judgement point outside the cone
+    violations = check_properties(psi, 1000, seed=42, judgement_points=below)
+    assert {v.prop for v in violations} == {"weak_separation"}
+    with pytest.raises(ValueError, match="judgement points"):
+        check_properties(psi, 1000, seed=42)
 
 
-def test_check_properties_clean_on_vartheta(vartheta):
-    assert check_properties(vartheta, 1000, seed=42) == []
+def test_check_properties_clean_on_vartheta(vartheta, pointed_instance):
+    points = _points(pointed_instance)
+    assert check_properties(vartheta, 1000, seed=42, judgement_points=points) == []
+    at_reference = [vartheta.reference]  # a judgement point only weakly separated
+    violations = check_properties(vartheta, 1000, seed=42, judgement_points=at_reference)
+    assert {v.prop for v in violations} == {"strict_separation"}
+    with pytest.raises(ValueError, match="judgement points"):
+        check_properties(vartheta, 1000, seed=42)
 
 
-def test_check_properties_flags_corrupted_handle(psi):
+def test_check_properties_flags_corrupted_handle(psi, pointed_instance):
     normals = psi.facet_cone.facet_normals.copy()
     normals[0] = -normals[0]
     broken = ValueFunctionHandle(
         kind="psi",
         reference=psi.reference,
-        gen_cone=psi.gen_cone,
-        facet_cone=FacetCone(normals, False),
+        generator_matrix=psi.generator_matrix,
+        facet_cone=FacetCone(normals),
     )
-    assert check_properties(broken, 1000, seed=42)
+    assert check_properties(broken, 1000, seed=42, judgement_points=_points(pointed_instance))
 
 
 def test_check_properties_linear(pointed_instance):
     handle = make_linear(pointed_instance)
-    points = pointed_instance.alternatives[list(pointed_instance.preferred_indices)]
+    points = _points(pointed_instance)
     assert check_properties(handle, 1000, seed=42, judgement_points=points) == []
     # a weight vector that ranks the reference above a judgement must be flagged
     bad = ValueFunctionHandle(
@@ -297,10 +313,10 @@ def _pruning_handles():
     yield make_psi(inst)
     # an exactly duplicated judgement row
     gens = generators(inst, 0.0)
-    cone = GeneratorCone(np.vstack([gens, gens[2:]]), 0.0)
+    gens = np.vstack([gens, gens[2:]])
     yield ValueFunctionHandle(
-        kind="psi", reference=inst.reference.copy(), gen_cone=cone,
-        facet_cone=extreme_rays(dual_hrep(cone)),
+        kind="psi", reference=inst.reference.copy(), generator_matrix=cone_columns(gens),
+        facet_cone=extreme_rays(gens),
     )
 
 
@@ -309,7 +325,7 @@ def _exterior_values_match_full_projection(handle, rng, tol):
     values = evaluate_batch(handle, X)
     exterior = values < 0
     Y = X[exterior] - handle.reference
-    full = nnls(handle.gen_cone.generator_matrix, Y)[1]
+    full = nnls(handle.generator_matrix, Y)[1]
     assert (np.abs(-values[exterior] - full) <= tol * (1.0 + np.linalg.norm(Y, axis=1))).all()
 
 
@@ -319,7 +335,7 @@ def test_extreme_generators_span_the_cone():
     rng = np.random.default_rng(909)
     dropped = 0
     for handle in _pruning_handles():
-        G = handle.gen_cone.generator_matrix
+        G = handle.generator_matrix
         if handle.p >= 2 and np.linalg.matrix_rank(handle.facet_cone.facet_normals) == handle.p:
             on_facet = handle._projection_starts.any(axis=0)
             extreme, rest = G[:, on_facet], G[:, ~on_facet]
@@ -356,7 +372,7 @@ def test_twin_judgement_psi_matches_cold_projection(capsys, tmp_path):
     exterior = values < 0
     assert exterior.sum() > 50
     Y = X[exterior] - inst.reference
-    cold = nnls(psi.gen_cone.generator_matrix, Y)[1]
+    cold = nnls(psi.generator_matrix, Y)[1]
     # nearly parallel columns leave cold solves ~1e-10 apart from warm ones
     assert (np.abs(-values[exterior] - cold) <= 1e-9 * (1.0 + np.linalg.norm(Y, axis=1))).all()
     path = tmp_path / "twin.json"
@@ -375,7 +391,7 @@ def test_non_pointed_cone_keeps_every_generator(halfplane_instance):
     # the cone is x1 + x2 >= 0 around the reference; every start is a mask
     # over all generator columns, and the exterior value is the distance
     handle = make_psi(halfplane_instance)
-    G = handle.gen_cone.generator_matrix
+    G = handle.generator_matrix
     assert np.linalg.matrix_rank(handle.facet_cone.facet_normals) < handle.p
     assert handle._projection_starts.shape == (handle.facet_cone.n_facets, G.shape[1])
     rng = np.random.default_rng(909)
