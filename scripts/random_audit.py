@@ -106,7 +106,7 @@ def audit_one(
     except NotPointedError:
         by_linear = False
     try:
-        handle = make_vartheta(inst, epsilon_search(inst))
+        handle = make_vartheta(inst)
         ref = evaluate(handle, inst.reference)
         by_strict = all(
             evaluate(handle, inst.alternatives[j]) > ref for j in inst.preferred_indices

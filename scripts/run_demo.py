@@ -52,7 +52,7 @@ def main() -> None:
             for probe in (inst.reference + 2.0, inst.reference, inst.reference - 2.0):
                 print(f"  psi({np.round(probe, 3).tolist()}) = {evaluate(psi, probe):+.6f}")
         if report.pointed:
-            vartheta = make_vartheta(inst, report.epsilon_bar)
+            vartheta = make_vartheta(inst)
             linear = make_linear(inst)
             for j in inst.preferred_indices:
                 x_j = inst.alternatives[j]

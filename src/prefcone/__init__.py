@@ -35,7 +35,6 @@ from .instance import (
     generators,
     parse_instance,
     require_valid,
-    serialize_instance,
     validate,
 )
 from .lp import LPSolution, StandardLP, build_pointedness_lp, solve
@@ -86,7 +85,6 @@ __all__ = [
     "parse_instance",
     "plot2d",
     "require_valid",
-    "serialize_instance",
     "solve",
     "test_pointedness",
     "validate",

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .instance import parse_instance, require_valid, validate
 from .plotting import plot2d
-from .valuefn import _vartheta, evaluate, make_linear, make_psi
+from .valuefn import evaluate, make_linear, make_psi, make_vartheta
 
 __all__ = ["run", "main"]
 
@@ -135,41 +135,34 @@ def _error(code: str, exc: Exception) -> dict:
 
 
 def _dispatch(ns) -> tuple[dict, int]:
+    inst = _load(ns.instance)
     if ns.subcommand == "validate":
-        inst = _load(ns.instance)
         report = validate(inst)
         return report.to_dict(), 0 if report.ok else _INPUT_ERRORS
 
     if ns.subcommand == "test":
-        inst = _load(ns.instance)
         report = consistency_verdict(inst)
         return report.to_dict(), 0 if report.pointed else 1
 
     if ns.subcommand == "weights":
-        inst = _load(ns.instance)
-        weights = extract_linear_weights(inst)
-        return {"weights": weights.tolist()}, 0
+        return {"weights": extract_linear_weights(inst).tolist()}, 0
 
     if ns.subcommand == "epsilon":
-        inst = _load(ns.instance)
-        eps = epsilon_search(inst)
-        return {"epsilon_bar": eps}, 0
+        return {"epsilon_bar": epsilon_search(inst)}, 0
 
     if ns.subcommand == "eval":
-        inst = _load(ns.instance)
         require_valid(inst)
         point = _parse_point(ns.point)
         if ns.function == "psi":
             handle = make_psi(inst)
         elif ns.function == "vartheta":
-            handle = _vartheta(inst, epsilon_search(inst))
+            handle = make_vartheta(inst)
         else:
             handle = make_linear(inst)
         value = evaluate(handle, point)
         return {"value": value, "classification": _membership(handle.kind, value)}, 0
 
     if ns.subcommand == "plot":
-        inst = _load(ns.instance)
         out = ns.output or str(Path(ns.instance).with_suffix(".svg"))
         plot2d(inst, out)
         return {"svg": out}, 0
@@ -178,7 +171,7 @@ def _dispatch(ns) -> tuple[dict, int]:
 
 
 def _load(path: str):
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is not data
     fmt = "csv" if path.lower().endswith(".csv") else "json"
     return parse_instance(text, fmt)
 

@@ -11,7 +11,6 @@ so it runs no double description and works at any number of criteria.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -64,7 +63,6 @@ class ConsistencyReport:
     z_star: float
     weight_certificate: np.ndarray | None
     epsilon_bar: float | None
-    verdict_text: str
 
     @property
     def statements(self) -> dict[str, bool]:
@@ -74,6 +72,23 @@ class ConsistencyReport:
             "cone_pointed": self.pointed,
             "lp_optimum_zero": self.pointed,
         }
+
+    @property
+    def verdict_text(self) -> str:
+        yn = "yes" if self.pointed else "no"
+        lines = [
+            "consistent with an increasing quasi-concave value function"
+            if self.pointed
+            else "inconsistent: no increasing quasi-concave (equivalently, no "
+            "increasing linear) value function reproduces the judgements",
+            f"(1) an increasing linear value function strictly separates: {yn}",
+            f"(2) an increasing quasi-concave value function strictly separates: {yn}",
+            f"(3) the preference cone is pointed: {yn}",
+            f"(4) the feasibility program attains optimum zero (z* = {self.z_star:.3g}): {yn}",
+        ]
+        if not self.pointed and self.z_star <= Z_STAR_TOL:
+            lines.append("the judgements lie within the LP tolerance of the consistency boundary")
+        return "\n".join(lines)
 
     def to_dict(self) -> dict:
         weights = None
@@ -88,9 +103,6 @@ class ConsistencyReport:
             "equivalent_statements": self.statements,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 def test_pointedness(inst: PreferenceInstance) -> PointednessResult:
     """Decide pointedness of the preference cone by the paper's program.
@@ -101,7 +113,7 @@ def test_pointedness(inst: PreferenceInstance) -> PointednessResult:
     verdict comes from the margin program instead; this one prices
     ``z_star`` on an inconsistent verdict.
     """
-    sol = solve(build_pointedness_lp(generators(inst, 0.0), inst.p))
+    sol = solve(build_pointedness_lp(generators(inst, 0.0)))
     z_star = float(sol.objective_value)
     pointed = z_star <= Z_STAR_TOL
     certificate = sol.values[: inst.p].copy() if pointed else None
@@ -144,14 +156,15 @@ def _margin(inst: PreferenceInstance) -> tuple[float, np.ndarray | None]:
     over the simplex; ``1 / eps*`` is the optimum of the margin program
     ``max 1.y s.t. G^T y <= 1, y >= 0``, unbounded iff the cone is not pointed
     (Gordan).  G is first divided, exactly, by a power of two near its largest
-    entry, so that the absolute pivot tolerance sees entries of order one.
+    entry, at most 2**1023, so that the absolute pivot tolerance sees entries
+    of order one.
     The slack columns' reduced costs are the dual d >= 0 with ``G d >= scale``,
     and ``w = lam d / scale + 1`` has ``w >= 1``, ``G w >= 1`` in float64, with
     ``lam`` twice the ``max(1, 1 - min_j g_j.1)`` that exact arithmetic needs.
     """
     G = generators(inst, 0.0)
     t, p = G.shape
-    scale = math.ldexp(1.0, math.frexp(float(np.abs(G).max()))[1])
+    scale = math.ldexp(1.0, min(math.frexp(float(np.abs(G).max()))[1], 1023))
     margin = StandardLP(
         constraint_matrix=np.hstack([G.T / scale, np.eye(p)]),
         rhs=np.ones(p),
@@ -190,22 +203,4 @@ def consistency_verdict(inst: PreferenceInstance) -> ConsistencyReport:
         z_star=z_star,
         weight_certificate=weights,
         epsilon_bar=_first_below(eps_star) if pointed else None,
-        verdict_text=_verdict_text(pointed, z_star),
     )
-
-
-def _verdict_text(pointed: bool, z_star: float) -> str:
-    yn = "yes" if pointed else "no"
-    lines = [
-        "consistent with an increasing quasi-concave value function"
-        if pointed
-        else "inconsistent: no increasing quasi-concave (equivalently, no "
-        "increasing linear) value function reproduces the judgements",
-        f"(1) an increasing linear value function strictly separates: {yn}",
-        f"(2) an increasing quasi-concave value function strictly separates: {yn}",
-        f"(3) the preference cone is pointed: {yn}",
-        f"(4) the feasibility program attains optimum zero (z* = {z_star:.3g}): {yn}",
-    ]
-    if not pointed and z_star <= Z_STAR_TOL:
-        lines.append("the judgements lie within the LP tolerance of the consistency boundary")
-    return "\n".join(lines)

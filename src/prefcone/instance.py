@@ -34,13 +34,13 @@ __all__ = [
     "PreferenceInstance",
     "ValidationReport",
     "parse_instance",
-    "serialize_instance",
     "validate",
     "require_valid",
     "generators",
 ]
 
 _CSV_ROLES = ("ref", "pref", "other")
+_INT_OVERFLOW = 2**1024 - 2**970  # the least integer that float() cannot round to a double
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,13 +99,11 @@ class PreferenceInstance:
 class ValidationReport:
     """Outcome of :func:`validate`; ``ok`` iff ``violations`` is empty."""
 
-    ok: bool
     violations: tuple[tuple[str, str], ...]
 
-    @classmethod
-    def from_violations(cls, violations) -> "ValidationReport":
-        violations = tuple(violations)
-        return cls(ok=not violations, violations=violations)
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     def to_dict(self) -> dict:
         return {
@@ -144,8 +142,10 @@ def _parse_json(text: str) -> PreferenceInstance:
     for i, row in enumerate(alts):
         if not isinstance(row, list):
             raise ParseError(f"alternative {i} is not a list")
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in row):
-            raise ParseError(f"alternative {i} contains a non-numeric value")
+        if not all(type(v) is float or type(v) is int and abs(v) < _INT_OVERFLOW for v in row):
+            numeric = all(type(v) in (float, int) for v in row)  # json.loads' exact types
+            what = "an integer too large for a float" if numeric else "a non-numeric value"
+            raise ParseError(f"alternative {i} contains {what}")
         widths.add(len(row))
     if len(widths) > 1:
         raise DimensionMismatchError(
@@ -207,24 +207,14 @@ def _parse_csv(text: str) -> PreferenceInstance:
     )
 
 
-def serialize_instance(inst: PreferenceInstance) -> str:
-    """JSON text for ``inst``; parse_instance round-trips it bit-exactly."""
-    return json.dumps(
-        {
-            "alternatives": inst.alternatives.tolist(),
-            "reference_index": inst.reference_index,
-            "preferred_indices": list(inst.preferred_indices),
-        }
-    )
-
-
 def validate(inst: PreferenceInstance) -> ValidationReport:
     """Check every structural invariant; violations are reported, not raised."""
     bad = []
     m, p = inst.alternatives.shape
+    top = float(np.abs(inst.alternatives).max(initial=0.0))  # NaN or inf if an entry is
     if p < 1:
         bad.append(("ZERO_DIMENSION", "alternatives must have at least one criterion"))
-    if not np.all(np.isfinite(inst.alternatives)):
+    if not math.isfinite(top):
         bad.append(("NON_FINITE_VALUE", "alternatives contain NaN or infinite entries"))
     if not 0 <= inst.reference_index < m:
         bad.append(
@@ -233,6 +223,11 @@ def validate(inst: PreferenceInstance) -> ValidationReport:
     out = [j for j in inst.preferred_indices if not 0 <= j < m]
     if out:
         bad.append(("PREFERRED_OUT_OF_RANGE", f"preferred indices {out} not in [0, {m})"))
+    if not bad and top >= 2.0**1022:  # no difference of smaller entries overflows
+        with np.errstate(over="ignore"):
+            directions = inst.alternatives[list(inst.preferred_indices)] - inst.reference
+        if not np.isfinite(directions).all():
+            bad.append(("NON_FINITE_DIRECTION", "a judgement direction x_j - x_k overflows"))
     if len(set(inst.preferred_indices)) != len(inst.preferred_indices):
         bad.append(("DUPLICATE_PREFERRED", "preferred_indices contains repeats"))
     if inst.reference_index in inst.preferred_indices:
@@ -252,7 +247,7 @@ def validate(inst: PreferenceInstance) -> ValidationReport:
             )
         else:
             seen[key] = i
-    return ValidationReport.from_violations(bad)
+    return ValidationReport(tuple(bad))
 
 
 def require_valid(inst: PreferenceInstance) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, MaxIterExceededError
+from .errors import MaxIterExceededError
 
 __all__ = ["PIVOT_TOL", "StandardLP", "LPSolution", "solve", "build_pointedness_lp"]
 
@@ -136,8 +136,9 @@ def _basic_point(T: np.ndarray, basis: list[int], n_vars: int) -> np.ndarray:
     return values
 
 
-def build_pointedness_lp(gens: np.ndarray, p: int) -> StandardLP:
-    """Assemble the feasibility program that certifies cone pointedness.
+def build_pointedness_lp(gens: np.ndarray) -> StandardLP:
+    """Assemble the feasibility program that certifies pointedness of the
+    cone of the ``(t, p)`` judgement generators ``gens`` and the orthant.
 
     Variables are ordered (d_1..d_p, s_1..s_{t+p}, r_1..r_{t+p}).  Rows are
     ``gen_j . d - s_j + r_j = 1`` for each judgement generator followed by
@@ -148,13 +149,9 @@ def build_pointedness_lp(gens: np.ndarray, p: int) -> StandardLP:
     ``gen_j . d >= 1`` and is the strict-separation certificate.
     """
     G = np.atleast_2d(np.asarray(gens, dtype=float))
-    t = G.shape[0]
+    t, p = G.shape
     if t == 0:
         raise ValueError("at least one generator is required")
-    if G.shape[1] != p:
-        raise DimensionMismatchError(
-            f"generators have dimension {G.shape[1]}, expected {p}"
-        )
     n_rows = t + p
     n_vars = p + 2 * n_rows
     A = np.zeros((n_rows, n_vars))

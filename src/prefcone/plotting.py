@@ -64,7 +64,11 @@ def plot2d(inst: PreferenceInstance, out_svg_path) -> None:
 
 
 def _render(inst, facets, eps_bar, eps_facets) -> str:
-    pts = inst.alternatives
+    # drawn shrunk by a power of two once an entry reaches 2**1019, so that the
+    # fan, four spans wide, stays finite; below that every coordinate keeps its bits
+    exponent = math.frexp(float(np.abs(inst.alternatives).max()))[1]
+    pts = inst.alternatives * math.ldexp(1.0, min(0, 1019 - exponent))
+    ref = pts[inst.reference_index]
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = max(float((hi - lo).max()), 1.0)
@@ -98,7 +102,6 @@ def _render(inst, facets, eps_bar, eps_facets) -> str:
         '<path d="M 0 0 L 10 5 L 0 10 z" fill="#555"/></marker></defs>',
     ]
 
-    ref = inst.reference
     if facets.is_whole_space:
         parts.append(
             f'<rect class="cone-shade" width="{_SIZE}" height="{_SIZE}" '

@@ -23,9 +23,9 @@ from functools import cached_property
 import numpy as np
 
 from .cones import CLASSIFY_TOL, FacetCone, extreme_rays, nnls
-from .consistency import _margin, extract_linear_weights
-from .errors import NotPointedError, WholeSpaceError
-from .instance import PreferenceInstance, generators, require_valid
+from .consistency import epsilon_search, extract_linear_weights
+from .errors import WholeSpaceError
+from .instance import PreferenceInstance, generators
 
 __all__ = [
     "ValueFunctionHandle",
@@ -70,25 +70,14 @@ def make_psi(inst: PreferenceInstance) -> ValueFunctionHandle:
     return handle
 
 
-def make_vartheta(inst: PreferenceInstance, epsilon_bar: float) -> ValueFunctionHandle:
-    """Strictly separating signed-distance function on the shrunk cone.
+def make_vartheta(inst: PreferenceInstance) -> ValueFunctionHandle:
+    """Strictly separating signed-distance function on the cone shrunk by
+    :func:`~prefcone.epsilon_search`'s epsilon_bar, which keeps it pointed.
 
-    The cone shrunk by ``epsilon_bar`` is pointed iff epsilon_bar < eps*,
-    the margin-program bound :func:`~prefcone.epsilon_search` also uses.
+    Raises NotPointedError when the unperturbed cone is not pointed, and
+    MaxIterExceededError when no schedule value is small enough.
     """
-    require_valid(inst)
-    if not epsilon_bar > 0:
-        raise ValueError("epsilon_bar must be strictly positive")
-    if not epsilon_bar < _margin(inst)[0]:
-        raise NotPointedError(
-            f"the cone shrunk by {epsilon_bar} is not pointed; choose a smaller epsilon"
-        )
-    return _vartheta(inst, epsilon_bar)
-
-
-def _vartheta(inst: PreferenceInstance, epsilon_bar: float) -> ValueFunctionHandle:
-    """:func:`make_vartheta` for callers that know the shrunk cone is pointed."""
-    return _signed_distance("vartheta", inst, epsilon_bar)
+    return _signed_distance("vartheta", inst, epsilon_search(inst))
 
 
 def _signed_distance(kind: str, inst: PreferenceInstance, epsilon: float) -> ValueFunctionHandle:

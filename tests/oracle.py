@@ -331,7 +331,7 @@ def shrunk_pointedness(inst: PreferenceInstance, epsilon: float) -> PointednessR
     The paper's feasibility program on the generators ``x_j - x_k - epsilon``:
     pointed iff its optimum is zero, with the d part as certificate.
     """
-    sol = solve(build_pointedness_lp(generators(inst, epsilon), inst.p))
+    sol = solve(build_pointedness_lp(generators(inst, epsilon)))
     z_star = float(sol.objective_value)
     pointed = z_star <= Z_STAR_TOL
     return PointednessResult(pointed, z_star, sol.values[: inst.p].copy() if pointed else None)

@@ -49,7 +49,7 @@ def battery():
 
 def test_c1_zero_optimum_with_certificate(pointed_instance):
     gens = generators(pointed_instance, 0.0)
-    lp = build_pointedness_lp(gens, 2)
+    lp = build_pointedness_lp(gens)
     solve(lp)  # warm path once before timing
     start = time.perf_counter()
     sol = solve(lp)
@@ -67,7 +67,7 @@ def test_c1_zero_optimum_with_certificate(pointed_instance):
 def test_c2_positive_optimum_matches_oracle_and_exit_code(
     halfplane_instance, data_dir, capsys
 ):
-    lp = build_pointedness_lp(generators(halfplane_instance, 0.0), 2)
+    lp = build_pointedness_lp(generators(halfplane_instance, 0.0))
     z = solve(lp).objective_value
     assert z == pytest.approx(2.0, abs=1e-7)
     assert z == pytest.approx(enumerate_lp_optimum(lp), abs=1e-7)
@@ -105,7 +105,7 @@ def test_c4_property_battery(battery):
         if not pointed:
             continue
         n_pointed += 1
-        vartheta = make_vartheta(inst, epsilon_search(inst))
+        vartheta = make_vartheta(inst)
         ref_val = evaluate(vartheta, inst.reference)
         assert ref_val == pytest.approx(0.0, abs=1e-8)
         for j in inst.preferred_indices:
@@ -134,7 +134,7 @@ def test_c5_equivalence_audit(battery):
         except NotPointedError:
             by_linear = False
         try:
-            vartheta = make_vartheta(inst, epsilon_search(inst))
+            vartheta = make_vartheta(inst)
             ref_val = evaluate(vartheta, inst.reference)
             by_quasiconcave = all(
                 evaluate(vartheta, inst.alternatives[j]) > ref_val

@@ -15,7 +15,7 @@ import prefcone.cones
 import prefcone.consistency
 import prefcone.lp
 import prefcone.valuefn
-from prefcone.cli import _membership, run
+from prefcone.cli import _membership, main, run
 from prefcone.plotting import plot2d
 from prefcone import (
     NnlsMaxIterError,
@@ -158,7 +158,7 @@ def test_eval_non_finite_point_is_bad_argument(capsys, data_dir, function, point
 
 
 def test_eval_vartheta_solves_each_lp_once(capsys, monkeypatch, data_dir):
-    # one margin LP; make_vartheta is not asked to re-solve it for epsilon_bar = 0.01
+    # one margin LP, solved by epsilon_search inside make_vartheta and nowhere else
     calls = []
     solve = prefcone.consistency.solve
 
@@ -266,6 +266,93 @@ def test_csv_suffix_is_case_insensitive(capsys, data_dir, tmp_path):
     )
 
 
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+def test_utf8_bom_is_not_data(capsys, data_dir, tmp_path, suffix):
+    # Excel and Notepad start UTF-8 files with a byte order mark
+    path = tmp_path / f"bom{suffix}"
+    path.write_bytes(b"\xef\xbb\xbf" + (data_dir / f"pointed{suffix}").read_bytes())
+    assert run_cli(capsys, "test", str(path)) == run_cli(
+        capsys, "test", str(data_dir / f"pointed{suffix}")
+    )
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        ("[1, 2]", "PARSE_ERROR"),  # top level is not an object
+        ('{"alternatives": [], "reference_index": 0, "preferred_indices": []}', "PARSE_ERROR"),
+        ('{"alternatives": [[0, 0], 1], "reference_index": 0, "preferred_indices": [0]}',
+         "PARSE_ERROR"),
+        ('{"alternatives": [[0, 0], [1, 1]], "reference_index": 0.0, "preferred_indices": [1]}',
+         "PARSE_ERROR"),
+        ('{"alternatives": [[0, 0], [1, 1]], "reference_index": 0, "preferred_indices": 1}',
+         "PARSE_ERROR"),
+        ("ref\n", "PARSE_ERROR"),  # a CSV row with no score
+        ('{"alternatives": [[0, 0], [1' + "0" * 400 + ', 1]], "reference_index": 0,'
+         ' "preferred_indices": [1]}', "PARSE_ERROR"),  # an integer with no float64 value
+        ('{"alternatives": [[], []], "reference_index": 0, "preferred_indices": [1]}',
+         "INVALID_INSTANCE"),  # ZERO_DIMENSION
+    ],
+    ids=[
+        "not-an-object", "no-alternatives", "row-not-a-list", "non-integer-reference",
+        "non-list-preferred", "csv-row-without-score", "huge-integer", "zero-dimension",
+    ],
+)
+def test_malformed_input_exits_2(capsys, tmp_path, text, code):
+    path = tmp_path / ("in.csv" if text.startswith("ref") else "in.json")
+    path.write_text(text)
+    status, out = run_cli(capsys, "test", str(path))
+    assert status == 2
+    doc = json.loads(out)
+    assert doc["error"]["code"] == code
+    if code == "INVALID_INSTANCE":
+        assert "ZERO_DIMENSION" in {v["code"] for v in doc["violations"]}
+
+
+def test_judgement_direction_near_float64_max(capsys, tmp_path):
+    # max|G| >= 2**1023: the margin LP's power-of-two scale is capped at 2**1023
+    path = tmp_path / "edge.json"
+    path.write_text(
+        '{"alternatives": [[0, 0], [1.7e308, 1]], "reference_index": 0, "preferred_indices": [1]}'
+    )
+    for subcommand in ("test", "epsilon"):
+        assert run_cli(capsys, subcommand, str(path))[0] == 0
+    code, out = run_cli(capsys, "weights", str(path))
+    assert code == 0
+    d = np.array(json.loads(out)["weights"])
+    assert (d >= 1).all() and np.array([1.7e308, 1]) @ d >= 1
+
+    svg_path = tmp_path / "edge.svg"
+    assert run_cli(capsys, "plot", str(path), "--output", str(svg_path))[0] == 0
+    svg = svg_path.read_text()
+    coords = re.findall(r'(?:points|x1|y1|x2|y2|cx|cy|x|y)="([^"]*)"', svg)
+    numbers = [float(v) for c in coords for v in re.split(r"[ ,]", c)]
+    assert len(numbers) > 200 and np.isfinite(numbers).all()
+
+
+def test_overflowing_judgement_direction_is_invalid(capsys, tmp_path):
+    # both alternatives are finite, their difference x_1 - x_0 is not
+    path = tmp_path / "overflow.json"
+    path.write_text(
+        '{"alternatives": [[-1e308, 0], [1e308, 1]], "reference_index": 0,'
+        ' "preferred_indices": [1]}'
+    )
+    code, out = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert [v["code"] for v in json.loads(out)["violations"]] == ["NON_FINITE_DIRECTION"]
+    commands = [["test"], ["weights"], ["epsilon"], ["plot", "--output", str(tmp_path / "o.svg")]]
+    for argv in commands:
+        code, out = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "INVALID_INSTANCE"
+    for function in ("psi", "vartheta", "linear"):
+        code, out = run_cli(
+            capsys, "eval", "--instance", str(path), "--function", function, "--point", "0,0"
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "INVALID_INSTANCE"
+
+
 def test_validate_subcommand(capsys, data_dir, tmp_path):
     code, out = run_cli(capsys, "validate", str(data_dir / "pointed.json"))
     assert code == 0 and json.loads(out)["ok"] is True
@@ -309,6 +396,25 @@ def test_import_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert result.stdout == "[]\n"
+
+
+def test_verbose_logs_tableaux_on_stderr(data_dir):
+    src = Path(prefcone.cones.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "prefcone.cli", "-v", "test", str(data_dir / "pointed.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0 and json.loads(result.stdout)["pointed"] is True
+    assert "DEBUG:prefcone.lp:initial tableau" in result.stderr
+    assert "DEBUG:prefcone.lp:pivot: enter" in result.stderr
+
+
+def test_main_exits_with_run_code(monkeypatch, capsys, data_dir):
+    monkeypatch.setattr(sys, "argv", ["prefcone", "test", str(data_dir / "halfplane.json")])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 1
+    assert json.loads(capsys.readouterr().out)["pointed"] is False
 
 
 def test_usage_errors_exit_64(capsys):
@@ -380,7 +486,7 @@ def test_eval_label_matches_oracle_on_fixtures(capsys, data_dir, fixture):
     points = ["3,3", "2,1", "1,0", "0,0", "-2,-2", "0.5,0.25", "-1,1", "1,-1", "0,3"]
     for function in ("psi", "vartheta"):
         try:
-            handle = make_psi(inst) if function == "psi" else make_vartheta(inst, 0.01)
+            handle = make_psi(inst) if function == "psi" else make_vartheta(inst)
         except NotPointedError:
             continue
         for point in points:
@@ -404,7 +510,7 @@ def test_eval_label_matches_oracle_on_random_handles():
         except WholeSpaceError:
             continue
         try:
-            handles.append(make_vartheta(inst, epsilon_search(inst)))
+            handles.append(make_vartheta(inst))
         except NotPointedError:
             pass
         for handle in handles:

@@ -173,8 +173,12 @@ def test_epsilon_search_matches_trial_backtracking():
         for case in (inst, scaled):
             got = search_outcome(epsilon_search, case)
             assert got == search_outcome(backtrack_epsilon, case), (n, case is inst)
-            if not isinstance(got, type):
-                make_vartheta(case, got)  # accepts every value the search returns
+            if isinstance(got, type):
+                with pytest.raises(got):
+                    make_vartheta(case)
+            else:  # the search's value keeps the shrunk cone pointed
+                assert got < prefcone.consistency._margin(case)[0]
+                make_vartheta(case)
             outcomes[got if isinstance(got, type) else got < 0.01] += 1
         eps_star = prefcone.consistency._margin(inst)[0]
         assert prefcone.consistency._margin(scaled)[0] == eps_star * 2.0**-k, n
@@ -239,7 +243,7 @@ def test_verdict_rejects_invalid_instance():
 
 
 def test_report_json_schema(pointed_instance):
-    doc = json.loads(consistency_verdict(pointed_instance).to_json())
+    doc = json.loads(json.dumps(consistency_verdict(pointed_instance).to_dict()))
     assert set(doc) == {
         "pointed",
         "z_star",
@@ -296,8 +300,8 @@ def test_concurrent_verdicts_are_identical(pointed_instance):
 
     with ThreadPoolExecutor(max_workers=8) as pool:
         reports = list(pool.map(lambda _: consistency_verdict(pointed_instance), range(16)))
-    first = reports[0].to_json()
-    assert all(r.to_json() == first for r in reports)
+    first = json.dumps(reports[0].to_dict())
+    assert all(json.dumps(r.to_dict()) == first for r in reports)
 
 
 def test_verdict_scale_invariant():

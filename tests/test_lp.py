@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 import prefcone.lp
 from prefcone import (
-    DimensionMismatchError,
     MaxIterExceededError,
     StandardLP,
     build_pointedness_lp,
@@ -28,7 +27,7 @@ def expected_pointedness_matrix(gens):
 
 
 def test_build_matches_hand_layout(pointed_instance):
-    lp = build_pointedness_lp(generators(pointed_instance, 0.0), 2)
+    lp = build_pointedness_lp(generators(pointed_instance, 0.0))
     assert lp.n_rows == 5 and lp.n_vars == 12
     np.testing.assert_array_equal(
         lp.constraint_matrix,
@@ -41,7 +40,7 @@ def test_build_matches_hand_layout(pointed_instance):
 
 
 def test_build_single_generator_r1():
-    lp = build_pointedness_lp(np.array([[1.0]]), 1)
+    lp = build_pointedness_lp(np.array([[1.0]]))
     # rows: d1 - s1 + r1 = 1 and d1 - s2 + r2 = 1
     np.testing.assert_array_equal(
         lp.constraint_matrix,
@@ -51,15 +50,13 @@ def test_build_single_generator_r1():
 
 
 def test_build_rejects_mixed_dimension():
-    with pytest.raises(DimensionMismatchError):
-        build_pointedness_lp(np.array([[1.0, 2.0]]), 3)
     with pytest.raises(ValueError):
-        build_pointedness_lp(np.zeros((0, 2)), 2)
+        build_pointedness_lp(np.zeros((0, 2)))
 
 
 def test_solve_pointed_fixture_lp_is_zero(pointed_instance):
     gens = generators(pointed_instance, 0.0)
-    sol = solve(build_pointedness_lp(gens, 2))
+    sol = solve(build_pointedness_lp(gens))
     assert sol.status == "optimal"
     assert abs(sol.objective_value) <= 1e-9
     d = sol.values[:2]
@@ -68,7 +65,7 @@ def test_solve_pointed_fixture_lp_is_zero(pointed_instance):
 
 
 def test_solve_halfplane_fixture_lp_is_two(halfplane_instance):
-    lp = build_pointedness_lp(generators(halfplane_instance, 0.0), 2)
+    lp = build_pointedness_lp(generators(halfplane_instance, 0.0))
     sol = solve(lp)
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(2.0, abs=1e-9)
@@ -119,7 +116,7 @@ def test_stalled_simplex_raises_max_iter(monkeypatch):
     # turns entering on the generator row [5, 5].
     monkeypatch.setattr(prefcone.lp, "_pivot", lambda T, row, col: None)
     with pytest.raises(MaxIterExceededError, match="did not terminate"):
-        solve(build_pointedness_lp(np.array([[5.0, 5.0]]), 2))
+        solve(build_pointedness_lp(np.array([[5.0, 5.0]])))
 
 
 def test_solution_invariants_on_random_lps():
@@ -167,7 +164,7 @@ def _random_lp(rng) -> StandardLP:
 
 
 def test_optimum_invariant_under_row_permutation(pointed_instance):
-    lp = build_pointedness_lp(generators(pointed_instance, 0.0), 2)
+    lp = build_pointedness_lp(generators(pointed_instance, 0.0))
     rng = np.random.default_rng(3)
     start = lp.n_vars - lp.n_rows
     for _ in range(10):
@@ -192,7 +189,7 @@ def test_optimum_invariant_under_row_permutation(pointed_instance):
 @settings(max_examples=80, deadline=None)
 def test_pointedness_lp_optimum_nonnegative_and_certified(gens):
     gens = np.array(gens)
-    sol = solve(build_pointedness_lp(gens, 2))
+    sol = solve(build_pointedness_lp(gens))
     assert sol.status == "optimal"
     assert sol.objective_value >= -1e-9
     if sol.objective_value <= 1e-7:

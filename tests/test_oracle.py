@@ -40,9 +40,9 @@ def test_brute_upper_bounds_engine_distance():
 
 
 def test_enumerate_fixture_lps(pointed_instance, halfplane_instance):
-    lp_half = build_pointedness_lp(generators(halfplane_instance, 0.0), 2)
+    lp_half = build_pointedness_lp(generators(halfplane_instance, 0.0))
     assert enumerate_lp_optimum(lp_half) == pytest.approx(2.0, abs=1e-12)
-    lp_pointed = build_pointedness_lp(generators(pointed_instance, 0.0), 2)
+    lp_pointed = build_pointedness_lp(generators(pointed_instance, 0.0))
     assert enumerate_lp_optimum(lp_pointed) == pytest.approx(0.0, abs=1e-12)
 
 

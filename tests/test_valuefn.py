@@ -36,7 +36,7 @@ def psi(pointed_instance):
 
 @pytest.fixture(scope="module")
 def vartheta(pointed_instance):
-    return make_vartheta(pointed_instance, epsilon_search(pointed_instance))
+    return make_vartheta(pointed_instance)
 
 
 def _points(inst):
@@ -75,14 +75,9 @@ def test_make_psi_defined_for_non_pointed_halfplane(halfplane_instance):
     assert evaluate(handle, ref) == 0.0
 
 
-def test_make_vartheta_requires_positive_epsilon(pointed_instance):
-    with pytest.raises(ValueError):
-        make_vartheta(pointed_instance, 0.0)
-
-
 def test_make_vartheta_requires_pointedness(halfplane_instance):
     with pytest.raises(NotPointedError):
-        make_vartheta(halfplane_instance, 0.01)
+        make_vartheta(halfplane_instance)
 
 
 def test_make_vartheta_accepts_epsilon_just_below_eps_star(capsys, tmp_path):
@@ -96,7 +91,8 @@ def test_make_vartheta_accepts_epsilon_just_below_eps_star(capsys, tmp_path):
     inst = PreferenceInstance(doc["alternatives"], 0, [1])
     eps = consistency_verdict(inst).epsilon_bar
     assert eps == 0.01
-    handle = make_vartheta(inst, eps)
+    handle = make_vartheta(inst)
+    np.testing.assert_array_equal(handle.generator_matrix[:, 0], generators(inst, eps)[0])
     assert check_properties(handle, 1000, seed=3, judgement_points=_points(inst)) == []
 
     path = tmp_path / "band.json"
@@ -106,9 +102,6 @@ def test_make_vartheta_accepts_epsilon_just_below_eps_star(capsys, tmp_path):
         assert run(argv) == 0
         want = evaluate(handle, np.array([float(v) for v in point.split(",")]))
         assert json.loads(capsys.readouterr().out)["value"] == want
-
-    with pytest.raises(NotPointedError):
-        make_vartheta(inst, 0.0100000002)  # past eps*, the cone is the whole plane
 
 
 def test_make_vartheta_solves_one_margin_lp(monkeypatch, pointed_instance):
@@ -120,7 +113,7 @@ def test_make_vartheta_solves_one_margin_lp(monkeypatch, pointed_instance):
         return solve(lp)
 
     monkeypatch.setattr(prefcone.consistency, "solve", counting_solve)
-    make_vartheta(pointed_instance, 0.01)
+    make_vartheta(pointed_instance)
     assert [lp.n_rows for lp in calls] == [pointed_instance.p]
 
 
@@ -304,7 +297,7 @@ def _pruning_handles():
         except WholeSpaceError:
             continue
         try:
-            yield make_vartheta(inst, epsilon_search(inst))
+            yield make_vartheta(inst)
         except NotPointedError:
             pass
     # a judgement twice the length of another
