@@ -88,8 +88,13 @@ def extreme_rays(gens: np.ndarray) -> FacetCone:
             f"double description capped at dimension {MAX_DD_DIM}, got {p}"
         )
     rows = np.vstack([np.eye(p), G])
-    norms = np.linalg.norm(rows, axis=1)
-    rays = _dd_pointed(rows[norms > 1e-12] / norms[norms > 1e-12, None])
+    # divide each row by the power of two of its largest entry first: the map
+    # is exact, and the norm of a row past ~1.3e154 no longer overflows
+    e = np.frexp(np.abs(rows).max(axis=1))[1][:, None]
+    rows = np.ldexp(rows, -e)
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    live = np.ldexp(norms, np.minimum(e, 0))[:, 0] > 1e-12  # |row| > 1e-12; e > 0 means |row| >= 1
+    rays = _dd_pointed(rows[live] / norms[live])
     if rays.shape[0] == 0:
         return FacetCone(facet_normals=np.zeros((0, p)))
     rays = np.ascontiguousarray(rays)  # the row norms' rounding depends on memory order
@@ -167,23 +172,23 @@ def nnls(columns: np.ndarray, target: np.ndarray, *, start: np.ndarray | None = 
     ``target`` is one point of shape ``(p,)``, which returns ``(coef,
     residual_norm)``, or a stack of shape ``(B, p)``, which returns
     ``(coef (B, n), residual_norms (B,))``.  A single point is solved as a
-    1-row stack.  The rows of a stack run in lockstep: each step solves
-    every unconverged row's passive-set least squares in one stacked call
-    (:func:`_passive_solve`), and a row leaves the stack once it has
-    converged.
+    1-row stack.  The rows of a stack run in lockstep, each at its own
+    stage: each step solves every row that waits for its passive-set least
+    squares in one stacked call (:func:`_passive_solve`), so a stack makes
+    as many passive solves as its longest row alone.
 
     ``start``, a bool mask shaped like ``coef``, names each row's initial
     passive columns.  Their least-squares solution, clipped to its positive
-    part and settled by the inner loop, is where Lawson-Hanson starts.  The
-    same KKT test ends it, so on well-separated columns any start gives the
-    cold answer to rounding.  On numerically parallel columns both runs can
-    stop short of the optimum and agree to about 1e-10 only (measured on a
-    p=6, t=20 cone with two generators of cosine 1.0 to the last bit: up to
-    7.7e-11 apart, both up to 2.4e-9 above scipy's optimum).
-    A start can hold two numerically parallel columns, whose minimum-norm
-    solution breaks Lawson-Hanson's invariant and can cycle; a started run
-    that passes the iteration cap is therefore solved again cold, and a
-    cold run never makes both columns of such a pair passive.
+    part, is where Lawson-Hanson starts, and the usual blocking steps take a
+    clipped row on.  The same KKT test ends it, so on well-separated columns
+    any start gives the cold answer to rounding.  On numerically parallel
+    columns both runs can stop short of the optimum and agree to about 1e-10
+    only (measured on a p=6, t=20 cone with two generators of cosine 1.0 to
+    the last bit: up to 7.7e-11 apart, both up to 2.4e-9 above scipy's
+    optimum).  A start can hold two numerically parallel columns, whose
+    minimum-norm solution breaks Lawson-Hanson's invariant and can cycle; a
+    started run that passes the iteration cap is therefore solved again
+    cold, and a cold run never makes both columns of such a pair passive.
 
     Columns are rescaled to unit norm internally (zero columns are
     dropped), which leaves the residual unchanged.  Raises
@@ -223,67 +228,59 @@ def nnls(columns: np.ndarray, target: np.ndarray, *, start: np.ndarray | None = 
 
 
 def _lawson_hanson(Gn: np.ndarray, Y: np.ndarray, start: np.ndarray | None, max_iter: int):
-    """:func:`nnls` coefficients of the rows of Y on the unit columns Gn."""
+    """:func:`nnls` coefficients of the rows of Y on the unit columns Gn.
+
+    After the start's clipped solve, one loop: each pass gives the KKT test
+    to every row at a feasible point, which finishes it or makes its steepest
+    column passive, then solves every ``solving`` row's passive set, which is
+    accepted when positive and otherwise followed by a blocking step.
+    """
     coef = np.zeros((Y.shape[0], Gn.shape[1]))
     passive = np.zeros(coef.shape, dtype=bool)
+    solving = np.zeros(Y.shape[0], dtype=bool)
     grad_tol = 1e-11 * (1.0 + np.linalg.norm(Y, axis=1))
     iters = np.zeros(Y.shape[0], dtype=int)
-
-    def settle(rows):
-        """Inner loop: from coef > 0 on the passive set to a positive passive solution."""
-        while True:
-            rows = rows[passive[rows].any(axis=1)]  # an emptied row waits for the outer step
-            if rows.size == 0:
-                return
-            trial = _passive_solve(Gn, Y[rows], passive[rows])
-            done = np.where(passive[rows], trial > 0.0, True).all(axis=1)
-            coef[rows[done]] = trial[done]
-            rows, trial = rows[~done], trial[~done]
-            if rows.size == 0:
-                return
-            _count_iteration(iters, rows, max_iter)
-            old = coef[rows]
-            blocking = passive[rows] & (trial <= 0.0)
-            denom = old - trial
-            steps = np.where(blocking, 0.0, np.inf)
-            ratio = blocking & (denom > 0.0)
-            steps[ratio] = old[ratio] / denom[ratio]
-            alpha = steps.min(axis=1, keepdims=True)
-            step = old + alpha * (trial - old)
-            step[steps <= alpha + 1e-15] = 0.0
-            coef[rows] = step
-            passive[rows] &= step > 0.0
-
     if start is not None:
         passive[:] = start
         rows = np.flatnonzero(passive.any(axis=1))
         if rows.size:
             trial = _passive_solve(Gn, Y[rows], passive[rows])
             kept = trial > 0.0  # entries outside the start set are 0
-            clipped = rows[(kept != passive[rows]).any(axis=1)]
+            solving[rows] = (kept != passive[rows]).any(axis=1) & kept.any(axis=1)
             coef[rows], passive[rows] = np.where(kept, trial, 0.0), kept
-            settle(clipped)
-    grad = (Y - coef @ Gn.T) @ Gn
 
     todo = np.arange(Y.shape[0])  # rows not yet converged
     while True:
-        masked = np.where(passive[todo], -np.inf, grad[todo])
-        go = masked.max(axis=1, initial=-np.inf) > grad_tol[todo]
-        todo = todo[go]
+        test = todo[~solving[todo]]
+        masked = np.where(passive[test], -np.inf, (Y[test] - coef[test] @ Gn.T) @ Gn)
+        go = masked.max(axis=1, initial=-np.inf) > grad_tol[test]
+        if go.any():  # argmax fails on a stack with no live column
+            iters[test[go]] += 1
+            passive[test[go], masked[go].argmax(axis=1)] = True
+            solving[test[go]] = True
+        todo = todo[solving[todo]]
         if todo.size == 0:
-            break
-        _count_iteration(iters, todo, max_iter)
-        passive[todo, masked[go].argmax(axis=1)] = True
-        settle(todo)
-        grad[todo] = (Y[todo] - coef[todo] @ Gn.T) @ Gn
-    return coef
-
-
-def _count_iteration(iters: np.ndarray, rows: np.ndarray, max_iter: int) -> None:
-    """Advance the active-set counters of ``rows``; raise once any passes the cap."""
-    iters[rows] += 1
-    if iters[rows].max() > max_iter:
-        raise NnlsMaxIterError(f"active-set iterations exceeded {max_iter}")
+            return coef
+        trial = _passive_solve(Gn, Y[todo], passive[todo])
+        done = np.where(passive[todo], trial > 0.0, True).all(axis=1)
+        coef[todo[done]] = trial[done]
+        solving[todo[done]] = False
+        rows, trial = todo[~done], trial[~done]
+        iters[rows] += 1
+        if iters.max() > max_iter:
+            raise NnlsMaxIterError(f"active-set iterations exceeded {max_iter}")
+        old = coef[rows]
+        blocking = passive[rows] & (trial <= 0.0)
+        denom = old - trial
+        steps = np.where(blocking, 0.0, np.inf)
+        ratio = blocking & (denom > 0.0)
+        steps[ratio] = old[ratio] / denom[ratio]
+        alpha = steps.min(axis=1, keepdims=True)
+        step = old + alpha * (trial - old)
+        step[steps <= alpha + 1e-15] = 0.0
+        coef[rows] = step
+        passive[rows] &= step > 0.0
+        solving[rows] = passive[rows].any(axis=1)  # an emptied row goes to the KKT test
 
 
 def _passive_solve(Gn: np.ndarray, Y: np.ndarray, passive: np.ndarray) -> np.ndarray:
@@ -302,11 +299,9 @@ def _passive_solve(Gn: np.ndarray, Y: np.ndarray, passive: np.ndarray) -> np.nda
     p = Gn.shape[0]
     packed = np.packbits(passive, axis=1)
     keys = np.ascontiguousarray(packed).view(f"S{packed.shape[1]}").ravel()
-    _, group = np.unique(keys, return_inverse=True)
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
     group = group.ravel()
-    first = np.empty(group.max() + 1, dtype=np.intp)
-    first[group] = np.arange(group.size)  # one row of each set
-    sets = passive[first]
+    sets = passive[first]  # one row of each set
     size = sets.sum(axis=1)
     w = int(size.max())
     cols = np.argsort(~sets, axis=1, kind="stable")[:, :w]
@@ -315,5 +310,5 @@ def _passive_solve(Gn: np.ndarray, Y: np.ndarray, passive: np.ndarray) -> np.nda
     pinv = np.linalg.pinv(blocks, rcond=np.finfo(float).eps * np.maximum(size, p))
     z = (pinv[group] @ Y[:, :, None])[:, :, 0]
     trial = np.zeros(passive.shape)
-    np.put_along_axis(trial, cols[group], np.where(valid[group], z, 0.0), axis=1)
+    trial[np.arange(group.size)[:, None], cols[group]] = np.where(valid[group], z, 0.0)
     return trial

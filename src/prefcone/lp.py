@@ -79,12 +79,14 @@ def solve(lp: StandardLP) -> LPSolution:
     """
     A, b, c = lp.constraint_matrix, lp.rhs, lp.objective
     n_rows, n_vars = A.shape
-    basis = list(range(n_vars - n_rows, n_vars))
+    basis = np.arange(n_vars - n_rows, n_vars)
 
     T = np.hstack([A.astype(float, copy=True), b.reshape(-1, 1).astype(float)])
     max_pivots = max(1000, 50 * n_vars)
     if logger.isEnabledFor(logging.DEBUG):
-        logger.debug("initial tableau (basis %s):\n%s", basis, np.array2string(T, precision=6))
+        logger.debug(
+            "initial tableau (basis %s):\n%s", basis.tolist(), np.array2string(T, precision=6)
+        )
 
     for _ in range(max_pivots):
         reduced = c - c[basis] @ T[:, :n_vars]
@@ -101,7 +103,7 @@ def solve(lp: StandardLP) -> LPSolution:
         ratios = T[rows, n_vars] / col[rows]
         best = ratios.min()
         ties = rows[ratios <= best + PIVOT_TOL * (1.0 + abs(best))]
-        leave = int(min(ties, key=lambda i: basis[i]))  # Bland on the leaving variable
+        leave = int(ties[basis[ties].argmin()])  # Bland on the leaving variable
         _pivot(T, leave, enter)
         basis[leave] = enter
         if logger.isEnabledFor(logging.DEBUG):
@@ -109,7 +111,7 @@ def solve(lp: StandardLP) -> LPSolution:
                 "pivot: enter x%d, leave row %d (basis %s)\n%s",
                 enter,
                 leave,
-                basis,
+                basis.tolist(),
                 np.array2string(T, precision=6),
             )
     else:
@@ -121,14 +123,14 @@ def solve(lp: StandardLP) -> LPSolution:
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
-    for i in range(T.shape[0]):
-        if i != row and T[i, col] != 0.0:
-            T[i] -= T[i, col] * T[row]
+    hit = T[:, col] != 0.0
+    hit[row] = False
+    T[hit] -= T[hit, col, None] * T[row]
     T[:, col] = 0.0
     T[row, col] = 1.0
 
 
-def _basic_point(T: np.ndarray, basis: list[int], n_vars: int) -> np.ndarray:
+def _basic_point(T: np.ndarray, basis: np.ndarray, n_vars: int) -> np.ndarray:
     values = np.zeros(n_vars)
     rhs = T[:, n_vars].copy()
     rhs[(rhs < 0) & (rhs > -1e-11)] = 0.0  # degeneracy dust

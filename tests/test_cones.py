@@ -4,15 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prefcone.cones
+import prefcone.valuefn
 from prefcone import (
     DimensionTooLargeError,
     FacetCone,
+    NnlsMaxIterError,
     WholeSpaceError,
+    evaluate_batch,
     extreme_rays,
     generators,
+    make_psi,
     nnls,
 )
-from prefcone.cones import MAX_DD_DIM, _dd_pointed, _passive_solve
+from prefcone.cones import MAX_DD_DIM, _dd_pointed, _lawson_hanson, _passive_solve
 from _helpers import (
     GAUSSIAN_SCORER_FACETS,
     gaussian_scorer_instance,
@@ -95,6 +99,15 @@ def test_extreme_rays_feeds_dd_the_unit_dual_rows(monkeypatch):
     np.testing.assert_array_equal(
         seen[0], [[1.0, 0.0], [0.0, 1.0], [0.6, -0.8], [-1 / SQRT5, 2 / SQRT5]]
     )
+
+
+def test_extreme_rays_of_a_judgement_past_the_norm_overflow():
+    # |g|^2 overflows once an entry passes ~1.3e154; each dual row is divided
+    # by a power of two first, so the judgement keeps its own facet
+    gens = np.array([[1.7e300, -1e292]])
+    A = extreme_rays(gens).facet_normals
+    np.testing.assert_allclose(A, [[1e292 / 1.7e300, 1.0], [1.0, 0.0]], rtol=1e-12)
+    assert (A @ gens.T >= 0.0).all()
 
 
 def _brute_rays(A):
@@ -429,6 +442,49 @@ def test_nnls_start_gives_the_cold_answer():
         one_resid = nnls(G, Y[0], start=starts[0][0])[1]
         assert abs(one_resid - cold[0]) <= 1e-12 * (1.0 + np.linalg.norm(Y[0]))
     assert clipped > 100  # the infeasible starts do need settling
+
+
+def test_nnls_stack_makes_as_many_passive_solves_as_its_longest_row(monkeypatch):
+    # rows of a stack never wait for each other to finish a phase, so the
+    # stacked call solves no more often than its slowest row alone
+    calls, stacks = [0], []
+    passive_solve = prefcone.cones._passive_solve
+
+    def counted(*args):
+        calls[0] += 1
+        return passive_solve(*args)
+
+    def solves(G, Y, start):
+        calls[0] = 0
+        nnls(G, Y, start=start)
+        return calls[0]
+
+    def recorded(G, Y, start=None):
+        stacks.append((G, Y, start))
+        return nnls(G, Y, start=start)
+
+    monkeypatch.setattr(prefcone.valuefn, "nnls", recorded)
+    monkeypatch.setattr(prefcone.cones, "_passive_solve", counted)
+    rng = np.random.default_rng(20)
+    for _ in range(6):
+        inst = synthetic_dm_instance(rng, p_max=4, t_max=20)
+        while (inst.p, inst.t) != (4, 20):
+            inst = synthetic_dm_instance(rng, p_max=4, t_max=20)
+        psi = make_psi(inst)
+        evaluate_batch(psi, inst.reference + rng.normal(scale=3.0, size=(300, 4)))
+        G, Y, start = stacks.pop()
+        assert Y.shape[0] >= 200
+        longest = max(solves(G, y, s) for y, s in zip(Y, start))
+        assert solves(G, Y, start) == longest
+
+
+def test_lawson_hanson_cap_counts_steps_per_row():
+    # a positive target on the unit axes takes p column additions and no
+    # blocking step; the cap counts each row's own, so two rows fit a cap of p
+    Y = np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]])
+    np.testing.assert_array_equal(_lawson_hanson(np.eye(3), Y, None, 3), Y)
+    with pytest.raises(NnlsMaxIterError, match="exceeded 2"):
+        _lawson_hanson(np.eye(3), Y, None, 2)
 
 
 def test_nnls_start_shape_checked():

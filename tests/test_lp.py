@@ -119,6 +119,28 @@ def test_stalled_simplex_raises_max_iter(monkeypatch):
         solve(build_pointedness_lp(np.array([[5.0, 5.0]])))
 
 
+def test_pivot_matches_row_by_row_elimination():
+    # the reference: Gauss-Jordan elimination one row at a time
+    def pivot_loop(T, row, col):
+        T[row] /= T[row, col]
+        for i in range(T.shape[0]):
+            if i != row and T[i, col] != 0.0:
+                T[i] -= T[i, col] * T[row]
+        T[:, col] = 0.0
+        T[row, col] = 1.0
+
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        T = rng.normal(size=(int(rng.integers(1, 8)), int(rng.integers(2, 12))))
+        T[rng.random(T.shape) < 0.3] = 0.0
+        row, col = int(rng.integers(T.shape[0])), int(rng.integers(T.shape[1]))
+        T[row, col] = rng.uniform(0.5, 2.0)
+        want = T.copy()
+        pivot_loop(want, row, col)
+        prefcone.lp._pivot(T, row, col)
+        np.testing.assert_array_equal(T, want)
+
+
 def test_solution_invariants_on_random_lps():
     rng = np.random.default_rng(7)
     for _ in range(40):

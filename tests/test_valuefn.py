@@ -23,6 +23,7 @@ from prefcone import (
     nnls,
 )
 from prefcone.cli import run
+from prefcone.cones import CLASSIFY_TOL
 from _helpers import random_instance, synthetic_dm_instance, twin_judgement_instance
 from oracle import check_properties, cone_columns
 
@@ -378,6 +379,32 @@ def test_twin_judgement_psi_matches_cold_projection(capsys, tmp_path):
     code = run(["eval", "--instance", str(path), "--function", "psi", f"--point={point}"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["classification"] == "boundary"
+
+
+# the twin cones whose started solves crashed before a capped started stack
+# was solved again cold
+_TWIN_SEEDS = [*range(40), 71, 93, 260, 350, 482, 691, 694, 730, 739, 743, 750]
+
+
+@pytest.mark.parametrize("seed", _TWIN_SEEDS)
+def test_twin_judgement_points_near_the_boundary_match_cold_projection(seed):
+    # g - delta |g| a sits just outside the facet a tight at the judgement g;
+    # its start holds the two nearly parallel twins, on which started
+    # Lawson-Hanson can cycle until the cold solve takes over
+    inst = twin_judgement_instance(seed)
+    psi = make_psi(inst)
+    A = psi.facet_cone.facet_normals
+    Y = []
+    for g in generators(inst, 0.0):
+        tight = np.abs(A @ g) <= CLASSIFY_TOL * np.linalg.norm(g)
+        for a in A[tight][:3]:
+            Y.extend(g - delta * np.linalg.norm(g) * a for delta in (1e-6, 1e-3, 1e-1))
+    Y = np.reshape(Y, (-1, inst.p))
+    values = evaluate_batch(psi, inst.reference + Y)
+    exterior = values < 0
+    cold = nnls(psi.generator_matrix, Y[exterior])[1]
+    gap = np.abs(-values[exterior] - cold)
+    assert (gap <= 1e-9 * (1.0 + np.linalg.norm(Y[exterior], axis=1))).all()
 
 
 def test_non_pointed_cone_keeps_every_generator(halfplane_instance):
