@@ -34,6 +34,7 @@ CLASSIFY_TOL = 1e-9
 MAX_DD_DIM = 12
 
 _ACTIVITY_TOL = 1e-9
+_KKT_TOL = 1e-11  # Lawson-Hanson's stopping test: gradient <= _KKT_TOL * (1 + |y|)
 _DD_BLOCK = 1 << 20  # cells per block of the DD pair arrays
 
 
@@ -75,11 +76,11 @@ def extreme_rays(gens: np.ndarray) -> FacetCone:
     :func:`~prefcone.instance.generators` returns them.  By bipolarity the
     normals are the extreme rays of the dual cone {d : d >= 0, g.d >= 0}.
     Its half-space rows are the p unit axes, then each nonzero generator
-    scaled to unit length, in input order; the axis rows pin the dual inside
-    the orthant, so it is pointed.  Double description (:func:`_dd_pointed`)
-    finds the rays, bit for bit as a pair-by-pair loop would; they are
-    unit-normalized and sorted for deterministic output.  No ray means the
-    cone is the whole space.
+    scaled to unit length by :func:`_unit_generators`, in input order; the
+    axis rows pin the dual inside the orthant, so it is pointed.  Double
+    description (:func:`_dd_pointed`) finds the rays, bit for bit as a
+    pair-by-pair loop would; they are unit-normalized and sorted for
+    deterministic output.  No ray means the cone is the whole space.
     """
     G = np.atleast_2d(np.asarray(gens, dtype=float))
     p = G.shape[1]
@@ -87,14 +88,7 @@ def extreme_rays(gens: np.ndarray) -> FacetCone:
         raise DimensionTooLargeError(
             f"double description capped at dimension {MAX_DD_DIM}, got {p}"
         )
-    rows = np.vstack([np.eye(p), G])
-    # divide each row by the power of two of its largest entry first: the map
-    # is exact, and the norm of a row past ~1.3e154 no longer overflows
-    e = np.frexp(np.abs(rows).max(axis=1))[1][:, None]
-    rows = np.ldexp(rows, -e)
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    live = np.ldexp(norms, np.minimum(e, 0))[:, 0] > 1e-12  # |row| > 1e-12; e > 0 means |row| >= 1
-    rays = _dd_pointed(rows[live] / norms[live])
+    rays = _dd_pointed(_unit_generators(np.vstack([np.eye(p), G]))[0])
     if rays.shape[0] == 0:
         return FacetCone(facet_normals=np.zeros((0, p)))
     rays = np.ascontiguousarray(rays)  # the row norms' rounding depends on memory order
@@ -102,6 +96,22 @@ def extreme_rays(gens: np.ndarray) -> FacetCone:
     rays /= np.linalg.norm(rays, axis=1)[:, None]
     order = np.lexsort(np.round(rays, 12).T[::-1])
     return FacetCone(facet_normals=rays[order])
+
+
+def _unit_generators(V: np.ndarray):
+    """The nonzero rows of ``V`` at unit length: ``(unit, live, norms)``.
+
+    Each row is first divided by the power of two of its largest entry, an
+    exact step, so its norm neither overflows nor underflows, and only
+    exact zero rows are dropped.  ``live`` indexes the rows kept and
+    ``norms`` holds their Euclidean norms.  The facets, the projection and
+    its KKT check all see a generator through this one map.
+    """
+    e = np.frexp(np.abs(V).max(axis=1))[1]
+    V = np.ldexp(V, -e[:, None])
+    norms = np.linalg.norm(V, axis=1)
+    live = np.flatnonzero(norms)
+    return V[live] / norms[live, None], live, np.ldexp(norms[live], e[live])
 
 
 def _dd_pointed(A: np.ndarray) -> np.ndarray:
@@ -190,10 +200,14 @@ def nnls(columns: np.ndarray, target: np.ndarray, *, start: np.ndarray | None = 
     started run that passes the iteration cap is therefore solved again
     cold, and a cold run never makes both columns of such a pair passive.
 
-    Columns are rescaled to unit norm internally (zero columns are
-    dropped), which leaves the residual unchanged.  Raises
+    Columns are rescaled to unit norm internally by
+    :func:`_unit_generators`, the map the facets use: an exact power-of-two
+    prescale first, so no norm overflows, and only exact zero columns are
+    dropped.  The residual is unchanged.  A row stops when its gradient on
+    every column is at most ``_KKT_TOL * (1 + |y|)``.  Raises
     NnlsMaxIterError when a cold row's active-set loop exceeds ``3 *
-    n_columns * p`` iterations, counting the columns passed in (a sign of
+    n_columns * p`` iterations, counting the columns passed in, so a call
+    on a subset of a cone's generators has a smaller cap (a sign of
     numerical pathology, not a routine outcome).
     """
     G = np.atleast_2d(np.asarray(columns, dtype=float))
@@ -207,11 +221,10 @@ def nnls(columns: np.ndarray, target: np.ndarray, *, start: np.ndarray | None = 
     Y = Y.reshape(-1, p)
     max_iter = 3 * n * max(p, 1)
 
-    scale = np.linalg.norm(G, axis=0)
-    live = np.flatnonzero(scale > 1e-13)
-    Gn = G[:, live] / scale[live]
+    unit, live, norms = _unit_generators(G.T)
+    Gn = unit.T
     if start is not None:
-        start = np.asarray(start, dtype=bool).reshape(-1, n)[:, live]
+        start = np.asarray(start, dtype=bool).reshape(Y.shape[0], n)[:, live]
     try:
         coef = _lawson_hanson(Gn, Y, start, max_iter)
     except NnlsMaxIterError:
@@ -220,7 +233,7 @@ def nnls(columns: np.ndarray, target: np.ndarray, *, start: np.ndarray | None = 
         coef = _lawson_hanson(Gn, Y, None, max_iter)
 
     full = np.zeros((Y.shape[0], n))
-    full[:, live] = coef / scale[live]
+    full[:, live] = coef / norms
     resid = np.linalg.norm(Y - coef @ Gn.T, axis=1)
     if single:
         return full[0], float(resid[0])
@@ -238,16 +251,13 @@ def _lawson_hanson(Gn: np.ndarray, Y: np.ndarray, start: np.ndarray | None, max_
     coef = np.zeros((Y.shape[0], Gn.shape[1]))
     passive = np.zeros(coef.shape, dtype=bool)
     solving = np.zeros(Y.shape[0], dtype=bool)
-    grad_tol = 1e-11 * (1.0 + np.linalg.norm(Y, axis=1))
+    grad_tol = _KKT_TOL * (1.0 + np.linalg.norm(Y, axis=1))
     iters = np.zeros(Y.shape[0], dtype=int)
-    if start is not None:
-        passive[:] = start
-        rows = np.flatnonzero(passive.any(axis=1))
-        if rows.size:
-            trial = _passive_solve(Gn, Y[rows], passive[rows])
-            kept = trial > 0.0  # entries outside the start set are 0
-            solving[rows] = (kept != passive[rows]).any(axis=1) & kept.any(axis=1)
-            coef[rows], passive[rows] = np.where(kept, trial, 0.0), kept
+    if start is not None and start.any():
+        trial = _passive_solve(Gn, Y, start)  # 0 outside the start, and on an empty one
+        passive = trial > 0.0
+        solving = (passive != start).any(axis=1) & passive.any(axis=1)
+        coef = np.where(passive, trial, 0.0)
 
     todo = np.arange(Y.shape[0])  # rows not yet converged
     while True:

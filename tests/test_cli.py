@@ -530,6 +530,23 @@ def test_eval_label_matches_oracle_on_random_handles():
     assert min(labels[key] for key in ("interior", "boundary", "exterior")) > 200
 
 
+@pytest.mark.parametrize("scale", [1e-13, 1e-3])
+def test_eval_keeps_a_small_judgement_in_facets_and_projection(capsys, tmp_path, scale):
+    # the cone of (1, -1) and the orthant, at two scales: the facets and the
+    # projection keep every nonzero generator, so both give the same answer
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({
+        "alternatives": [[0, 0], [scale, -scale]], "reference_index": 0, "preferred_indices": [1],
+    }))
+    code, out = run_cli(
+        capsys, "eval", "--instance", str(path), "--function", "psi", "--point=2,-1"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["value"] == pytest.approx(1 / np.sqrt(2.0), rel=1e-12)
+    assert doc["classification"] == "interior"
+
+
 def test_eval_negative_point_after_space(capsys, data_dir):
     base = ["eval", "--instance", str(data_dir / "pointed.json"), "--function", "psi"]
     for point in ("-2,-2", "-.5,1", "-0.5,-3e-1"):
