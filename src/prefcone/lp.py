@@ -122,10 +122,18 @@ def solve(lp: StandardLP) -> LPSolution:
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
+    """Gauss-Jordan step on ``T[row, col]``: one rank-one update of the
+    whole tableau.
+
+    The update is unmasked because one pass over every row costs less than
+    gathering and scattering the rows with a nonzero in ``col``; a row with
+    0 there subtracts exactly 0, so the result equals row-by-row elimination
+    up to the sign of zeros.
+    """
     T[row] /= T[row, col]
-    hit = T[:, col] != 0.0
-    hit[row] = False
-    T[hit] -= T[hit, col, None] * T[row]
+    f = T[:, col].copy()
+    f[row] = 0.0
+    T -= f[:, None] * T[row]
     T[:, col] = 0.0
     T[row, col] = 1.0
 

@@ -55,6 +55,7 @@ __all__ = [
     "dd_pointed_loop",
     "dd_exact",
     "enumerate_lp_optimum",
+    "masked_pivot",
     "is_pointed_geometric",
     "check_properties",
 ]
@@ -359,6 +360,20 @@ def search_outcome(search, inst: PreferenceInstance):
         return search(inst)
     except (NotPointedError, MaxIterExceededError) as exc:
         return type(exc)
+
+
+def masked_pivot(T: np.ndarray, row: int, col: int) -> None:
+    """The simplex pivot that updates only the rows with a nonzero in ``col``.
+
+    The reference for ``lp._pivot``, which updates every row; while the
+    pivot row is finite the two agree up to the sign of zeros.
+    """
+    T[row] /= T[row, col]
+    hit = T[:, col] != 0.0
+    hit[row] = False
+    T[hit] -= T[hit, col, None] * T[row]
+    T[:, col] = 0.0
+    T[row, col] = 1.0
 
 
 def enumerate_lp_optimum(lp: StandardLP, max_rows: int = 6, max_vars: int = 14) -> float:

@@ -11,6 +11,7 @@ from prefcone import (
     MaxIterExceededError,
     NotPointedError,
     PreferenceInstance,
+    build_pointedness_lp,
     consistency_verdict,
     epsilon_search,
     extract_linear_weights,
@@ -316,3 +317,20 @@ def test_verdict_scale_invariant():
                 inst.preferred_indices,
             )
             assert test_pointedness(scaled).pointed == base
+
+
+@pytest.mark.parametrize("t, p, seed", [(200, 8, 0), (400, 10, 1), (600, 15, 0)])
+def test_z_star_agrees_with_highs_at_scale(t, p, seed):
+    from scipy.optimize import linprog
+
+    # N(0, 1) alternatives, every one preferred to the first
+    alts = np.random.default_rng([t, p, seed]).normal(size=(t + 1, p))
+    inst = PreferenceInstance(alts, 0, list(range(1, t + 1)))
+    report = consistency_verdict(inst)
+    assert not report.pointed
+    lp = build_pointedness_lp(generators(inst))
+    highs = linprog(
+        lp.objective, A_eq=lp.constraint_matrix, b_eq=lp.rhs, bounds=(0, None), method="highs"
+    )
+    assert highs.status == 0, highs.message
+    assert report.z_star == pytest.approx(highs.fun, rel=1e-9)

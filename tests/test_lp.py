@@ -6,12 +6,16 @@ from hypothesis import strategies as st
 import prefcone.lp
 from prefcone import (
     MaxIterExceededError,
+    PreferenceInstance,
+    PrefconeError,
     StandardLP,
     build_pointedness_lp,
+    consistency_verdict,
     generators,
     solve,
 )
-from oracle import enumerate_lp_optimum
+from _helpers import random_instance
+from oracle import enumerate_lp_optimum, masked_pivot
 
 
 def expected_pointedness_matrix(gens):
@@ -134,11 +138,56 @@ def test_pivot_matches_row_by_row_elimination():
         T = rng.normal(size=(int(rng.integers(1, 8)), int(rng.integers(2, 12))))
         T[rng.random(T.shape) < 0.3] = 0.0
         row, col = int(rng.integers(T.shape[0])), int(rng.integers(T.shape[1]))
+        # rows with 0 in the pivot column, which the loop skips, must stay as they are
+        T[rng.random(T.shape[0]) < 0.5, col] = 0.0
         T[row, col] = rng.uniform(0.5, 2.0)
         want = T.copy()
         pivot_loop(want, row, col)
         prefcone.lp._pivot(T, row, col)
         np.testing.assert_array_equal(T, want)
+
+
+def test_solve_matches_the_masked_pivot_on_random_lps(monkeypatch):
+    rng = np.random.default_rng(43)
+    lps = [_random_lp(rng) for _ in range(300)]
+    lps += [
+        build_pointedness_lp(rng.normal(size=(int(rng.integers(1, 9)), int(rng.integers(1, 5)))))
+        for _ in range(100)
+    ]
+    unmasked = [solve(lp) for lp in lps]
+    monkeypatch.setattr(prefcone.lp, "_pivot", masked_pivot)
+    for lp, got in zip(lps, unmasked):
+        want = solve(lp)
+        assert got.status == want.status
+        assert got.objective_value == want.objective_value
+        # array_equal counts -0.0 equal to 0.0
+        np.testing.assert_array_equal(got.values, want.values)
+        np.testing.assert_array_equal(got.reduced_costs, want.reduced_costs)
+
+
+def test_verdict_matches_the_masked_pivot_at_extreme_scales(monkeypatch):
+    rng = np.random.default_rng(47)
+    insts = [random_instance(rng) for _ in range(300)]
+    for k, inst in enumerate(list(insts)):
+        X = inst.alternatives
+        if k % 2:
+            X = X * 10.0 ** rng.integers(-300, 301, size=inst.p)
+        else:
+            X = X * 10.0 ** rng.integers(-150, 151, size=(X.shape[0], 1))
+        insts.append(PreferenceInstance(X, inst.reference_index, inst.preferred_indices))
+
+    def report(inst):
+        try:
+            r = consistency_verdict(inst)
+        except PrefconeError as exc:
+            return type(exc)
+        w = r.weight_certificate
+        return r.pointed, r.z_star, None if w is None else w.tolist(), r.epsilon_bar
+
+    unmasked = [report(inst) for inst in insts]
+    monkeypatch.setattr(prefcone.lp, "_pivot", masked_pivot)
+    assert [report(inst) for inst in insts] == unmasked
+    assert sum(r[0] is False for r in unmasked if isinstance(r, tuple)) >= 100
 
 
 def test_solution_invariants_on_random_lps():
