@@ -99,19 +99,21 @@ def extreme_rays(gens: np.ndarray) -> FacetCone:
 
 
 def _unit_generators(V: np.ndarray):
-    """The nonzero rows of ``V`` at unit length: ``(unit, live, norms)``.
+    """The nonzero rows of ``V`` at unit length: ``(unit, live, norms, exps)``.
 
     Each row is first divided by the power of two of its largest entry, an
     exact step, so its norm neither overflows nor underflows, and only
-    exact zero rows are dropped.  ``live`` indexes the rows kept and
-    ``norms`` holds their Euclidean norms.  The facets, the projection and
-    its KKT check all see a generator through this one map.
+    exact zero rows are dropped.  ``live`` indexes the rows kept, and row
+    ``live[i]`` has Euclidean norm ``norms[i] * 2**exps[i]``, a product
+    left unformed because it can pass float64's largest value.  The facets,
+    the projection and its KKT check all see a generator through this one
+    map.
     """
     e = np.frexp(np.abs(V).max(axis=1))[1]
     V = np.ldexp(V, -e[:, None])
     norms = np.linalg.norm(V, axis=1)
     live = np.flatnonzero(norms)
-    return V[live] / norms[live, None], live, np.ldexp(norms[live], e[live])
+    return V[live] / norms[live, None], live, norms[live], e[live]
 
 
 def _dd_pointed(A: np.ndarray) -> np.ndarray:
@@ -176,7 +178,12 @@ def _adjacent_combinations(
     return new
 
 
-def nnls(columns: np.ndarray, target: np.ndarray, *, start: np.ndarray | None = None):
+def nnls(
+    columns: np.ndarray,
+    target: np.ndarray,
+    *,
+    start: tuple[np.ndarray, np.ndarray] | None = None,
+):
     """Lawson-Hanson active-set solve of min ||columns @ coef - target||, coef >= 0.
 
     ``target`` is one point of shape ``(p,)``, which returns ``(coef,
@@ -187,18 +194,22 @@ def nnls(columns: np.ndarray, target: np.ndarray, *, start: np.ndarray | None = 
     squares in one stacked call (:func:`_passive_solve`), so a stack makes
     as many passive solves as its longest row alone.
 
-    ``start``, a bool mask shaped like ``coef``, names each row's initial
-    passive columns.  Their least-squares solution, clipped to its positive
-    part, is where Lawson-Hanson starts, and the usual blocking steps take a
-    clipped row on.  The same KKT test ends it, so on well-separated columns
-    any start gives the cold answer to rounding.  On numerically parallel
-    columns both runs can stop short of the optimum and agree to about 1e-10
-    only (measured on a p=6, t=20 cone with two generators of cosine 1.0 to
-    the last bit: up to 7.7e-11 apart, both up to 2.4e-9 above scipy's
-    optimum).  A start can hold two numerically parallel columns, whose
-    minimum-norm solution breaks Lawson-Hanson's invariant and can cycle; a
-    started run that passes the iteration cap is therefore solved again
-    cold, and a cold run never makes both columns of such a pair passive.
+    ``start = (sets, index)`` names each row's initial passive columns: a
+    table ``sets``, a bool ``(S, n)`` array of column sets, and ``index``,
+    shaped like ``target`` without its last axis, the row of ``sets`` each
+    target starts from.  Each set that some row names is factored once for
+    all its rows.  A row's start set's least-squares solution, clipped to
+    its positive part, is where Lawson-Hanson starts, and the usual blocking
+    steps take a clipped row on.  The same KKT test ends it, so on
+    well-separated columns any start gives the cold answer to rounding.  On
+    numerically parallel columns both runs can stop short of the optimum
+    and agree to about 1e-10 only (measured on a p=6, t=20 cone with two
+    generators of cosine 1.0 to the last bit: up to 7.7e-11 apart, both up
+    to 2.4e-9 above scipy's optimum).  A start can hold two numerically
+    parallel columns, whose minimum-norm solution breaks Lawson-Hanson's
+    invariant and can cycle; a started run that passes the iteration cap is
+    therefore solved again cold, and a cold run never makes both columns of
+    such a pair passive.
 
     Columns are rescaled to unit norm internally by
     :func:`_unit_generators`, the map the facets use: an exact power-of-two
@@ -215,16 +226,23 @@ def nnls(columns: np.ndarray, target: np.ndarray, *, start: np.ndarray | None = 
     p, n = G.shape
     if Y.ndim not in (1, 2) or Y.shape[-1] != p:
         raise ValueError(f"target has shape {Y.shape}, expected ({p},) or (B, {p})")
-    if start is not None and np.shape(start) != Y.shape[:-1] + (n,):
-        raise ValueError(f"start has shape {np.shape(start)}, expected {Y.shape[:-1] + (n,)}")
+    if start is not None:
+        sets, index = np.asarray(start[0], dtype=bool), np.asarray(start[1])
+        if sets.ndim != 2 or sets.shape[1] != n or index.shape != Y.shape[:-1]:
+            raise ValueError(
+                f"start has shapes {sets.shape} and {index.shape},"
+                f" expected (S, {n}) and {Y.shape[:-1]}"
+            )
+        if index.size and not 0 <= index.min() <= index.max() < sets.shape[0]:
+            raise ValueError(f"start index must lie in [0, {sets.shape[0]})")
     single = Y.ndim == 1
     Y = Y.reshape(-1, p)
     max_iter = 3 * n * max(p, 1)
 
-    unit, live, norms = _unit_generators(G.T)
+    unit, live, norms, exps = _unit_generators(G.T)
     Gn = unit.T
     if start is not None:
-        start = np.asarray(start, dtype=bool).reshape(Y.shape[0], n)[:, live]
+        start = sets[:, live], index.reshape(-1)
     try:
         coef = _lawson_hanson(Gn, Y, start, max_iter)
     except NnlsMaxIterError:
@@ -233,31 +251,43 @@ def nnls(columns: np.ndarray, target: np.ndarray, *, start: np.ndarray | None = 
         coef = _lawson_hanson(Gn, Y, None, max_iter)
 
     full = np.zeros((Y.shape[0], n))
-    full[:, live] = coef / norms
+    full[:, live] = np.ldexp(coef / norms, -exps)
     resid = np.linalg.norm(Y - coef @ Gn.T, axis=1)
     if single:
         return full[0], float(resid[0])
     return full, resid
 
 
-def _lawson_hanson(Gn: np.ndarray, Y: np.ndarray, start: np.ndarray | None, max_iter: int):
+def _lawson_hanson(
+    Gn: np.ndarray, Y: np.ndarray, start: tuple[np.ndarray, np.ndarray] | None, max_iter: int
+):
     """:func:`nnls` coefficients of the rows of Y on the unit columns Gn.
 
-    After the start's clipped solve, one loop: each pass gives the KKT test
-    to every row at a feasible point, which finishes it or makes its steepest
-    column passive, then solves every ``solving`` row's passive set, which is
-    accepted when positive and otherwise followed by a blocking step.
+    ``start``, if given, is ``(sets, index)`` over Gn's columns.  The start
+    solve factors each set that ``index`` names once and keeps each row's
+    positive part; a row whose start set had a coefficient <= 0 then waits
+    for a passive solve.  After it, one loop: each pass gives the KKT test
+    to every row at a feasible point, which finishes it or makes its
+    steepest column passive, then solves every ``solving`` row's passive
+    set, which is accepted when positive and otherwise followed by a
+    blocking step.
     """
     coef = np.zeros((Y.shape[0], Gn.shape[1]))
     passive = np.zeros(coef.shape, dtype=bool)
     solving = np.zeros(Y.shape[0], dtype=bool)
     grad_tol = _KKT_TOL * (1.0 + np.linalg.norm(Y, axis=1))
     iters = np.zeros(Y.shape[0], dtype=int)
-    if start is not None and start.any():
-        trial = _passive_solve(Gn, Y, start)  # 0 outside the start, and on an empty one
-        passive = trial > 0.0
-        solving = (passive != start).any(axis=1) & passive.any(axis=1)
-        coef = np.where(passive, trial, 0.0)
+    if start is not None:
+        sets, index = start
+        used = np.bincount(index, minlength=sets.shape[0]) > 0
+        sets, index = sets[used], (np.cumsum(used) - 1)[index]
+        size = sets.sum(axis=1)
+        if size.any():
+            trial = _set_solve(Gn, Y, sets, index)  # 0 outside the start, and on an empty one
+            passive = trial > 0.0
+            kept = passive.sum(axis=1)  # a start coefficient <= 0 leaves fewer than its size
+            solving = (kept < size[index]) & (kept > 0)
+            coef = np.where(passive, trial, 0.0)
 
     todo = np.arange(Y.shape[0])  # rows not yet converged
     while True:
@@ -297,28 +327,35 @@ def _passive_solve(Gn: np.ndarray, Y: np.ndarray, passive: np.ndarray) -> np.nda
     """Least-squares coefficients of each row of Y on its passive columns.
 
     Rows that share a passive set share one factorization: the masks,
-    packed to one byte string per row, are grouped by a 1-d ``np.unique``.
-    Each distinct set's columns are gathered to the front of a ``(p, w)``
-    block, ``w`` being the largest set size, with zero columns past the
-    set's own size.  One stacked pseudoinverse of the blocks, with lstsq's
-    default cutoff ``rcond = eps * max(size, p)``, gives lstsq's
-    minimum-norm answer, also on rank-deficient sets, and one batched
-    matmul applies each row's set to its own target.  Entries outside the
-    passive set are zero.
+    packed to one byte string per row, are grouped by a 1-d ``np.unique``,
+    and :func:`_set_solve` solves each group.  Entries outside the passive
+    set are zero.
     """
-    p = Gn.shape[0]
     packed = np.packbits(passive, axis=1)
     keys = np.ascontiguousarray(packed).view(f"S{packed.shape[1]}").ravel()
     _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-    group = group.ravel()
-    sets = passive[first]  # one row of each set
+    return _set_solve(Gn, Y, passive[first], group.ravel())
+
+
+def _set_solve(Gn: np.ndarray, Y: np.ndarray, sets: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of each row of Y on its column set ``sets[index[row]]``.
+
+    Each set's columns are gathered to the front of a ``(p, w)`` block,
+    ``w`` being the largest set size, with zero columns past the set's own
+    size.  One stacked pseudoinverse of the blocks, with lstsq's default
+    cutoff ``rcond = eps * max(size, p)``, gives lstsq's minimum-norm
+    answer, also on rank-deficient sets, and one batched matmul applies
+    each row's set to its own target.  A set's bits depend on ``w``, so the
+    callers pass only sets some row uses.  Entries outside the set are zero.
+    """
+    p = Gn.shape[0]
     size = sets.sum(axis=1)
     w = int(size.max())
     cols = np.argsort(~sets, axis=1, kind="stable")[:, :w]
     valid = np.arange(w) < size[:, None]
     blocks = np.where(valid[:, None, :], Gn.T[cols].transpose(0, 2, 1), 0.0)  # (S, p, w)
     pinv = np.linalg.pinv(blocks, rcond=np.finfo(float).eps * np.maximum(size, p))
-    z = (pinv[group] @ Y[:, :, None])[:, :, 0]
-    trial = np.zeros(passive.shape)
-    trial[np.arange(group.size)[:, None], cols[group]] = np.where(valid[group], z, 0.0)
+    z = (pinv[index] @ Y[:, :, None])[:, :, 0]
+    trial = np.zeros((Y.shape[0], Gn.shape[1]))
+    trial[np.arange(index.size)[:, None], cols[index]] = np.where(valid[index], z, 0.0)
     return trial

@@ -165,15 +165,18 @@ def _margin(inst: PreferenceInstance) -> tuple[float, np.ndarray | None]:
     G = generators(inst, 0.0)
     t, p = G.shape
     scale = math.ldexp(1.0, min(math.frexp(float(np.abs(G).max()))[1], 1023))
+    scaled = G / scale
     margin = StandardLP(
-        constraint_matrix=np.hstack([G.T / scale, np.eye(p)]),
+        constraint_matrix=np.hstack([scaled.T, np.eye(p)]),
         rhs=np.ones(p),
         objective=np.concatenate([-np.ones(t), np.zeros(p)]),
     )
     sol = solve(margin)
     if sol.status == "unbounded":
         return 0.0, None
-    lam = 2.0 * max(1.0, 1.0 - float(G.sum(axis=1).min()))
+    # min_j g_j.1 from the scaled rows, whose sums cannot overflow; past float64's
+    # range the Python product is inf with no warning, and +inf leaves lam = 2
+    lam = 2.0 * max(1.0, 1.0 - float(scaled.sum(axis=1).min()) * scale)
     weights = lam * np.maximum(sol.reduced_costs[t:], 0.0) / scale + 1.0
     return scale / -sol.objective_value, weights
 

@@ -52,12 +52,12 @@ class ValueFunctionHandle:
     @cached_property
     def _unit_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """The nonzero generator columns at unit length, and their indices."""
-        unit, live, _ = _unit_generators(self.generator_matrix.T)
+        unit, live, *_ = _unit_generators(self.generator_matrix.T)
         return unit.T, live
 
     @cached_property
     def _projection_starts(self) -> np.ndarray:
-        """(k, n) :func:`nnls` starts: the nonzero generator columns tight on each facet."""
+        """(k, n) :func:`nnls` start table: the nonzero generator columns tight on each facet."""
         unit, live = self._unit_columns
         starts = np.zeros((self.facet_cone.n_facets, self.generator_matrix.shape[1]), dtype=bool)
         starts[:, live] = np.abs(self.facet_cone.facet_normals @ unit) <= CLASSIFY_TOL
@@ -134,7 +134,8 @@ def evaluate_batch(handle: ValueFunctionHandle, points: np.ndarray) -> np.ndarra
     the generators tight on some facet, the only ones an exterior point's
     projection can use when the facet list is complete.  Each point starts
     on the generators tight on its lowest-slack facet (its most violated
-    one), which saves steps.  Every answer then takes Lawson-Hanson's own
+    one), which saves steps; ``nnls`` gets the table of facet sets and each
+    point's facet index, so each set is factored once.  Every answer then takes Lawson-Hanson's own
     KKT test on every nonzero unit generator; the rows that fail it, or the
     whole stack if the first call hits its iteration cap, are solved again
     by a second ``nnls`` call on every generator from the same start.  So
@@ -160,23 +161,24 @@ def evaluate_batch(handle: ValueFunctionHandle, points: np.ndarray) -> np.ndarra
     if handle.facet_cone.is_whole_space:
         raise WholeSpaceError("the cone is the whole space; the signed distance is undefined")
     slack = handle.facet_cone.facet_normals @ Y.T  # (k, B)
-    margins = slack.min(axis=0)
+    facet = slack.argmin(axis=0)  # each point's most violated facet
+    margins = slack[facet, np.arange(facet.size)]
     norms = np.sqrt(squares)
     thresholds = CLASSIFY_TOL * (1.0 + norms)
     interior = margins > thresholds
     values[interior] = margins[interior]
     exterior = margins < -thresholds
-    G, Y, starts = handle.generator_matrix, Y[exterior], handle._projection_starts
-    start = starts[slack[:, exterior].argmin(axis=0)]
+    G, Y, facet = handle.generator_matrix, Y[exterior], facet[exterior]
+    starts = handle._projection_starts
     tight = starts.any(axis=0)
     try:
-        coef, resid = nnls(G[:, tight], Y, start=start[:, tight])
+        coef, resid = nnls(G[:, tight], Y, start=(starts[:, tight], facet))
     except NnlsMaxIterError:
         resid, fail = np.zeros(Y.shape[0]), np.ones(Y.shape[0], dtype=bool)
     else:
         gradient = (Y - coef @ G.T[tight]) @ handle._unit_columns[0]
         fail = (gradient > _KKT_TOL * (1.0 + norms[exterior, None])).any(axis=1)
     if fail.any():
-        resid[fail] = nnls(G, Y[fail], start=start[fail])[1]
+        resid[fail] = nnls(G, Y[fail], start=(starts, facet[fail]))[1]
     values[exterior] = -resid
     return values

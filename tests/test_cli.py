@@ -330,6 +330,43 @@ def test_judgement_direction_near_float64_max(capsys, tmp_path):
     assert len(numbers) > 200 and np.isfinite(numbers).all()
 
 
+_PAST_MAX = (
+    '{"alternatives": [[0.0, 0.0], [1.7e308, 1.7e308]], "reference_index": 0,'
+    ' "preferred_indices": [1]}'
+)
+
+
+@pytest.mark.parametrize(
+    "argv, key, want",
+    [
+        (["test", "{json}"], "weight_certificate", [1.0, 1.0]),
+        (["weights", "{json}"], "weights", [1.0, 1.0]),
+        (["epsilon", "{json}"], "epsilon_bar", 0.01),
+        (["eval", "--instance", "{json}", "--function", "psi", "--point=1,-1"], "value", -1.0),
+        (["eval", "--instance", "{json}", "--function", "psi", "--point=-1,-1"], "value",
+         -np.sqrt(2.0)),
+        (["eval", "--instance", "{json}", "--function", "vartheta", "--point=-1,-1"], "value",
+         -np.sqrt(2.0)),
+        (["plot", "{json}", "--output", "{svg}"], "svg", None),
+    ],
+    ids=["test", "weights", "epsilon", "psi-exterior", "psi-corner", "vartheta", "plot"],
+)
+def test_judgement_past_float64_max_warns_nothing(capsys, tmp_path, argv, key, want):
+    # the judgement's row sum and norm, 3.4e308 and 2.4e308, pass float64's
+    # largest value; neither is formed, so no overflow warning (an error
+    # under this suite's filter) is raised and the answers stay exact
+    path = tmp_path / "past_max.json"
+    path.write_text(_PAST_MAX)
+    argv = [a.format(json=path, svg=tmp_path / "past_max.svg") for a in argv]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    value = json.loads(out)[key]
+    if want is None:
+        assert Path(value).read_text().startswith("<")
+    else:
+        assert value == want
+
+
 def test_overflowing_judgement_direction_is_invalid(capsys, tmp_path):
     # both alternatives are finite, their difference x_1 - x_0 is not
     path = tmp_path / "overflow.json"

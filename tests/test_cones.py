@@ -409,7 +409,7 @@ def test_nnls_start_on_parallel_columns_gives_the_cold_answer():
     np.testing.assert_array_equal(np.flatnonzero(start), [1, 2, 4, 5, 6])
     cold = nnls(G, x)[1]
     assert cold == pytest.approx(9.2196e-06, rel=1e-4)
-    assert nnls(G, x, start=start)[1] == pytest.approx(cold, rel=0, abs=1e-15)
+    assert nnls(G, x, start=(start[None], 0))[1] == pytest.approx(cold, rel=0, abs=1e-15)
 
 
 def test_nnls_start_gives_the_cold_answer():
@@ -424,7 +424,7 @@ def test_nnls_start_gives_the_cold_answer():
         empty, full = np.zeros((B, n), bool), np.ones((B, n), bool)
         starts = [rng.random((B, n)) < 0.5, empty, full, infeasible]
         for start in starts:
-            coef, resid = nnls(G, Y, start=start)
+            coef, resid = nnls(G, Y, start=(start, np.arange(B)))
             tol = 1e-12 * (1.0 + np.linalg.norm(Y, axis=1))
             assert (np.abs(resid - cold) <= tol).all()
             assert (coef >= 0).all()
@@ -439,20 +439,21 @@ def test_nnls_start_gives_the_cold_answer():
         for y, cols in zip(Y, infeasible):
             if cols.any():
                 clipped += np.linalg.lstsq(G[:, cols], y, rcond=None)[0].min() < 0.0
-        one_resid = nnls(G, Y[0], start=starts[0][0])[1]
+        one_resid = nnls(G, Y[0], start=(starts[0], 0))[1]
         assert abs(one_resid - cold[0]) <= 1e-12 * (1.0 + np.linalg.norm(Y[0]))
     assert clipped > 100  # the infeasible starts do need settling
 
 
 def test_nnls_stack_makes_as_many_passive_solves_as_its_longest_row(monkeypatch):
     # rows of a stack never wait for each other to finish a phase, so the
-    # stacked call solves no more often than its slowest row alone
+    # stacked call solves no more often than its slowest row alone; every
+    # solve, the start's and each later pass's, goes through _set_solve
     calls, stacks = [0], []
-    passive_solve = prefcone.cones._passive_solve
+    set_solve = prefcone.cones._set_solve
 
     def counted(*args):
         calls[0] += 1
-        return passive_solve(*args)
+        return set_solve(*args)
 
     def solves(G, Y, start):
         calls[0] = 0
@@ -464,7 +465,7 @@ def test_nnls_stack_makes_as_many_passive_solves_as_its_longest_row(monkeypatch)
         return nnls(G, Y, start=start)
 
     monkeypatch.setattr(prefcone.valuefn, "nnls", recorded)
-    monkeypatch.setattr(prefcone.cones, "_passive_solve", counted)
+    monkeypatch.setattr(prefcone.cones, "_set_solve", counted)
     rng = np.random.default_rng(20)
     for _ in range(6):
         inst = synthetic_dm_instance(rng, p_max=4, t_max=20)
@@ -472,10 +473,10 @@ def test_nnls_stack_makes_as_many_passive_solves_as_its_longest_row(monkeypatch)
             inst = synthetic_dm_instance(rng, p_max=4, t_max=20)
         psi = make_psi(inst)
         evaluate_batch(psi, inst.reference + rng.normal(scale=3.0, size=(300, 4)))
-        G, Y, start = stacks.pop()
+        G, Y, (sets, index) = stacks.pop()
         assert Y.shape[0] >= 200
-        longest = max(solves(G, y, s) for y, s in zip(Y, start))
-        assert solves(G, Y, start) == longest
+        longest = max(solves(G, y, (sets, i)) for y, i in zip(Y, index))
+        assert solves(G, Y, (sets, index)) == longest
 
 
 def test_lawson_hanson_cap_counts_steps_per_row():
@@ -489,9 +490,44 @@ def test_lawson_hanson_cap_counts_steps_per_row():
 
 def test_nnls_start_shape_checked():
     with pytest.raises(ValueError, match="start has shape"):
-        nnls(np.ones((3, 5)), np.zeros((2, 3)), start=np.ones((2, 4), bool))
+        nnls(np.ones((3, 5)), np.zeros((2, 3)), start=(np.ones((2, 4), bool), np.arange(2)))
     with pytest.raises(ValueError, match="start has shape"):
-        nnls(np.ones((3, 5)), np.zeros(3), start=np.ones((1, 5), bool))
+        nnls(np.ones((3, 5)), np.zeros(3), start=(np.ones((1, 5), bool), np.zeros(1, int)))
+    with pytest.raises(ValueError, match="start index"):
+        nnls(np.ones((3, 5)), np.zeros((2, 3)), start=(np.ones((1, 5), bool), np.array([0, 1])))
+
+
+def test_nnls_start_table_gives_the_bits_of_one_set_per_row(monkeypatch):
+    # the start factors each set of the table once for all its rows; the
+    # bits are those of the same sets repeated, one per row, and a set no
+    # row names, here every column, changes none of them
+    stacks = []
+
+    def recorded(G, Y, start=None):
+        stacks.append((G, Y, start))
+        return nnls(G, Y, start=start)
+
+    monkeypatch.setattr(prefcone.valuefn, "nnls", recorded)
+    rng = np.random.default_rng(23)
+    for _ in range(6):
+        inst = synthetic_dm_instance(rng, p_max=4, t_max=20)
+        while (inst.p, inst.t) != (4, 20):
+            inst = synthetic_dm_instance(rng, p_max=4, t_max=20)
+        evaluate_batch(make_psi(inst), inst.reference + rng.normal(scale=3.0, size=(300, 4)))
+        G, Y, (sets, index) = stacks.pop()
+        assert np.unique(index).size < index.size  # rows share their sets
+        row_coef, row_resid = nnls(G, Y, start=(sets[index], np.arange(Y.shape[0])))
+        for table in (sets, np.vstack([sets, np.ones(G.shape[1], bool)])):
+            coef, resid = nnls(G, Y, start=(table, index))
+            np.testing.assert_array_equal(coef.view(np.uint64), row_coef.view(np.uint64))
+            np.testing.assert_array_equal(resid.view(np.uint64), row_resid.view(np.uint64))
+    # a table over no columns, as a p=1 cone has: no generator is facet-tight
+    Y = rng.normal(size=(5, 1))
+    index = np.array([0, 1, 1, 0, 1])
+    for sets, index in [(np.zeros((2, 0), bool), index), (np.zeros((5, 0), bool), np.arange(5))]:
+        coef, resid = nnls(np.zeros((1, 0)), Y, start=(sets, index))
+        assert coef.shape == (5, 0)
+        np.testing.assert_array_equal(resid, np.abs(Y[:, 0]))
 
 
 def test_nnls_empty_stack():
