@@ -80,7 +80,8 @@ def extreme_rays(gens: np.ndarray) -> FacetCone:
     axis rows pin the dual inside the orthant, so it is pointed.  Double
     description (:func:`_dd_pointed`) finds the rays, bit for bit as a
     pair-by-pair loop would; they are unit-normalized and sorted for
-    deterministic output.  No ray means the cone is the whole space.
+    deterministic output.  No ray means the cone is the whole space.  A
+    non-finite generator raises ValueError.
     """
     G = np.atleast_2d(np.asarray(gens, dtype=float))
     p = G.shape[1]
@@ -107,9 +108,12 @@ def _unit_generators(V: np.ndarray):
     ``live[i]`` has Euclidean norm ``norms[i] * 2**exps[i]``, a product
     left unformed because it can pass float64's largest value.  The facets,
     the projection and its KKT check all see a generator through this one
-    map.
+    map.  A NaN or infinite entry raises ValueError.
     """
-    e = np.frexp(np.abs(V).max(axis=1))[1]
+    top = np.abs(V).max(axis=1)
+    if not np.isfinite(top).all():
+        raise ValueError("generators must be finite")
+    e = np.frexp(top)[1]
     V = np.ldexp(V, -e[:, None])
     norms = np.linalg.norm(V, axis=1)
     live = np.flatnonzero(norms)
@@ -219,13 +223,16 @@ def nnls(
     NnlsMaxIterError when a cold row's active-set loop exceeds ``3 *
     n_columns * p`` iterations, counting the columns passed in, so a call
     on a subset of a cone's generators has a smaller cap (a sign of
-    numerical pathology, not a routine outcome).
+    numerical pathology, not a routine outcome).  A non-finite column or
+    target raises ValueError.
     """
     G = np.atleast_2d(np.asarray(columns, dtype=float))
     Y = np.asarray(target, dtype=float)
     p, n = G.shape
     if Y.ndim not in (1, 2) or Y.shape[-1] != p:
         raise ValueError(f"target has shape {Y.shape}, expected ({p},) or (B, {p})")
+    if not (np.isfinite(Y.min(initial=0.0)) and np.isfinite(Y.max(initial=0.0))):
+        raise ValueError("target must be finite")  # two reductions, no temporary array
     if start is not None:
         sets, index = np.asarray(start[0], dtype=bool), np.asarray(start[1])
         if sets.ndim != 2 or sets.shape[1] != n or index.shape != Y.shape[:-1]:

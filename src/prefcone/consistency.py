@@ -160,7 +160,8 @@ def _margin(inst: PreferenceInstance) -> tuple[float, np.ndarray | None]:
     of order one.
     The slack columns' reduced costs are the dual d >= 0 with ``G d >= scale``,
     and ``w = lam d / scale + 1`` has ``w >= 1``, ``G w >= 1`` in float64, with
-    ``lam`` twice the ``max(1, 1 - min_j g_j.1)`` that exact arithmetic needs.
+    ``lam`` twice the ``max(1, 1 - min_j g_j.1)`` that exact arithmetic needs;
+    ``lam / scale`` is formed as one factor, which stays finite where lam does not.
     """
     G = generators(inst, 0.0)
     t, p = G.shape
@@ -174,11 +175,12 @@ def _margin(inst: PreferenceInstance) -> tuple[float, np.ndarray | None]:
     sol = solve(margin)
     if sol.status == "unbounded":
         return 0.0, None
-    # min_j g_j.1 from the scaled rows, whose sums cannot overflow; past float64's
-    # range the Python product is inf with no warning, and +inf leaves lam = 2
-    lam = 2.0 * max(1.0, 1.0 - float(scaled.sum(axis=1).min()) * scale)
-    weights = lam * np.maximum(sol.reduced_costs[t:], 0.0) / scale + 1.0
-    return scale / -sol.objective_value, weights
+    # lam / scale from the scaled rows, whose sums cannot overflow, though lam
+    # itself can; only positive reduced costs take it, so the inf 1 / scale of
+    # a subnormal G gives no inf * 0
+    factor = 2.0 * max(1.0 / scale, 1.0 / scale - float(scaled.sum(axis=1).min()))
+    d = sol.reduced_costs[t:]
+    return scale / -sol.objective_value, np.where(d > 0.0, factor, 0.0) * d + 1.0
 
 
 def extract_linear_weights(inst: PreferenceInstance) -> np.ndarray:

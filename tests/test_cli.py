@@ -367,6 +367,41 @@ def test_judgement_past_float64_max_warns_nothing(capsys, tmp_path, argv, key, w
         assert value == want
 
 
+@pytest.mark.parametrize("command", ["weights", "test"])
+def test_judgement_sum_past_float64_min_gets_finite_weights(capsys, tmp_path, command):
+    # the judgement's row sum, -2e308, passes float64's most negative value, so
+    # lam = 2 (1 - min_j g_j.1) is inf; lam / scale is finite, and no weight is NaN
+    from fractions import Fraction
+
+    g = [-1.5e308, -1.5e308, 1e308]
+    path = tmp_path / "past_min.json"
+    path.write_text(json.dumps(
+        {"alternatives": [[0.0, 0.0, 0.0], g], "reference_index": 0, "preferred_indices": [1]}
+    ))
+    code, out = run_cli(capsys, command, str(path))
+    assert code == 0
+    doc = json.loads(out)
+    w = doc["weights"] if command == "weights" else doc["weight_certificate"]
+    assert np.isfinite(w).all()
+    w = [Fraction(v) for v in w]
+    assert min(w) >= 1
+    assert sum(Fraction(a) * b for a, b in zip(g, w)) >= 1
+
+
+def test_subnormal_judgement_weights_are_not_nan(capsys, tmp_path):
+    # max|G| is subnormal, so 1 / scale is inf; no finite float64 w has
+    # G w >= 1 here, but a zero reduced cost must still give a weight of 1
+    path = tmp_path / "subnormal.json"
+    path.write_text(
+        '{"alternatives": [[0.0, 0.0], [1e-323, -5e-324]], "reference_index": 0,'
+        ' "preferred_indices": [1]}'
+    )
+    code, out = run_cli(capsys, "weights", str(path))
+    assert code == 0
+    w = np.array(json.loads(out)["weights"])
+    assert not np.isnan(w).any() and (w >= 1).all()
+
+
 def test_overflowing_judgement_direction_is_invalid(capsys, tmp_path):
     # both alternatives are finite, their difference x_1 - x_0 is not
     path = tmp_path / "overflow.json"

@@ -79,6 +79,13 @@ def test_extreme_rays_dimension_cap():
     assert _dd_pointed(np.eye(13)).shape == (13, 13)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_extreme_rays_rejects_non_finite_generators(bad):
+    # a NaN generator takes part in no cut, so double description alone returns the orthant
+    with pytest.raises(ValueError, match="finite"):
+        extreme_rays([[bad, 1.0]])
+
+
 def test_extreme_rays_output_is_deterministic(pointed_instance):
     gens = generators(pointed_instance, 0.0)
     a = extreme_rays(gens).facet_normals
@@ -495,6 +502,16 @@ def test_nnls_start_shape_checked():
         nnls(np.ones((3, 5)), np.zeros(3), start=(np.ones((1, 5), bool), np.zeros(1, int)))
     with pytest.raises(ValueError, match="start index"):
         nnls(np.ones((3, 5)), np.zeros((2, 3)), start=(np.ones((1, 5), bool), np.array([0, 1])))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nnls_rejects_non_finite_columns_and_targets(bad):
+    G = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        nnls(np.where(G == 0.0, bad, G), np.ones(2))
+    for target in ([bad, 1.0], [[1.0, 1.0], [1.0, bad]]):
+        with pytest.raises(ValueError, match="finite"):
+            nnls(G, target)
 
 
 def test_nnls_start_table_gives_the_bits_of_one_set_per_row(monkeypatch):
