@@ -24,6 +24,7 @@ from .errors import (
     MaxIterExceededError,
     NnlsMaxIterError,
     NotPointedError,
+    NumericalError,
     ParseError,
     PrefconeError,
     UnsupportedDimensionError,
@@ -60,6 +61,7 @@ __all__ = [
     "MaxIterExceededError",
     "NnlsMaxIterError",
     "NotPointedError",
+    "NumericalError",
     "ParseError",
     "PointednessResult",
     "PrefconeError",

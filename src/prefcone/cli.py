@@ -3,8 +3,9 @@
 Exit codes: 0 for a consistent verdict or any successful output, 1 when the
 judgements are inconsistent (a domain answer, so pipelines can branch on
 it), 2 for input problems (unreadable or invalid files, wrong dimensions),
-3 for numerical failures on a valid input (a stalled simplex, an exhausted
-epsilon schedule, or an NNLS iteration cap), and 64 for malformed flags.
+3 for numerical failures on a valid input (a stalled simplex, a non-finite
+pivot or LP answer, an exhausted epsilon schedule, weights that fail their
+check, or an NNLS iteration cap), and 64 for malformed flags.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from pathlib import Path
 from .consistency import consistency_verdict, epsilon_search, extract_linear_weights
 from .errors import (
     InvalidInstanceError,
-    MaxIterExceededError,
-    NnlsMaxIterError,
     NotPointedError,
+    NumericalError,
     PrefconeError,
     WholeSpaceError,
 )
@@ -112,7 +112,7 @@ def run(argv=None) -> int:
     except InvalidInstanceError as exc:
         payload, code = _error(exc.code, exc), _INPUT_ERRORS
         payload["violations"] = [{"code": c, "message": m} for c, m in exc.violations]
-    except (MaxIterExceededError, NnlsMaxIterError) as exc:
+    except NumericalError as exc:
         payload, code = _error(exc.code, exc), _NUMERICAL_FAILURE
     except PrefconeError as exc:
         payload, code = _error(exc.code, exc), _INPUT_ERRORS

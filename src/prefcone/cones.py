@@ -204,15 +204,17 @@ def nnls(
     target starts from.  Each set that some row names is factored once for
     all its rows.  A row's start set's least-squares solution, clipped to
     its positive part, is where Lawson-Hanson starts, and the usual blocking
-    steps take a clipped row on.  The same KKT test ends it, so on
-    well-separated columns any start gives the cold answer to rounding.  On
-    numerically parallel columns both runs can stop short of the optimum
-    and agree to about 1e-10 only (measured on a p=6, t=20 cone with two
-    generators of cosine 1.0 to the last bit: up to 7.7e-11 apart, both up
-    to 2.4e-9 above scipy's optimum).  A start can hold two numerically
-    parallel columns, whose minimum-norm solution breaks Lawson-Hanson's
-    invariant and can cycle; a started run that passes the iteration cap is
-    therefore solved again cold, and a cold run never makes both columns of
+    steps take a clipped row on.  A started call runs first on the columns
+    that the named sets cover, where the KKT test ends each row, so its
+    arrays stay that narrow; each row then takes the same test on the other
+    columns, and the rows that fail it are solved again on every column
+    from the same start.  So on well-separated columns any start gives the
+    cold answer to rounding.  On numerically parallel columns both runs can
+    stop short of the optimum and agree to about 1e-10 only (README gives
+    the measurement).  A start can hold two numerically parallel columns,
+    whose minimum-norm solution breaks Lawson-Hanson's invariant and can
+    cycle; a started call that passes the iteration cap is therefore solved
+    again cold on every column, and a cold run never makes both columns of
     such a pair passive.
 
     Columns are rescaled to unit norm internally by
@@ -221,10 +223,8 @@ def nnls(
     dropped.  The residual is unchanged.  A row stops when its gradient on
     every column is at most ``_KKT_TOL * (1 + |y|)``.  Raises
     NnlsMaxIterError when a cold row's active-set loop exceeds ``3 *
-    n_columns * p`` iterations, counting the columns passed in, so a call
-    on a subset of a cone's generators has a smaller cap (a sign of
-    numerical pathology, not a routine outcome).  A non-finite column or
-    target raises ValueError.
+    n_columns * p`` iterations (a sign of numerical pathology, not a
+    routine outcome).  A non-finite column or target raises ValueError.
     """
     G = np.atleast_2d(np.asarray(columns, dtype=float))
     Y = np.asarray(target, dtype=float)
@@ -247,19 +247,34 @@ def nnls(
     max_iter = 3 * n * max(p, 1)
 
     unit, live, norms, exps = _unit_generators(G.T)
-    Gn = unit.T
-    if start is not None:
-        start = sets[:, live], index.reshape(-1)
+    cols = every = np.arange(live.size)
+    fail = every[:0]  # rows solved again on every column
     try:
-        coef = _lawson_hanson(Gn, Y, start, max_iter)
+        if start is None:
+            coef = _lawson_hanson(unit.T, Y, None, max_iter)
+        else:
+            sets, index = sets[:, live], index.reshape(-1)
+            named = sets[np.bincount(index, minlength=sets.shape[0]) > 0].any(axis=0)
+            cols = np.flatnonzero(named)
+            coef = _lawson_hanson(unit[cols].T, Y, (sets[:, cols], index), max_iter)
+            # each row's top gradient on the other columns; the (rest, B) product is freed at once
+            top = (unit[~named] @ (Y - coef @ unit[cols]).T).max(axis=0, initial=-np.inf)
+            fail = np.flatnonzero(top > _KKT_TOL * (1.0 + np.linalg.norm(Y, axis=1)))
+            if fail.size:
+                again = _lawson_hanson(unit.T, Y[fail], (sets, index[fail]), max_iter)
     except NnlsMaxIterError:
         if start is None:
             raise
-        coef = _lawson_hanson(Gn, Y, None, max_iter)
+        cols, fail = every, every[:0]
+        coef = _lawson_hanson(unit.T, Y, None, max_iter)
 
+    resid = np.linalg.norm(Y - coef @ unit[cols], axis=1)
+    coef /= norms[cols]  # in place: coef is this call's own, and no temporary adds to the peak
     full = np.zeros((Y.shape[0], n))
-    full[:, live] = np.ldexp(coef / norms, -exps)
-    resid = np.linalg.norm(Y - coef @ Gn.T, axis=1)
+    full[:, live[cols]] = np.ldexp(coef, -exps[cols], out=coef)
+    if fail.size:
+        resid[fail] = np.linalg.norm(Y[fail] - again @ unit, axis=1)
+        full[fail[:, None], live] = np.ldexp(again / norms, -exps)
     if single:
         return full[0], float(resid[0])
     return full, resid

@@ -20,7 +20,7 @@ import numpy as np
 # Unused here; bound only as perfbench's ``consistency.extreme_rays`` span
 # target, and removed together with that target.
 from .cones import extreme_rays  # noqa: F401
-from .errors import MaxIterExceededError, NotPointedError
+from .errors import MaxIterExceededError, NotPointedError, NumericalError
 from .instance import PreferenceInstance, generators
 from .lp import StandardLP, build_pointedness_lp, solve
 
@@ -111,9 +111,13 @@ def test_pointedness(inst: PreferenceInstance) -> PointednessResult:
     d part of the optimal solution is returned as certificate.  It satisfies
     d >= 1 componentwise and ``gen_j . d >= 1`` for every generator.  The
     verdict comes from the margin program instead; this one prices
-    ``z_star`` on an inconsistent verdict.
+    ``z_star`` on an inconsistent verdict.  Its objective is a sum of
+    nonnegative variables, so a solve that reads it as unbounded has failed
+    numerically and raises NumericalError.
     """
     sol = solve(build_pointedness_lp(generators(inst, 0.0)))
+    if sol.status == "unbounded":
+        raise NumericalError("the feasibility program, bounded below by 0, read as unbounded")
     z_star = float(sol.objective_value)
     pointed = z_star <= Z_STAR_TOL
     certificate = sol.values[: inst.p].copy() if pointed else None
@@ -162,6 +166,10 @@ def _margin(inst: PreferenceInstance) -> tuple[float, np.ndarray | None]:
     and ``w = lam d / scale + 1`` has ``w >= 1``, ``G w >= 1`` in float64, with
     ``lam`` twice the ``max(1, 1 - min_j g_j.1)`` that exact arithmetic needs;
     ``lam / scale`` is formed as one factor, which stays finite where lam does not.
+    The weights are checked before they are returned: weights whose sum is
+    not finite, or that miss ``w >= 1`` or ``G w >= 1`` in float64 (tested
+    as ``(G / scale) w >= 1 / scale``, exact up to rounding and free of
+    overflow), raise NumericalError.
     """
     G = generators(inst, 0.0)
     t, p = G.shape
@@ -180,14 +188,23 @@ def _margin(inst: PreferenceInstance) -> tuple[float, np.ndarray | None]:
     # a subnormal G gives no inf * 0
     factor = 2.0 * max(1.0 / scale, 1.0 / scale - float(scaled.sum(axis=1).min()))
     d = sol.reduced_costs[t:]
-    return scale / -sol.objective_value, np.where(d > 0.0, factor, 0.0) * d + 1.0
+    w = np.where(d > 0.0, factor, 0.0) * d + 1.0
+    # with sum(w) finite and |G / scale| <= 1, no row of (G / scale) w can overflow;
+    # a few floats' min costs less in Python than in numpy
+    ws = w.tolist()
+    if not (
+        math.isfinite(sum(ws)) and min(ws) >= 1.0 and min((scaled @ w).tolist()) >= 1.0 / scale
+    ):
+        raise NumericalError(f"the margin program's weights {ws} fail their check w >= 1, G w >= 1")
+    return scale / -sol.objective_value, w
 
 
 def extract_linear_weights(inst: PreferenceInstance) -> np.ndarray:
     """Strictly positive weights d with d.x_j > d.x_k for every judgement.
 
     Read off the margin program's dual; they satisfy d >= 1 componentwise
-    and (x_j - x_k).d >= 1 in float64.
+    and (x_j - x_k).d >= 1 in float64, checked before they are returned
+    (NumericalError when they do not).
     """
     weights = _margin(inst)[1]
     if weights is None:

@@ -46,7 +46,14 @@ class NotPointedError(PrefconeError):
     code = "NOT_POINTED"
 
 
-class MaxIterExceededError(PrefconeError):
+class NumericalError(PrefconeError):
+    """A valid input on which float64 arithmetic failed: an overflow, a
+    stalled iteration, or a certificate that fails its own check."""
+
+    code = "NUMERICAL_FAILURE"
+
+
+class MaxIterExceededError(NumericalError):
     code = "MAX_ITER_EXCEEDED"
 
 
@@ -54,7 +61,7 @@ class WholeSpaceError(PrefconeError):
     code = "WHOLE_SPACE"
 
 
-class NnlsMaxIterError(PrefconeError):
+class NnlsMaxIterError(NumericalError):
     code = "NNLS_MAX_ITER"
 
 

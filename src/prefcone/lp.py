@@ -10,11 +10,12 @@ beats speed.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MaxIterExceededError
+from .errors import MaxIterExceededError, NumericalError
 
 __all__ = ["PIVOT_TOL", "StandardLP", "LPSolution", "solve", "build_pointedness_lp"]
 
@@ -70,24 +71,31 @@ class LPSolution:
     reduced_costs: np.ndarray  # c - c_B B^-1 A there; minus the dual on the start columns
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite entry raises NumericalError
 def solve(lp: StandardLP) -> LPSolution:
     """Run the simplex method from the identity start to optimality.
 
     Returns an optimal basic solution, or status ``unbounded`` when the
     objective decreases without limit (the margin program's answer when the
-    cone is not pointed; never the pointedness program's).
+    cone is not pointed; never the pointedness program's).  The pivots run
+    with numpy's overflow and invalid-value warnings off; a ratio test
+    whose minimum is not finite, or an answer whose point or objective
+    value is not finite, raises NumericalError instead.  More than
+    ``max(1000, 50 * n_vars)`` pivots raise MaxIterExceededError.
     """
     A, b, c = lp.constraint_matrix, lp.rhs, lp.objective
     n_rows, n_vars = A.shape
     basis = np.arange(n_vars - n_rows, n_vars)
 
-    T = np.hstack([A.astype(float, copy=True), b.reshape(-1, 1).astype(float)])
+    T = np.hstack([A, b[:, None]])  # a new float64 array: StandardLP holds float64 data
     max_pivots = max(1000, 50 * n_vars)
-    if logger.isEnabledFor(logging.DEBUG):
+    debug = logger.isEnabledFor(logging.DEBUG)
+    if debug:
         logger.debug(
             "initial tableau (basis %s):\n%s", basis.tolist(), np.array2string(T, precision=6)
         )
 
+    status = "optimal"
     for _ in range(max_pivots):
         reduced = c - c[basis] @ T[:, :n_vars]
         reduced[basis] = 0.0
@@ -98,15 +106,17 @@ def solve(lp: StandardLP) -> LPSolution:
         col = T[:, enter]
         rows = np.flatnonzero(col > PIVOT_TOL)
         if rows.size == 0:
-            values = _basic_point(T, basis, n_vars)
-            return LPSolution("unbounded", float("-inf"), values, reduced)
+            status = "unbounded"
+            break
         ratios = T[rows, n_vars] / col[rows]
         best = ratios.min()
+        if not math.isfinite(best):
+            raise NumericalError(f"the simplex ratio test's minimum is {best}")
         ties = rows[ratios <= best + PIVOT_TOL * (1.0 + abs(best))]
         leave = int(ties[basis[ties].argmin()])  # Bland on the leaving variable
         _pivot(T, leave, enter)
         basis[leave] = enter
-        if logger.isEnabledFor(logging.DEBUG):
+        if debug:
             logger.debug(
                 "pivot: enter x%d, leave row %d (basis %s)\n%s",
                 enter,
@@ -118,7 +128,12 @@ def solve(lp: StandardLP) -> LPSolution:
         raise MaxIterExceededError(f"simplex did not terminate in {max_pivots} pivots")
 
     values = _basic_point(T, basis, n_vars)
-    return LPSolution("optimal", float(c @ values), values, reduced)
+    objective = float(c @ values)  # not finite when a value is not, as 0 * inf is NaN
+    if not math.isfinite(objective):
+        raise NumericalError(f"the simplex returned a non-finite {status} point")
+    if status == "unbounded":
+        objective = float("-inf")
+    return LPSolution(status, objective, values, reduced)
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:

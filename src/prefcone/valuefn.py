@@ -22,9 +22,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .cones import _KKT_TOL, CLASSIFY_TOL, FacetCone, _unit_generators, extreme_rays, nnls
+from .cones import CLASSIFY_TOL, FacetCone, _unit_generators, extreme_rays, nnls
 from .consistency import epsilon_search, extract_linear_weights
-from .errors import NnlsMaxIterError, WholeSpaceError
+from .errors import WholeSpaceError
 from .instance import PreferenceInstance, generators
 
 __all__ = [
@@ -50,17 +50,11 @@ class ValueFunctionHandle:
         return self.reference.shape[0]
 
     @cached_property
-    def _unit_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The nonzero generator columns at unit length, and their indices."""
-        unit, live, *_ = _unit_generators(self.generator_matrix.T)
-        return unit.T, live
-
-    @cached_property
     def _projection_starts(self) -> np.ndarray:
         """(k, n) :func:`nnls` start table: the nonzero generator columns tight on each facet."""
-        unit, live = self._unit_columns
+        unit, live, *_ = _unit_generators(self.generator_matrix.T)
         starts = np.zeros((self.facet_cone.n_facets, self.generator_matrix.shape[1]), dtype=bool)
-        starts[:, live] = np.abs(self.facet_cone.facet_normals @ unit) <= CLASSIFY_TOL
+        starts[:, live] = np.abs(self.facet_cone.facet_normals @ unit.T) <= CLASSIFY_TOL
         return starts
 
 
@@ -131,18 +125,13 @@ def evaluate_batch(handle: ValueFunctionHandle, points: np.ndarray) -> np.ndarra
     A signed-distance handle whose cone is the whole space raises
     WholeSpaceError, as :func:`make_psi` does for such an instance.  All
     exterior points go to one batched :func:`~prefcone.cones.nnls` call on
-    the generators tight on some facet, the only ones an exterior point's
-    projection can use when the facet list is complete.  Each point starts
-    on the generators tight on its lowest-slack facet (its most violated
-    one), which saves steps; ``nnls`` gets the table of facet sets and each
-    point's facet index, so each set is factored once.  Every answer then takes Lawson-Hanson's own
-    KKT test on every nonzero unit generator; the rows that fail it, or the
-    whole stack if the first call hits its iteration cap, are solved again
-    by a second ``nnls`` call on every generator from the same start.  So
-    an exterior value is certified on every generator and does not depend
-    on the facet list being complete, and NnlsMaxIterError still means the
-    all-generator solve stalled.  Values agree with a cold all-generator
-    solve to rounding, not bitwise, except on numerically parallel
+    every generator.  Each point starts on the generators tight on its
+    lowest-slack facet (its most violated one): ``nnls`` gets the table of
+    facet sets and each point's facet index, factors each set once, works
+    first on the generators those sets cover and checks its answers on the
+    rest itself.  So an exterior value is certified on every generator and
+    does not depend on the facet list being complete.  Values agree with a
+    cold solve to rounding, not bitwise, except on numerically parallel
     generators (see :func:`~prefcone.cones.nnls`).  A row whose squared
     distance to the reference overflows float64, or whose linear value
     does, raises ValueError.
@@ -163,22 +152,10 @@ def evaluate_batch(handle: ValueFunctionHandle, points: np.ndarray) -> np.ndarra
     slack = handle.facet_cone.facet_normals @ Y.T  # (k, B)
     facet = slack.argmin(axis=0)  # each point's most violated facet
     margins = slack[facet, np.arange(facet.size)]
-    norms = np.sqrt(squares)
-    thresholds = CLASSIFY_TOL * (1.0 + norms)
+    thresholds = CLASSIFY_TOL * (1.0 + np.sqrt(squares))
     interior = margins > thresholds
     values[interior] = margins[interior]
     exterior = margins < -thresholds
-    G, Y, facet = handle.generator_matrix, Y[exterior], facet[exterior]
-    starts = handle._projection_starts
-    tight = starts.any(axis=0)
-    try:
-        coef, resid = nnls(G[:, tight], Y, start=(starts[:, tight], facet))
-    except NnlsMaxIterError:
-        resid, fail = np.zeros(Y.shape[0]), np.ones(Y.shape[0], dtype=bool)
-    else:
-        gradient = (Y - coef @ G.T[tight]) @ handle._unit_columns[0]
-        fail = (gradient > _KKT_TOL * (1.0 + norms[exterior, None])).any(axis=1)
-    if fail.any():
-        resid[fail] = nnls(G, Y[fail], start=(starts, facet[fail]))[1]
-    values[exterior] = -resid
+    start = (handle._projection_starts, facet[exterior])
+    values[exterior] = -nnls(handle.generator_matrix, Y[exterior], start=start)[1]
     return values

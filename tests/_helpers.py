@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from prefcone import PreferenceInstance
+from prefcone import FacetCone, PreferenceInstance, ValueFunctionHandle, make_psi
 
 
 def random_instance(
@@ -103,6 +103,20 @@ GAUSSIAN_SCORER_FACETS = {
     (30, 11): 5084,
     (30, 12): 15598,
 }
+
+
+def missing_facet_handle(pointed_instance: PreferenceInstance) -> ValueFunctionHandle:
+    """psi on ``data/pointed.json`` without its facet y1 + 2 y2 >= 0, so the
+    extreme generator (-1, 0.5) is tight on no listed facet."""
+    psi = make_psi(pointed_instance)
+    A = psi.facet_cone.facet_normals
+    np.testing.assert_allclose(A, [[0.0, 1.0], [1 / np.sqrt(5.0), 2 / np.sqrt(5.0)]], atol=1e-15)
+    handle = ValueFunctionHandle(
+        kind="psi", reference=psi.reference, generator_matrix=psi.generator_matrix,
+        facet_cone=FacetCone(A[:1]),
+    )
+    np.testing.assert_array_equal(handle._projection_starts.any(axis=0), [0, 0, 0, 1, 0])
+    return handle
 
 
 def _distinct_points(rng, m_wanted, p, lo, hi) -> np.ndarray:

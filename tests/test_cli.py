@@ -18,8 +18,11 @@ import prefcone.valuefn
 from prefcone.cli import _membership, main, run
 from prefcone.plotting import plot2d
 from prefcone import (
+    MaxIterExceededError,
     NnlsMaxIterError,
     NotPointedError,
+    NumericalError,
+    PrefconeError,
     UnsupportedDimensionError,
     WholeSpaceError,
     consistency_verdict,
@@ -390,16 +393,77 @@ def test_judgement_sum_past_float64_min_gets_finite_weights(capsys, tmp_path, co
 
 def test_subnormal_judgement_weights_are_not_nan(capsys, tmp_path):
     # max|G| is subnormal, so 1 / scale is inf; no finite float64 w has
-    # G w >= 1 here, but a zero reduced cost must still give a weight of 1
+    # G w >= 1 here, so the weights fail their check: a typed numerical
+    # error, exit 3, rather than an infinite weight
     path = tmp_path / "subnormal.json"
     path.write_text(
         '{"alternatives": [[0.0, 0.0], [1e-323, -5e-324]], "reference_index": 0,'
         ' "preferred_indices": [1]}'
     )
     code, out = run_cli(capsys, "weights", str(path))
-    assert code == 0
-    w = np.array(json.loads(out)["weights"])
-    assert not np.isnan(w).any() and (w >= 1).all()
+    assert code == 3
+    assert json.loads(out)["error"]["code"] == "NUMERICAL_FAILURE"
+
+
+# pointed in float64 by the margin LP's reading, but its weights, w1 = 1.84e24,
+# miss G.w >= 1 by 6.0e6; exact arithmetic finds the cone not pointed
+_FAILED_WEIGHTS = json.dumps({
+    "alternatives": [
+        [0.00390625, 256.0, 786432.0, 0.0, 2.0], [-0.00390625, -512.0, -786432.0, 0.0234375, 1.0],
+        [0.001953125, 512.0, 524288.0, 0.0, 3.0], [0.0, 768.0, -786432.0, -0.0078125, -1.0],
+        [-0.005859375, 256.0, 262144.0, 0.0078125, 2.0],
+        [-0.005859375, -512.0, 524288.0, -0.0078125, -1.0],
+        [-0.005859375, -512.0, 0.0, -0.0234375, 3.0], [0.0, -768.0, -786432.0, 0.015625, 2.0],
+        [0.001953125, 0.0, -262144.0, -0.0078125, 2.0],
+        [0.005859375, 768.0, -524288.0, 0.0234375, -2.0],
+    ],
+    "reference_index": 4,
+    "preferred_indices": [7, 6, 2, 8, 0, 5, 9],
+})
+
+
+@pytest.mark.parametrize("command", ["test", "weights", "epsilon"])
+def test_weights_that_fail_their_check_exit_3(capsys, tmp_path, command):
+    path = tmp_path / "failed_weights.json"
+    path.write_text(_FAILED_WEIGHTS)
+    code, out = run_cli(capsys, command, str(path))
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["code"] == "NUMERICAL_FAILURE"
+    assert "fail their check" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "alternatives, message",
+    [
+        # overflow in the pivots makes the ratio test's minimum NaN, where
+        # its tie set was empty and read as a bad argument
+        ([[0.0, 0.0], [-4.0, 8192.0], [-1.4044477616111843e306, 1.0715086071862673e301],
+          [-2.1944496275174755e304, 7.022238808055922e305]], "ratio test"),
+        # the paper's program, whose objective is >= 0, read as unbounded,
+        # where test printed "z_star": -Infinity
+        ([[0.0], [2147483648.0], [2.0]], "read as unbounded"),
+    ],
+    ids=["nan-ratio", "unbounded-feasibility"],
+)
+def test_simplex_numerical_failure_exits_3(capsys, tmp_path, alternatives, message):
+    # the suite turns RuntimeWarning into an error, so no overflow warning escapes
+    path = tmp_path / "extreme.json"
+    n = len(alternatives)
+    path.write_text(json.dumps(
+        {"alternatives": alternatives, "reference_index": 0, "preferred_indices": list(range(1, n))}
+    ))
+    code, out = run_cli(capsys, "test", str(path))
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["code"] == "NUMERICAL_FAILURE"
+    assert message in error["message"]
+
+
+def test_numerical_errors_share_one_base():
+    for error in (MaxIterExceededError, NnlsMaxIterError):
+        assert issubclass(error, NumericalError) and error.code != NumericalError.code
+    assert issubclass(NumericalError, PrefconeError)
 
 
 def test_overflowing_judgement_direction_is_invalid(capsys, tmp_path):

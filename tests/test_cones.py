@@ -16,10 +16,17 @@ from prefcone import (
     make_psi,
     nnls,
 )
-from prefcone.cones import MAX_DD_DIM, _dd_pointed, _lawson_hanson, _passive_solve
+from prefcone.cones import (
+    MAX_DD_DIM,
+    _dd_pointed,
+    _lawson_hanson,
+    _passive_solve,
+    _unit_generators,
+)
 from _helpers import (
     GAUSSIAN_SCORER_FACETS,
     gaussian_scorer_instance,
+    missing_facet_handle,
     noisy_scorer_instance,
     random_instance,
     synthetic_dm_instance,
@@ -454,7 +461,10 @@ def test_nnls_start_gives_the_cold_answer():
 def test_nnls_stack_makes_as_many_passive_solves_as_its_longest_row(monkeypatch):
     # rows of a stack never wait for each other to finish a phase, so the
     # stacked call solves no more often than its slowest row alone; every
-    # solve, the start's and each later pass's, goes through _set_solve
+    # solve, the start's and each later pass's, goes through _set_solve.
+    # A started nnls works first on the columns its rows' sets cover, which
+    # for a lone row are its own set's, so the rows and the stack are run
+    # here on the stack's named columns
     calls, stacks = [0], []
     set_solve = prefcone.cones._set_solve
 
@@ -462,9 +472,9 @@ def test_nnls_stack_makes_as_many_passive_solves_as_its_longest_row(monkeypatch)
         calls[0] += 1
         return set_solve(*args)
 
-    def solves(G, Y, start):
+    def solves(Gn, Y, start):
         calls[0] = 0
-        nnls(G, Y, start=start)
+        _lawson_hanson(Gn, Y, start, 3 * Gn.size)
         return calls[0]
 
     def recorded(G, Y, start=None):
@@ -482,8 +492,70 @@ def test_nnls_stack_makes_as_many_passive_solves_as_its_longest_row(monkeypatch)
         evaluate_batch(psi, inst.reference + rng.normal(scale=3.0, size=(300, 4)))
         G, Y, (sets, index) = stacks.pop()
         assert Y.shape[0] >= 200
-        longest = max(solves(G, y, (sets, i)) for y, i in zip(Y, index))
-        assert solves(G, Y, (sets, index)) == longest
+        unit, live, *_ = _unit_generators(G.T)
+        assert live.size == G.shape[1]
+        named = sets[np.unique(index)].any(axis=0)
+        Gn, sets = unit[named].T, sets[:, named]
+        longest = max(solves(Gn, y[None], (sets, i[None])) for y, i in zip(Y, index))
+        assert solves(Gn, Y, (sets, index)) == longest
+
+
+def test_started_nnls_solves_again_only_the_rows_its_named_columns_project_wrongly(
+    monkeypatch, pointed_instance
+):
+    # the one named column, the generator (0, 1) tight on the facet y2 >= 0,
+    # does not reach the generator (-1, 0.5) of the missing facet; nnls runs
+    # Lawson-Hanson on it first, then on every column for exactly the rows
+    # whose answer fails the KKT test on another column
+    handle = missing_facet_handle(pointed_instance)
+    G, starts = handle.generator_matrix, handle._projection_starts
+    Y = np.random.default_rng(31).normal(scale=3.0, size=(200, 2))
+    Y = Y[Y[:, 1] < -1e-3]  # outside the listed facet
+    runs = []
+
+    def recorded(Gn, Y, start, max_iter):
+        runs.append((Gn, Y, start))
+        return _lawson_hanson(Gn, Y, start, max_iter)
+
+    monkeypatch.setattr(prefcone.cones, "_lawson_hanson", recorded)
+    resid = nnls(G, Y, start=(starts, np.zeros(Y.shape[0], int)))[1]
+    (first, rows, _), (every, again, (sets, _)) = runs
+    np.testing.assert_array_equal(first, G[:, 3:4] / np.linalg.norm(G[:, 3]))
+    np.testing.assert_array_equal(rows, Y)
+    assert every.shape == G.shape
+    np.testing.assert_array_equal(sets, starts)
+    norms = np.linalg.norm(Y, axis=1)
+    full = nnls(G, Y)[1]
+    assert (np.abs(resid - full) <= 1e-12 * (1.0 + norms)).all()
+    short = nnls(G[:, 3:4], Y)[1] > full + 1e-9 * (1.0 + norms)
+    assert 0 < short.sum() < Y.shape[0]
+    np.testing.assert_array_equal(again, Y[short])
+
+
+def test_started_nnls_whose_narrow_run_stalls_returns_the_cold_answer(
+    monkeypatch, pointed_instance
+):
+    # a stall in a started call, here on the named columns, sends every row
+    # to one cold Lawson-Hanson run on every column
+    handle = missing_facet_handle(pointed_instance)
+    G, starts = handle.generator_matrix, handle._projection_starts
+    Y = np.random.default_rng(32).normal(scale=3.0, size=(200, 2))
+    runs = []
+
+    def stalled(Gn, Y, start, max_iter):
+        runs.append((Gn, Y, start))
+        if Gn.shape[1] < G.shape[1]:
+            raise NnlsMaxIterError("active-set iterations exceeded 0")
+        return _lawson_hanson(Gn, Y, start, max_iter)
+
+    monkeypatch.setattr(prefcone.cones, "_lawson_hanson", stalled)
+    coef, resid = nnls(G, Y, start=(starts, np.zeros(Y.shape[0], int)))
+    (narrow, _, _), (every, rows, start) = runs
+    assert narrow.shape[1] == 1 and every.shape == G.shape and start is None
+    np.testing.assert_array_equal(rows, Y)
+    cold_coef, cold_resid = nnls(G, Y)
+    np.testing.assert_array_equal(coef, cold_coef)
+    np.testing.assert_array_equal(resid, cold_resid)
 
 
 def test_lawson_hanson_cap_counts_steps_per_row():

@@ -8,7 +8,6 @@ import prefcone.consistency
 import prefcone.valuefn
 from prefcone import (
     FacetCone,
-    NnlsMaxIterError,
     NotPointedError,
     PreferenceInstance,
     ValueFunctionHandle,
@@ -26,7 +25,12 @@ from prefcone import (
 )
 from prefcone.cli import run
 from prefcone.cones import CLASSIFY_TOL
-from _helpers import random_instance, synthetic_dm_instance, twin_judgement_instance
+from _helpers import (
+    missing_facet_handle,
+    random_instance,
+    synthetic_dm_instance,
+    twin_judgement_instance,
+)
 from oracle import check_properties, cone_columns
 
 SQRT5 = np.sqrt(5.0)
@@ -356,47 +360,30 @@ def test_extreme_generators_span_the_cone():
     assert dropped > 0
 
 
-def _recorded_nnls(monkeypatch, stall_below=None):
-    """Record each ``valuefn.nnls`` call's columns and targets; with
-    ``stall_below``, a call on fewer columns raises NnlsMaxIterError."""
+def _recorded_nnls(monkeypatch):
+    """Record each ``valuefn.nnls`` call's columns, targets and start."""
     calls = []
 
     def recorded(G, Y, start=None):
-        calls.append((G, Y))
-        if stall_below is not None and G.shape[1] < stall_below:
-            raise NnlsMaxIterError("active-set iterations exceeded 0")
+        calls.append((G, Y, start))
         return nnls(G, Y, start=start)
 
     monkeypatch.setattr(prefcone.valuefn, "nnls", recorded)
     return calls
 
 
-def _missing_facet_handle(pointed_instance):
-    """psi on the pointed fixture without its facet y1 + 2 y2 >= 0, so the
-    extreme generator (-1, 0.5) is tight on no listed facet."""
-    psi = make_psi(pointed_instance)
-    A = psi.facet_cone.facet_normals
-    np.testing.assert_allclose(A, [[0.0, 1.0], [1 / SQRT5, 2 / SQRT5]], atol=1e-15)
-    handle = ValueFunctionHandle(
-        kind="psi", reference=psi.reference, generator_matrix=psi.generator_matrix,
-        facet_cone=FacetCone(A[:1]),
-    )
-    np.testing.assert_array_equal(handle._projection_starts.any(axis=0), [0, 0, 0, 1, 0])
-    return handle
-
-
 def test_missing_facet_rows_fail_the_kkt_check_and_are_solved_again(monkeypatch, pointed_instance):
-    # the first call projects onto the facet-tight generators only; a row whose
-    # answer fails the KKT test on some generator is solved on all of them
+    # one nnls call on every generator; the rows that the facet start's column
+    # alone projects wrongly still get the all-generator projection
+    # (tests/test_cones.py checks which rows nnls solves again)
     from scipy.optimize import nnls as scipy_nnls
 
-    handle = _missing_facet_handle(pointed_instance)
+    handle = missing_facet_handle(pointed_instance)
     G = handle.generator_matrix
     X = handle.reference + np.random.default_rng(31).normal(scale=3.0, size=(200, 2))
     calls = _recorded_nnls(monkeypatch)
     values = evaluate_batch(handle, X)
-    (first, Y), (every, again) = calls
-    np.testing.assert_array_equal(first, G[:, 3:4])
+    [(every, Y, _)] = calls
     np.testing.assert_array_equal(every, G)
     assert Y.shape[0] > 50
     norms = np.linalg.norm(Y, axis=1)
@@ -404,28 +391,12 @@ def test_missing_facet_rows_fail_the_kkt_check_and_are_solved_again(monkeypatch,
     scipy = np.array([scipy_nnls(G, y)[1] for y in Y])
     assert (np.abs(-values[values < 0] - full) <= 1e-12 * (1.0 + norms)).all()
     assert (np.abs(full - scipy) <= 1e-12 * (1.0 + norms)).all()
-    # the rows solved again are those the tight generators alone project wrongly
-    short = nnls(first, Y)[1] > full + 1e-9 * (1.0 + norms)
-    assert 0 < short.sum() < Y.shape[0]
-    np.testing.assert_array_equal(again, Y[short])
-
-
-def test_stalled_first_call_sends_every_row_to_all_columns(monkeypatch, pointed_instance):
-    handle = _missing_facet_handle(pointed_instance)
-    G = handle.generator_matrix
-    X = handle.reference + np.random.default_rng(32).normal(scale=3.0, size=(200, 2))
-    calls = _recorded_nnls(monkeypatch, stall_below=G.shape[1])
-    values = evaluate_batch(handle, X)
-    (_, Y), (every, again) = calls
-    np.testing.assert_array_equal(every, G)
-    np.testing.assert_array_equal(again, Y)
-    full = nnls(G, Y)[1]
-    assert (np.abs(-values[values < 0] - full) <= 1e-12 * (1.0 + np.linalg.norm(Y, axis=1))).all()
 
 
 def test_score_batch_cones_make_one_nnls_call_on_the_facet_tight_generators(monkeypatch):
-    # at p=4, t=20 about a third of the generators lie on a facet, and every
-    # exterior point passes the KKT check on the first call
+    # at p=4, t=20 about a third of the generators lie on a facet; the one
+    # nnls call gets every generator and the facet start table, and works
+    # on the facet-tight ones first
     rng = np.random.default_rng(21)
     calls = _recorded_nnls(monkeypatch)
     for _ in range(6):
@@ -438,8 +409,8 @@ def test_score_batch_cones_make_one_nnls_call_on_the_facet_tight_generators(monk
         X = inst.reference + rng.normal(scale=3.0, size=(300, 4))
         calls.clear()
         values = evaluate_batch(psi, X)
-        [(G, Y)] = calls
-        np.testing.assert_array_equal(G, psi.generator_matrix[:, tight])
+        [(G, Y, (sets, _))] = calls
+        assert G is psi.generator_matrix and sets is psi._projection_starts
         assert Y.shape[0] >= 200
         cold = nnls(psi.generator_matrix, Y)[1]
         assert (np.abs(-values[values < 0] - cold) <= 1e-12 * (1.0 + np.linalg.norm(Y, axis=1))).all()
