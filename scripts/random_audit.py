@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Randomized equivalence audit.
 
-Draws random integer-coordinate instances and checks, for each, that five
+Draws random integer-coordinate instances and checks, for each, that six
 routes to the consistency answer agree: strict linear separation by the
 margin LP's weights (the engine's verdict), the strict signed-distance
 construction on a shrunk cone, dual-cone full-dimensionality, a zero optimum
-of the paper's feasibility program, and HiGHS (scipy's ``linprog``) finding
-d >= 1 with g_j.d >= 1 for every judgement direction.  Also runs the
+of the paper's feasibility program, HiGHS (scipy's ``linprog``) finding
+d >= 1 with g_j.d >= 1 for every judgement direction, and the exact-rational
+simplex of ``tests/oracle.py``, which is the truth.  Also runs the
 sampled value-function property checks on every instance whose cone has a
 nonempty complement, checks that the engine's epsilon search returns
 the value (or raises the error) of the LP-trial reference search, on the
@@ -34,6 +35,7 @@ from oracle import (  # noqa: E402
     backtrack_epsilon,
     check_properties,
     dd_exact,
+    exact_pointed,
     is_pointed_geometric,
     search_outcome,
 )
@@ -131,7 +133,7 @@ def audit_one(
     )
     hrep = np.vstack([np.eye(inst.p), gens])
     facets_agree = extreme_rays(gens).n_facets == len(dd_exact(hrep))
-    row = (by_linear, by_strict, by_geometry, by_lp, by_highs)
+    row = (by_linear, by_strict, by_geometry, by_lp, by_highs, exact_pointed(gens))
     return row, violations, epsilon_agrees, mismatches, failure, facets_agree
 
 
@@ -176,7 +178,7 @@ def main() -> None:
     elapsed = time.perf_counter() - start
 
     print(f"instances: {args.instances}   elapsed: {elapsed:.1f}s")
-    print("(linear, strict-signed-distance, geometric, lp, highs) -> count")
+    print("(linear, strict-signed-distance, geometric, lp, highs, exact) -> count")
     for row, count in sorted(rows.items()):
         print(f"  {row}: {count}")
     print(f"mixed rows: {mixed}")

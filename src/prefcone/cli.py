@@ -102,9 +102,23 @@ def run(argv=None) -> int:
     except _UsageError as exc:
         print(f"prefcone: error: {exc}", file=sys.stderr)
         return _USAGE
-    if ns.verbose:
-        logging.basicConfig(level=logging.DEBUG)
+    if not ns.verbose:
+        return _answer(ns)
+    # -v logs for this run only, whatever handlers the host process has
+    log = logging.getLogger("prefcone")
+    handler, level = logging.StreamHandler(), log.level
+    handler.setFormatter(logging.Formatter(logging.BASIC_FORMAT))
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG)
+    try:
+        return _answer(ns)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
+
+def _answer(ns) -> int:
+    """Run the parsed command, write its report and return its exit code."""
     try:
         payload, code = _dispatch(ns)
     except (NotPointedError, WholeSpaceError) as exc:

@@ -90,8 +90,6 @@ def extreme_rays(gens: np.ndarray) -> FacetCone:
             f"double description capped at dimension {MAX_DD_DIM}, got {p}"
         )
     rays = _dd_pointed(_unit_generators(np.vstack([np.eye(p), G]))[0])
-    if rays.shape[0] == 0:
-        return FacetCone(facet_normals=np.zeros((0, p)))
     rays = np.ascontiguousarray(rays)  # the row norms' rounding depends on memory order
     rays[np.abs(rays) < 1e-12] = 0.0
     rays /= np.linalg.norm(rays, axis=1)[:, None]
@@ -204,18 +202,17 @@ def nnls(
     target starts from.  Each set that some row names is factored once for
     all its rows.  A row's start set's least-squares solution, clipped to
     its positive part, is where Lawson-Hanson starts, and the usual blocking
-    steps take a clipped row on.  A started call runs first on the columns
+    steps take a clipped row on.  A started call runs only on the columns
     that the named sets cover, where the KKT test ends each row, so its
-    arrays stay that narrow; each row then takes the same test on the other
-    columns, and the rows that fail it are solved again on every column
-    from the same start.  So on well-separated columns any start gives the
-    cold answer to rounding.  On numerically parallel columns both runs can
-    stop short of the optimum and agree to about 1e-10 only (README gives
-    the measurement).  A start can hold two numerically parallel columns,
-    whose minimum-norm solution breaks Lawson-Hanson's invariant and can
-    cycle; a started call that passes the iteration cap is therefore solved
-    again cold on every column, and a cold run never makes both columns of
-    such a pair passive.
+    arrays stay that narrow.  Each row then takes the same test on the
+    other columns; a row that fails it, and every row when the narrow run
+    passes the iteration cap, gets the cold call's answer (no start, every
+    column).  So each row is certified where it stands or answered cold,
+    and on well-separated columns agrees with the cold answer to rounding.
+    On numerically parallel columns both can stop short of the optimum and
+    agree to about 1e-10 only (README gives the measurement).  A start can
+    hold two such columns, whose minimum-norm solution breaks Lawson-Hanson's
+    invariant and can cycle; a cold run never makes both of them passive.
 
     Columns are rescaled to unit norm internally by
     :func:`_unit_generators`, the map the facets use: an exact power-of-two
@@ -247,34 +244,30 @@ def nnls(
     max_iter = 3 * n * max(p, 1)
 
     unit, live, norms, exps = _unit_generators(G.T)
-    cols = every = np.arange(live.size)
-    fail = every[:0]  # rows solved again on every column
-    try:
-        if start is None:
-            coef = _lawson_hanson(unit.T, Y, None, max_iter)
-        else:
-            sets, index = sets[:, live], index.reshape(-1)
-            named = sets[np.bincount(index, minlength=sets.shape[0]) > 0].any(axis=0)
-            cols = np.flatnonzero(named)
-            coef = _lawson_hanson(unit[cols].T, Y, (sets[:, cols], index), max_iter)
-            # each row's top gradient on the other columns; the (rest, B) product is freed at once
-            top = (unit[~named] @ (Y - coef @ unit[cols]).T).max(axis=0, initial=-np.inf)
-            fail = np.flatnonzero(top > _KKT_TOL * (1.0 + np.linalg.norm(Y, axis=1)))
-            if fail.size:
-                again = _lawson_hanson(unit.T, Y[fail], (sets, index[fail]), max_iter)
-    except NnlsMaxIterError:
-        if start is None:
-            raise
-        cols, fail = every, every[:0]
+    cols = np.arange(live.size)
+    redo = cols[:0]  # rows that the cold call answers
+    if start is None:
         coef = _lawson_hanson(unit.T, Y, None, max_iter)
+    else:
+        sets, index = sets[:, live], index.reshape(-1)
+        used = np.bincount(index, minlength=sets.shape[0]) > 0
+        sets, index = sets[used], (np.cumsum(used) - 1)[index]
+        named = sets.any(axis=0)
+        cols = np.flatnonzero(named)
+        try:
+            coef = _lawson_hanson(unit[cols].T, Y, (sets[:, cols], index), max_iter)
+        except NnlsMaxIterError:
+            return nnls(G, target)
+        # each row's top gradient on the other columns; the (rest, B) product is freed at once
+        top = (unit[~named] @ (Y - coef @ unit[cols]).T).max(axis=0, initial=-np.inf)
+        redo = np.flatnonzero(top > _KKT_TOL * (1.0 + np.linalg.norm(Y, axis=1)))
 
     resid = np.linalg.norm(Y - coef @ unit[cols], axis=1)
     coef /= norms[cols]  # in place: coef is this call's own, and no temporary adds to the peak
     full = np.zeros((Y.shape[0], n))
     full[:, live[cols]] = np.ldexp(coef, -exps[cols], out=coef)
-    if fail.size:
-        resid[fail] = np.linalg.norm(Y[fail] - again @ unit, axis=1)
-        full[fail[:, None], live] = np.ldexp(again / norms, -exps)
+    if redo.size:
+        full[redo], resid[redo] = nnls(G, Y[redo])
     if single:
         return full[0], float(resid[0])
     return full, resid
@@ -285,14 +278,14 @@ def _lawson_hanson(
 ):
     """:func:`nnls` coefficients of the rows of Y on the unit columns Gn.
 
-    ``start``, if given, is ``(sets, index)`` over Gn's columns.  The start
-    solve factors each set that ``index`` names once and keeps each row's
-    positive part; a row whose start set had a coefficient <= 0 then waits
-    for a passive solve.  After it, one loop: each pass gives the KKT test
-    to every row at a feasible point, which finishes it or makes its
-    steepest column passive, then solves every ``solving`` row's passive
-    set, which is accepted when positive and otherwise followed by a
-    blocking step.
+    ``start``, if given, is ``(sets, index)`` over Gn's columns, holding
+    only sets that ``index`` names.  The start solve factors each set once
+    and keeps each row's positive part; a row whose start set had a
+    coefficient <= 0 then waits for a passive solve.  After it, one loop:
+    each pass gives the KKT test to every row at a feasible point, which
+    finishes it or makes its steepest column passive, then solves every
+    ``solving`` row's passive set, which is accepted when positive and
+    otherwise followed by a blocking step.
     """
     coef = np.zeros((Y.shape[0], Gn.shape[1]))
     passive = np.zeros(coef.shape, dtype=bool)
@@ -301,8 +294,6 @@ def _lawson_hanson(
     iters = np.zeros(Y.shape[0], dtype=int)
     if start is not None:
         sets, index = start
-        used = np.bincount(index, minlength=sets.shape[0]) > 0
-        sets, index = sets[used], (np.cumsum(used) - 1)[index]
         size = sets.sum(axis=1)
         if size.any():
             trial = _set_solve(Gn, Y, sets, index)  # 0 outside the start, and on an empty one

@@ -237,10 +237,11 @@ def validate(inst: PreferenceInstance) -> ValidationReport:
     if inst.t < 1:
         bad.append(("NO_JUDGEMENTS", "at least one preference judgement is required"))
     # Distinctness is exact equality of stored doubles; a tolerance here would
-    # silently alter the problem.
+    # silently alter the problem.  Adding 0.0 maps -0.0 to +0.0, its equal.
+    alternatives = inst.alternatives + 0.0
     seen: dict[bytes, int] = {}
     for i in range(m):
-        key = inst.alternatives[i].tobytes()
+        key = alternatives[i].tobytes()
         if key in seen:
             bad.append(
                 ("DUPLICATE_ALTERNATIVE", f"alternatives {seen[key]} and {i} are identical")

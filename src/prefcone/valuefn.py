@@ -128,13 +128,13 @@ def evaluate_batch(handle: ValueFunctionHandle, points: np.ndarray) -> np.ndarra
     every generator.  Each point starts on the generators tight on its
     lowest-slack facet (its most violated one): ``nnls`` gets the table of
     facet sets and each point's facet index, factors each set once, works
-    first on the generators those sets cover and checks its answers on the
-    rest itself.  So an exterior value is certified on every generator and
-    does not depend on the facet list being complete.  Values agree with a
-    cold solve to rounding, not bitwise, except on numerically parallel
-    generators (see :func:`~prefcone.cones.nnls`).  A row whose squared
-    distance to the reference overflows float64, or whose linear value
-    does, raises ValueError.
+    on the generators those sets cover, checks each answer on the rest and
+    answers a point that fails cold.  So an exterior value is certified on
+    every generator and does not depend on the facet list being complete.
+    Values agree with a cold solve to rounding, not bitwise, except on
+    numerically parallel generators (see :func:`~prefcone.cones.nnls`).  A
+    row whose squared distance to the reference overflows float64, or whose
+    linear value does, raises ValueError.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     if X.ndim != 2 or X.shape[1] != handle.p:

@@ -1,12 +1,12 @@
 """Brute-force verifiers used by the test suite and the audit script.
 
 Nothing here is imported by the engine: the distance oracle, the LP basis
-enumerator, the geometric pointedness test, the shrunk cone's feasibility
-program, the LP-trial epsilon search and the sampled property checker exist
-to pin expected values independently of the code paths they audit.  The
-per-point membership and distance functions are the references for the
-label and value ``evaluate_batch`` computes for a whole batch.
-Everything is deterministic under a fixed seed.
+enumerator, the geometric and the exact-rational pointedness tests, the
+shrunk cone's feasibility program, the LP-trial epsilon search and the
+sampled property checker exist to pin expected values independently of the
+code paths they audit.  The per-point membership and distance functions
+are the references for the label and value ``evaluate_batch`` computes for
+a whole batch.  Everything is deterministic under a fixed seed.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ __all__ = [
     "enumerate_lp_optimum",
     "masked_pivot",
     "is_pointed_geometric",
+    "exact_pointed",
     "check_properties",
 ]
 
@@ -195,6 +196,40 @@ def is_pointed_geometric(gens: np.ndarray) -> bool:
         return False
     witness = rays.sum(axis=0)
     return bool((cone_columns(gens).T @ witness).min() > 1e-9)
+
+
+def exact_pointed(gens: np.ndarray) -> bool:
+    """Exact pointedness of the cone of ``gens`` and the orthant.
+
+    The cone is not pointed iff some y >= 0, y != 0, has G^T y <= 0
+    (Gordan's alternative on [G; I]), that is, iff the engine's margin
+    program max 1.y s.t. G^T y <= 1, y >= 0 is unbounded.  Bland's rule
+    runs on it in Fraction from the slack basis, where y = 0 is feasible.
+    Every float64 is a dyadic rational, so the data, and the answer, are
+    exact.
+    """
+    G = np.atleast_2d(np.asarray(gens, dtype=float))
+    t, p = G.shape
+    one, zero = Fraction(1), Fraction(0)
+    # row i: G[:, i].y + s_i = 1; columns y_0..y_{t-1}, s_0..s_{p-1}, then the rhs
+    rows = [
+        [Fraction(g) for g in G[:, i]] + [one if k == i else zero for k in range(p)] + [one]
+        for i in range(p)
+    ]
+    cost = [one] * t + [zero] * p  # reduced costs; a positive one may enter
+    basis = list(range(t, t + p))
+    while (col := next((j for j, c in enumerate(cost) if c > 0), None)) is not None:
+        ratios = [(r[-1] / r[col], basis[i], i) for i, r in enumerate(rows) if r[col] > 0]
+        if not ratios:
+            return False  # an unbounded ray: y >= 0 with G^T y <= 0
+        row = min(ratios)[2]  # Bland: ties go to the smallest basic index
+        pivot = rows[row] = [v / rows[row][col] for v in rows[row]]
+        for i, r in enumerate(rows):
+            if i != row and r[col]:
+                rows[i] = [a - r[col] * b for a, b in zip(r, pivot)]
+        cost = [a - cost[col] * b for a, b in zip(cost, pivot)]
+        basis[row] = col
+    return True
 
 
 def dd_pointed_loop(A: np.ndarray) -> np.ndarray:

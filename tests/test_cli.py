@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import re
 import shlex
@@ -503,6 +504,28 @@ def test_validate_subcommand(capsys, data_dir, tmp_path):
     assert "DUPLICATE_ALTERNATIVE" in codes
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        (
+            "signed.json",
+            '{"alternatives": [[0.0, 1.0], [-0.0, 1.0], [2.0, 2.0]],'
+            ' "reference_index": 0, "preferred_indices": [1, 2]}',
+        ),
+        ("signed.csv", "0,1,ref\n-0,1,pref\n2,2,pref\n"),
+    ],
+    ids=["json", "csv"],
+)
+def test_signed_zero_alternatives_are_identical(capsys, tmp_path, name, text):
+    # -0.0 == 0.0, so these alternatives are equal and the judgement 0 -> 1 is zero
+    path = tmp_path / name
+    path.write_text(text)
+    for command in ("validate", "test"):
+        code, out = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert "alternatives 0 and 1 are identical" in out
+
+
 def test_missing_file_is_input_error(capsys):
     code, out = run_cli(capsys, "test", "no_such_file.json")
     assert code == 2
@@ -543,6 +566,18 @@ def test_verbose_logs_tableaux_on_stderr(data_dir):
     assert result.returncode == 0 and json.loads(result.stdout)["pointed"] is True
     assert "DEBUG:prefcone.lp:initial tableau" in result.stderr
     assert "DEBUG:prefcone.lp:pivot: enter" in result.stderr
+
+
+def test_verbose_logs_for_its_own_run_only(capsys, data_dir):
+    # in process, where a host (here pytest) may already have root handlers
+    log = logging.getLogger("prefcone")
+    level = log.level
+    path = str(data_dir / "pointed.json")
+    assert run(["-v", "test", path]) == 0
+    assert "DEBUG:prefcone.lp:initial tableau" in capsys.readouterr().err
+    assert run(["test", path]) == 0
+    assert capsys.readouterr().err == ""
+    assert log.level == level
 
 
 def test_main_exits_with_run_code(monkeypatch, capsys, data_dir):

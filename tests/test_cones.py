@@ -505,8 +505,8 @@ def test_started_nnls_solves_again_only_the_rows_its_named_columns_project_wrong
 ):
     # the one named column, the generator (0, 1) tight on the facet y2 >= 0,
     # does not reach the generator (-1, 0.5) of the missing facet; nnls runs
-    # Lawson-Hanson on it first, then on every column for exactly the rows
-    # whose answer fails the KKT test on another column
+    # Lawson-Hanson on it first, then hands exactly the rows whose answer
+    # fails the KKT test on another column to the cold call on every column
     handle = missing_facet_handle(pointed_instance)
     G, starts = handle.generator_matrix, handle._projection_starts
     Y = np.random.default_rng(31).normal(scale=3.0, size=(200, 2))
@@ -518,18 +518,20 @@ def test_started_nnls_solves_again_only_the_rows_its_named_columns_project_wrong
         return _lawson_hanson(Gn, Y, start, max_iter)
 
     monkeypatch.setattr(prefcone.cones, "_lawson_hanson", recorded)
-    resid = nnls(G, Y, start=(starts, np.zeros(Y.shape[0], int)))[1]
-    (first, rows, _), (every, again, (sets, _)) = runs
+    coef, resid = nnls(G, Y, start=(starts, np.zeros(Y.shape[0], int)))
+    (first, rows, _), (every, again, start) = runs
     np.testing.assert_array_equal(first, G[:, 3:4] / np.linalg.norm(G[:, 3]))
     np.testing.assert_array_equal(rows, Y)
-    assert every.shape == G.shape
-    np.testing.assert_array_equal(sets, starts)
+    assert every.shape == G.shape and start is None
     norms = np.linalg.norm(Y, axis=1)
     full = nnls(G, Y)[1]
     assert (np.abs(resid - full) <= 1e-12 * (1.0 + norms)).all()
     short = nnls(G[:, 3:4], Y)[1] > full + 1e-9 * (1.0 + norms)
     assert 0 < short.sum() < Y.shape[0]
     np.testing.assert_array_equal(again, Y[short])
+    cold_coef, cold_resid = nnls(G, Y[short])
+    np.testing.assert_array_equal(coef[short], cold_coef)
+    np.testing.assert_array_equal(resid[short], cold_resid)
 
 
 def test_started_nnls_whose_narrow_run_stalls_returns_the_cold_answer(

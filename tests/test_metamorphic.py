@@ -6,7 +6,8 @@ judgements, translating every alternative, scaling one criterion by a
 positive factor, or adding alternatives nobody judged must change neither.
 Integer data with integer shifts and power-of-two scales keep every
 transformed instance exact in floating point, so any mismatch is a defect
-of the engine, not rounding in the test.
+of the engine, not rounding in the test.  Each verdict, on the draw and on
+its transform, must also equal the exact oracle's.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from prefcone import (
     generators,
 )
 from _helpers import random_instance
+from oracle import exact_pointed
 
 N_DRAWS = 200
 
@@ -75,8 +77,10 @@ TRANSFORMS = [
 
 
 def _answer(inst):
-    facets = extreme_rays(generators(inst, 0.0))
-    return consistency_verdict(inst).pointed, facets.n_facets
+    gens = generators(inst, 0.0)
+    pointed = consistency_verdict(inst).pointed
+    assert pointed == exact_pointed(gens)
+    return pointed, extreme_rays(gens).n_facets
 
 
 @pytest.mark.parametrize("transform", TRANSFORMS, ids=lambda f: f.__name__.lstrip("_"))

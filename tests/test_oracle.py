@@ -1,9 +1,22 @@
 import numpy as np
 import pytest
 
-from prefcone import StandardLP, build_pointedness_lp, generators, solve
+from prefcone import (
+    PreferenceInstance,
+    StandardLP,
+    build_pointedness_lp,
+    generators,
+    parse_instance,
+    solve,
+)
 from _helpers import random_instance
-from oracle import TooLargeError, brute_dist_to_cone, dist_to_cone, enumerate_lp_optimum
+from oracle import (
+    TooLargeError,
+    brute_dist_to_cone,
+    dist_to_cone,
+    enumerate_lp_optimum,
+    exact_pointed,
+)
 
 SQRT5 = np.sqrt(5.0)
 
@@ -74,3 +87,32 @@ def test_enumerate_agrees_with_simplex_on_random_lps():
         assert solve(lp).objective_value == pytest.approx(
             enumerate_lp_optimum(lp), abs=1e-7
         )
+
+
+@pytest.mark.parametrize(
+    "name, pointed",
+    [
+        ("pointed.json", True),
+        ("pointed.csv", True),
+        ("halfplane.json", False),
+        ("whole_plane.json", False),
+    ],
+)
+def test_exact_pointed_on_the_data_files(data_dir, name, pointed):
+    path = data_dir / name
+    inst = parse_instance(path.read_text(), format=path.suffix[1:])
+    assert exact_pointed(generators(inst, 0.0)) is pointed
+
+
+@pytest.mark.parametrize(
+    "alternatives",
+    [
+        [[0.0], [1e9], [1.0]],  # any positive weight separates
+        [[0.0, 0.0], [32768.0, -3.0517578125e-05], [-32768.0, 6.103515625e-05]],  # d = (3, 2)
+        [[0.0], [3.0], [5e-324]],  # a subnormal judgement still has a positive entry
+    ],
+)
+def test_exact_pointed_reads_the_hard_scale_fixtures_as_pointed(alternatives):
+    # truth values only: the package's own verdicts on these are not asserted
+    inst = PreferenceInstance(alternatives, 0, list(range(1, len(alternatives))))
+    assert exact_pointed(generators(inst, 0.0)) is True
