@@ -180,12 +180,7 @@ def _adjacent_combinations(
     return new
 
 
-def nnls(
-    columns: np.ndarray,
-    target: np.ndarray,
-    *,
-    start: tuple[np.ndarray, np.ndarray] | None = None,
-):
+def nnls(columns: np.ndarray, target: np.ndarray, *, facets: np.ndarray | None = None):
     """Lawson-Hanson active-set solve of min ||columns @ coef - target||, coef >= 0.
 
     ``target`` is one point of shape ``(p,)``, which returns ``(coef,
@@ -196,23 +191,25 @@ def nnls(
     squares in one stacked call (:func:`_passive_solve`), so a stack makes
     as many passive solves as its longest row alone.
 
-    ``start = (sets, index)`` names each row's initial passive columns: a
-    table ``sets``, a bool ``(S, n)`` array of column sets, and ``index``,
-    shaped like ``target`` without its last axis, the row of ``sets`` each
-    target starts from.  Each set that some row names is factored once for
+    ``facets``, the ``(k, p)`` unit facet normals of the cone the columns
+    generate, starts each row on the columns tight on its most violated
+    facet, ``argmin(facets @ y)``: those whose unit column g has ``|a.g| <=
+    CLASSIFY_TOL``.  Each facet that some row picks is factored once for
     all its rows.  A row's start set's least-squares solution, clipped to
     its positive part, is where Lawson-Hanson starts, and the usual blocking
     steps take a clipped row on.  A started call runs only on the columns
-    that the named sets cover, where the KKT test ends each row, so its
+    tight on a picked facet, where the KKT test ends each row, so its
     arrays stay that narrow.  Each row then takes the same test on the
     other columns; a row that fails it, and every row when the narrow run
-    passes the iteration cap, gets the cold call's answer (no start, every
+    passes the iteration cap, gets the cold call's answer (no facets, every
     column).  So each row is certified where it stands or answered cold,
-    and on well-separated columns agrees with the cold answer to rounding.
-    On numerically parallel columns both can stop short of the optimum and
-    agree to about 1e-10 only (README gives the measurement).  A start can
-    hold two such columns, whose minimum-norm solution breaks Lawson-Hanson's
-    invariant and can cycle; a cold run never makes both of them passive.
+    whether or not the facet list is complete, and on well-separated
+    columns agrees with the cold answer to rounding.  On numerically
+    parallel columns both can stop short of the optimum and agree to about
+    1e-10 only (README gives the measurement).  A start can hold two such
+    columns, whose minimum-norm solution breaks Lawson-Hanson's invariant
+    and can cycle; a cold run never makes both of them passive.  No facet
+    (``k = 0``) means a cold call.
 
     Columns are rescaled to unit norm internally by
     :func:`_unit_generators`, the map the facets use: an exact power-of-two
@@ -230,15 +227,8 @@ def nnls(
         raise ValueError(f"target has shape {Y.shape}, expected ({p},) or (B, {p})")
     if not (np.isfinite(Y.min(initial=0.0)) and np.isfinite(Y.max(initial=0.0))):
         raise ValueError("target must be finite")  # two reductions, no temporary array
-    if start is not None:
-        sets, index = np.asarray(start[0], dtype=bool), np.asarray(start[1])
-        if sets.ndim != 2 or sets.shape[1] != n or index.shape != Y.shape[:-1]:
-            raise ValueError(
-                f"start has shapes {sets.shape} and {index.shape},"
-                f" expected (S, {n}) and {Y.shape[:-1]}"
-            )
-        if index.size and not 0 <= index.min() <= index.max() < sets.shape[0]:
-            raise ValueError(f"start index must lie in [0, {sets.shape[0]})")
+    if facets is not None and np.shape(facets)[1:] != (p,):
+        raise ValueError(f"facets has shape {np.shape(facets)}, expected (k, {p})")
     single = Y.ndim == 1
     Y = Y.reshape(-1, p)
     max_iter = 3 * n * max(p, 1)
@@ -246,12 +236,12 @@ def nnls(
     unit, live, norms, exps = _unit_generators(G.T)
     cols = np.arange(live.size)
     redo = cols[:0]  # rows that the cold call answers
-    if start is None:
+    if facets is None or len(facets) == 0:
         coef = _lawson_hanson(unit.T, Y, None, max_iter)
     else:
-        sets, index = sets[:, live], index.reshape(-1)
-        used = np.bincount(index, minlength=sets.shape[0]) > 0
-        sets, index = sets[used], (np.cumsum(used) - 1)[index]
+        A = np.asarray(facets, dtype=float)
+        picked, index = np.unique((A @ Y.T).argmin(axis=0), return_inverse=True)
+        sets = np.abs(A[picked] @ unit.T) <= CLASSIFY_TOL
         named = sets.any(axis=0)
         cols = np.flatnonzero(named)
         try:
@@ -265,7 +255,8 @@ def nnls(
     resid = np.linalg.norm(Y - coef @ unit[cols], axis=1)
     coef /= norms[cols]  # in place: coef is this call's own, and no temporary adds to the peak
     full = np.zeros((Y.shape[0], n))
-    full[:, live[cols]] = np.ldexp(coef, -exps[cols], out=coef)
+    with np.errstate(over="ignore"):  # a coefficient past float64's largest value is inf
+        full[:, live[cols]] = np.ldexp(coef, -exps[cols], out=coef)
     if redo.size:
         full[redo], resid[redo] = nnls(G, Y[redo])
     if single:

@@ -166,7 +166,9 @@ def _margin(inst: PreferenceInstance) -> tuple[float, np.ndarray | None]:
     and ``w = lam d / scale + 1`` has ``w >= 1``, ``G w >= 1`` in float64, with
     ``lam`` twice the ``max(1, 1 - min_j g_j.1)`` that exact arithmetic needs;
     ``lam / scale`` is formed as one factor, which stays finite where lam does not.
-    The weights are checked before they are returned: weights whose sum is
+    The weights are formed in Python floats, where a product past float64's
+    largest value (subnormal judgements make one) is inf with no warning,
+    and checked before they are returned: weights whose sum is
     not finite, or that miss ``w >= 1`` or ``G w >= 1`` in float64 (tested
     as ``(G / scale) w >= 1 / scale``, exact up to rounding and free of
     overflow), raise NumericalError.
@@ -187,11 +189,10 @@ def _margin(inst: PreferenceInstance) -> tuple[float, np.ndarray | None]:
     # itself can; only positive reduced costs take it, so the inf 1 / scale of
     # a subnormal G gives no inf * 0
     factor = 2.0 * max(1.0 / scale, 1.0 / scale - float(scaled.sum(axis=1).min()))
-    d = sol.reduced_costs[t:]
-    w = np.where(d > 0.0, factor, 0.0) * d + 1.0
+    ws = [factor * x + 1.0 if x > 0.0 else 1.0 for x in sol.reduced_costs[t:].tolist()]
+    w = np.array(ws)
     # with sum(w) finite and |G / scale| <= 1, no row of (G / scale) w can overflow;
     # a few floats' min costs less in Python than in numpy
-    ws = w.tolist()
     if not (
         math.isfinite(sum(ws)) and min(ws) >= 1.0 and min((scaled @ w).tolist()) >= 1.0 / scale
     ):

@@ -79,8 +79,9 @@ def solve(lp: StandardLP) -> LPSolution:
     objective decreases without limit (the margin program's answer when the
     cone is not pointed; never the pointedness program's).  The pivots run
     with numpy's overflow and invalid-value warnings off; a ratio test
-    whose minimum is not finite, or an answer whose point or objective
-    value is not finite, raises NumericalError instead.  More than
+    whose minimum is not finite, a final tableau with an entry that is not
+    finite (its reduced costs then certify nothing), or an answer whose
+    objective value is not finite, raises NumericalError instead.  More than
     ``max(1000, 50 * n_vars)`` pivots raise MaxIterExceededError.
     """
     A, b, c = lp.constraint_matrix, lp.rhs, lp.objective
@@ -126,9 +127,11 @@ def solve(lp: StandardLP) -> LPSolution:
             )
     else:
         raise MaxIterExceededError(f"simplex did not terminate in {max_pivots} pivots")
+    if not np.isfinite(T).all():  # a pivot overflowed, so nothing certifies this basis
+        raise NumericalError("the simplex tableau went non-finite")
 
     values = _basic_point(T, basis, n_vars)
-    objective = float(c @ values)  # not finite when a value is not, as 0 * inf is NaN
+    objective = float(c @ values)  # finite values can still sum past float64
     if not math.isfinite(objective):
         raise NumericalError(f"the simplex returned a non-finite {status} point")
     if status == "unbounded":

@@ -18,11 +18,10 @@ Handles are immutable; evaluation is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .cones import CLASSIFY_TOL, FacetCone, _unit_generators, extreme_rays, nnls
+from .cones import CLASSIFY_TOL, FacetCone, extreme_rays, nnls
 from .consistency import epsilon_search, extract_linear_weights
 from .errors import WholeSpaceError
 from .instance import PreferenceInstance, generators
@@ -48,14 +47,6 @@ class ValueFunctionHandle:
     @property
     def p(self) -> int:
         return self.reference.shape[0]
-
-    @cached_property
-    def _projection_starts(self) -> np.ndarray:
-        """(k, n) :func:`nnls` start table: the nonzero generator columns tight on each facet."""
-        unit, live, *_ = _unit_generators(self.generator_matrix.T)
-        starts = np.zeros((self.facet_cone.n_facets, self.generator_matrix.shape[1]), dtype=bool)
-        starts[:, live] = np.abs(self.facet_cone.facet_normals @ unit.T) <= CLASSIFY_TOL
-        return starts
 
 
 def make_psi(inst: PreferenceInstance) -> ValueFunctionHandle:
@@ -125,12 +116,11 @@ def evaluate_batch(handle: ValueFunctionHandle, points: np.ndarray) -> np.ndarra
     A signed-distance handle whose cone is the whole space raises
     WholeSpaceError, as :func:`make_psi` does for such an instance.  All
     exterior points go to one batched :func:`~prefcone.cones.nnls` call on
-    every generator.  Each point starts on the generators tight on its
-    lowest-slack facet (its most violated one): ``nnls`` gets the table of
-    facet sets and each point's facet index, factors each set once, works
-    on the generators those sets cover, checks each answer on the rest and
-    answers a point that fails cold.  So an exterior value is certified on
-    every generator and does not depend on the facet list being complete.
+    every generator, given the facet normals: ``nnls`` starts each point on
+    the generators tight on its most violated facet, checks each answer on
+    the rest and answers a point that fails cold.  So an exterior value is
+    certified on every generator and does not depend on the facet list
+    being complete.
     Values agree with a cold solve to rounding, not bitwise, except on
     numerically parallel generators (see :func:`~prefcone.cones.nnls`).  A
     row whose squared distance to the reference overflows float64, or whose
@@ -149,13 +139,11 @@ def evaluate_batch(handle: ValueFunctionHandle, points: np.ndarray) -> np.ndarra
         return values
     if handle.facet_cone.is_whole_space:
         raise WholeSpaceError("the cone is the whole space; the signed distance is undefined")
-    slack = handle.facet_cone.facet_normals @ Y.T  # (k, B)
-    facet = slack.argmin(axis=0)  # each point's most violated facet
-    margins = slack[facet, np.arange(facet.size)]
+    A = handle.facet_cone.facet_normals
+    margins = (A @ Y.T).min(axis=0)  # each point's most violated facet's slack
     thresholds = CLASSIFY_TOL * (1.0 + np.sqrt(squares))
     interior = margins > thresholds
     values[interior] = margins[interior]
     exterior = margins < -thresholds
-    start = (handle._projection_starts, facet[exterior])
-    values[exterior] = -nnls(handle.generator_matrix, Y[exterior], start=start)[1]
+    values[exterior] = -nnls(handle.generator_matrix, Y[exterior], facets=A)[1]
     return values

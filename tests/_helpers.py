@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from prefcone import FacetCone, PreferenceInstance, ValueFunctionHandle, make_psi
+from prefcone.cones import CLASSIFY_TOL, _unit_generators
 
 
 def random_instance(
@@ -115,8 +116,18 @@ def missing_facet_handle(pointed_instance: PreferenceInstance) -> ValueFunctionH
         kind="psi", reference=psi.reference, generator_matrix=psi.generator_matrix,
         facet_cone=FacetCone(A[:1]),
     )
-    np.testing.assert_array_equal(handle._projection_starts.any(axis=0), [0, 0, 0, 1, 0])
+    np.testing.assert_array_equal(facet_tight_columns(handle).any(axis=0), [0, 0, 0, 1, 0])
     return handle
+
+
+def facet_tight_columns(handle: ValueFunctionHandle) -> np.ndarray:
+    """(k, n) bool table: the generator columns tight on each facet of the
+    handle's cone, by the test ``nnls`` starts a row with, ``|a.g| <=
+    CLASSIFY_TOL`` on the unit generators."""
+    unit, live, *_ = _unit_generators(handle.generator_matrix.T)
+    tight = np.zeros((handle.facet_cone.n_facets, handle.generator_matrix.shape[1]), dtype=bool)
+    tight[:, live] = np.abs(handle.facet_cone.facet_normals @ unit.T) <= CLASSIFY_TOL
+    return tight
 
 
 def _distinct_points(rng, m_wanted, p, lo, hi) -> np.ndarray:

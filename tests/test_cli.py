@@ -124,7 +124,7 @@ def test_exhausted_epsilon_schedule_exits_3(capsys, data_dir, tmp_path):
 
 
 def test_nnls_iteration_cap_exits_3(capsys, monkeypatch, data_dir):
-    def stalled(columns, target, *, start=None):
+    def stalled(columns, target, *, facets=None):
         raise NnlsMaxIterError("active-set iterations exceeded 0")
 
     monkeypatch.setattr(prefcone.valuefn, "nnls", stalled)
@@ -459,6 +459,50 @@ def test_simplex_numerical_failure_exits_3(capsys, tmp_path, alternatives, messa
     error = json.loads(out)["error"]
     assert error["code"] == "NUMERICAL_FAILURE"
     assert message in error["message"]
+
+
+# subnormal judgements: lam / scale times the dual passes float64's largest
+# value, which warned "overflow encountered in multiply" before the check
+SUBNORMAL_JUDGEMENTS = {
+    "alternatives": [[0.0, 0.0], [5.562684646268003e-309, 1.6e-322],
+                     [1.8227805048890994e-304, 1.0609978955e-314]],
+    "reference_index": 0,
+    "preferred_indices": [1, 2],
+}
+# pointed, but its certificate needs d1 ~ 3.6e308: the paper's program
+# overflows in a pivot and its final tableau holds nan and -inf, where test
+# printed "z_star": 1.0 and exit 1
+OVERFLOWING_TABLEAU = {
+    "alternatives": [[0.0, 0.0], [0.015625, -5.617791046444737e306]],
+    "reference_index": 0,
+    "preferred_indices": [1],
+}
+
+
+@pytest.mark.parametrize("command", ["test", "weights", "epsilon", "eval", "plot"])
+def test_subnormal_judgement_weights_exit_3_without_a_warning(capsys, tmp_path, command):
+    # the suite turns RuntimeWarning into an error
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps(SUBNORMAL_JUDGEMENTS))
+    argv = {
+        "eval": ["--instance", str(path), "--function", "vartheta", "--point=1,1"],
+        "plot": [str(path), "--output", str(tmp_path / "plot.svg")],
+    }.get(command, [str(path)])
+    code, out = run_cli(capsys, command, *argv)
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["code"] == "NUMERICAL_FAILURE"
+    assert "fail their check" in error["message"]
+
+
+def test_non_finite_tableau_exits_3(capsys, tmp_path):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(OVERFLOWING_TABLEAU))
+    code, out = run_cli(capsys, "test", str(path))
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["code"] == "NUMERICAL_FAILURE"
+    assert "tableau went non-finite" in error["message"]
 
 
 def test_numerical_errors_share_one_base():

@@ -17,6 +17,7 @@ from prefcone import (
     nnls,
 )
 from prefcone.cones import (
+    CLASSIFY_TOL,
     MAX_DD_DIM,
     _dd_pointed,
     _lawson_hanson,
@@ -423,7 +424,20 @@ def test_nnls_start_on_parallel_columns_gives_the_cold_answer():
     np.testing.assert_array_equal(np.flatnonzero(start), [1, 2, 4, 5, 6])
     cold = nnls(G, x)[1]
     assert cold == pytest.approx(9.2196e-06, rel=1e-4)
-    assert nnls(G, x, start=(start[None], 0))[1] == pytest.approx(cold, rel=0, abs=1e-15)
+    assert nnls(G, x, facets=a[None])[1] == pytest.approx(cold, rel=0, abs=1e-15)
+
+
+def _started(G, Y, sets, index):
+    """``_lawson_hanson`` on the unit columns of G from the start ``(sets,
+    index)`` over G's columns: ``(coef, residual_norms)``, coef on G."""
+    unit, live, *_ = _unit_generators(G.T)
+    sets = sets[:, live]
+    used, index = np.unique(index, return_inverse=True)  # only sets that rows name
+    coef = _lawson_hanson(unit.T, Y, (sets[used], index), 3 * G.size)
+    resid = np.linalg.norm(Y - coef @ unit, axis=1)
+    full = np.zeros((Y.shape[0], G.shape[1]))
+    full[:, live] = coef / np.linalg.norm(G[:, live], axis=0)
+    return full, resid
 
 
 def test_nnls_start_gives_the_cold_answer():
@@ -438,7 +452,7 @@ def test_nnls_start_gives_the_cold_answer():
         empty, full = np.zeros((B, n), bool), np.ones((B, n), bool)
         starts = [rng.random((B, n)) < 0.5, empty, full, infeasible]
         for start in starts:
-            coef, resid = nnls(G, Y, start=(start, np.arange(B)))
+            coef, resid = _started(G, Y, start, np.arange(B))
             tol = 1e-12 * (1.0 + np.linalg.norm(Y, axis=1))
             assert (np.abs(resid - cold) <= tol).all()
             assert (coef >= 0).all()
@@ -453,7 +467,7 @@ def test_nnls_start_gives_the_cold_answer():
         for y, cols in zip(Y, infeasible):
             if cols.any():
                 clipped += np.linalg.lstsq(G[:, cols], y, rcond=None)[0].min() < 0.0
-        one_resid = nnls(G, Y[0], start=(starts[0], 0))[1]
+        one_resid = _started(G, Y[:1], starts[0], np.zeros(1, int))[1][0]
         assert abs(one_resid - cold[0]) <= 1e-12 * (1.0 + np.linalg.norm(Y[0]))
     assert clipped > 100  # the infeasible starts do need settling
 
@@ -462,9 +476,9 @@ def test_nnls_stack_makes_as_many_passive_solves_as_its_longest_row(monkeypatch)
     # rows of a stack never wait for each other to finish a phase, so the
     # stacked call solves no more often than its slowest row alone; every
     # solve, the start's and each later pass's, goes through _set_solve.
-    # A started nnls works first on the columns its rows' sets cover, which
-    # for a lone row are its own set's, so the rows and the stack are run
-    # here on the stack's named columns
+    # A started nnls works first on the columns tight on the facets its rows
+    # pick, which for a lone row are its own facet's, so the rows and the
+    # stack are run here on the stack's columns
     calls, stacks = [0], []
     set_solve = prefcone.cones._set_solve
 
@@ -477,9 +491,9 @@ def test_nnls_stack_makes_as_many_passive_solves_as_its_longest_row(monkeypatch)
         _lawson_hanson(Gn, Y, start, 3 * Gn.size)
         return calls[0]
 
-    def recorded(G, Y, start=None):
-        stacks.append((G, Y, start))
-        return nnls(G, Y, start=start)
+    def recorded(G, Y, facets=None):
+        stacks.append((G, Y, facets))
+        return nnls(G, Y, facets=facets)
 
     monkeypatch.setattr(prefcone.valuefn, "nnls", recorded)
     monkeypatch.setattr(prefcone.cones, "_set_solve", counted)
@@ -490,11 +504,12 @@ def test_nnls_stack_makes_as_many_passive_solves_as_its_longest_row(monkeypatch)
             inst = synthetic_dm_instance(rng, p_max=4, t_max=20)
         psi = make_psi(inst)
         evaluate_batch(psi, inst.reference + rng.normal(scale=3.0, size=(300, 4)))
-        G, Y, (sets, index) = stacks.pop()
+        G, Y, A = stacks.pop()
         assert Y.shape[0] >= 200
         unit, live, *_ = _unit_generators(G.T)
         assert live.size == G.shape[1]
-        named = sets[np.unique(index)].any(axis=0)
+        sets, index = _facet_starts(unit, Y, A)
+        named = sets.any(axis=0)
         Gn, sets = unit[named].T, sets[:, named]
         longest = max(solves(Gn, y[None], (sets, i[None])) for y, i in zip(Y, index))
         assert solves(Gn, Y, (sets, index)) == longest
@@ -508,7 +523,7 @@ def test_started_nnls_solves_again_only_the_rows_its_named_columns_project_wrong
     # Lawson-Hanson on it first, then hands exactly the rows whose answer
     # fails the KKT test on another column to the cold call on every column
     handle = missing_facet_handle(pointed_instance)
-    G, starts = handle.generator_matrix, handle._projection_starts
+    G, a = handle.generator_matrix, handle.facet_cone.facet_normals[0]
     Y = np.random.default_rng(31).normal(scale=3.0, size=(200, 2))
     Y = Y[Y[:, 1] < -1e-3]  # outside the listed facet
     runs = []
@@ -518,7 +533,7 @@ def test_started_nnls_solves_again_only_the_rows_its_named_columns_project_wrong
         return _lawson_hanson(Gn, Y, start, max_iter)
 
     monkeypatch.setattr(prefcone.cones, "_lawson_hanson", recorded)
-    coef, resid = nnls(G, Y, start=(starts, np.zeros(Y.shape[0], int)))
+    coef, resid = nnls(G, Y, facets=a[None])
     (first, rows, _), (every, again, start) = runs
     np.testing.assert_array_equal(first, G[:, 3:4] / np.linalg.norm(G[:, 3]))
     np.testing.assert_array_equal(rows, Y)
@@ -540,7 +555,7 @@ def test_started_nnls_whose_narrow_run_stalls_returns_the_cold_answer(
     # a stall in a started call, here on the named columns, sends every row
     # to one cold Lawson-Hanson run on every column
     handle = missing_facet_handle(pointed_instance)
-    G, starts = handle.generator_matrix, handle._projection_starts
+    G, a = handle.generator_matrix, handle.facet_cone.facet_normals[0]
     Y = np.random.default_rng(32).normal(scale=3.0, size=(200, 2))
     runs = []
 
@@ -551,7 +566,7 @@ def test_started_nnls_whose_narrow_run_stalls_returns_the_cold_answer(
         return _lawson_hanson(Gn, Y, start, max_iter)
 
     monkeypatch.setattr(prefcone.cones, "_lawson_hanson", stalled)
-    coef, resid = nnls(G, Y, start=(starts, np.zeros(Y.shape[0], int)))
+    coef, resid = nnls(G, Y, facets=a[None])
     (narrow, _, _), (every, rows, start) = runs
     assert narrow.shape[1] == 1 and every.shape == G.shape and start is None
     np.testing.assert_array_equal(rows, Y)
@@ -570,12 +585,9 @@ def test_lawson_hanson_cap_counts_steps_per_row():
 
 
 def test_nnls_start_shape_checked():
-    with pytest.raises(ValueError, match="start has shape"):
-        nnls(np.ones((3, 5)), np.zeros((2, 3)), start=(np.ones((2, 4), bool), np.arange(2)))
-    with pytest.raises(ValueError, match="start has shape"):
-        nnls(np.ones((3, 5)), np.zeros(3), start=(np.ones((1, 5), bool), np.zeros(1, int)))
-    with pytest.raises(ValueError, match="start index"):
-        nnls(np.ones((3, 5)), np.zeros((2, 3)), start=(np.ones((1, 5), bool), np.array([0, 1])))
+    for facets in (np.ones((2, 4)), np.ones(3), np.ones((1, 2, 3)), np.ones((3, 5))):
+        with pytest.raises(ValueError, match="facets has shape"):
+            nnls(np.ones((3, 5)), np.zeros((2, 3)), facets=facets)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -588,37 +600,97 @@ def test_nnls_rejects_non_finite_columns_and_targets(bad):
             nnls(G, target)
 
 
-def test_nnls_start_table_gives_the_bits_of_one_set_per_row(monkeypatch):
-    # the start factors each set of the table once for all its rows; the
-    # bits are those of the same sets repeated, one per row, and a set no
-    # row names, here every column, changes none of them
-    stacks = []
+def _facet_starts(unit, Y, A):
+    """The start ``nnls(facets=A)`` gives the rows of Y on the unit columns
+    ``unit``: the columns tight on each picked facet, and each row's pick."""
+    picked, index = np.unique((A @ Y.T).argmin(axis=0), return_inverse=True)
+    return np.abs(A[picked] @ unit.T) <= CLASSIFY_TOL, index
 
-    def recorded(G, Y, start=None):
-        stacks.append((G, Y, start))
-        return nnls(G, Y, start=start)
+
+def test_nnls_start_table_gives_the_bits_of_one_set_per_row(monkeypatch):
+    # nnls starts each row on the columns tight on its most violated facet
+    # and factors each picked facet's set once for all its rows; the bits
+    # are those of the same sets repeated, one per row, and an extra normal
+    # that no row picks, here the zero normal on which every column is
+    # tight, changes none of them
+    stacks, starts = [], []
+    lawson_hanson = prefcone.cones._lawson_hanson
+
+    def recorded(G, Y, facets=None):
+        stacks.append((G, Y, facets))
+        return nnls(G, Y, facets=facets)
+
+    def started(Gn, Y, start, max_iter):
+        starts.append(start)
+        return lawson_hanson(Gn, Y, start, max_iter)
 
     monkeypatch.setattr(prefcone.valuefn, "nnls", recorded)
+    monkeypatch.setattr(prefcone.cones, "_lawson_hanson", started)
     rng = np.random.default_rng(23)
     for _ in range(6):
         inst = synthetic_dm_instance(rng, p_max=4, t_max=20)
         while (inst.p, inst.t) != (4, 20):
             inst = synthetic_dm_instance(rng, p_max=4, t_max=20)
         evaluate_batch(make_psi(inst), inst.reference + rng.normal(scale=3.0, size=(300, 4)))
-        G, Y, (sets, index) = stacks.pop()
+        G, Y, A = stacks.pop()
+        unit = _unit_generators(G.T)[0]
+        sets, index = _facet_starts(unit, Y, A)
         assert np.unique(index).size < index.size  # rows share their sets
-        row_coef, row_resid = nnls(G, Y, start=(sets[index], np.arange(Y.shape[0])))
-        for table in (sets, np.vstack([sets, np.ones(G.shape[1], bool)])):
-            coef, resid = nnls(G, Y, start=(table, index))
-            np.testing.assert_array_equal(coef.view(np.uint64), row_coef.view(np.uint64))
-            np.testing.assert_array_equal(resid.view(np.uint64), row_resid.view(np.uint64))
-    # a table over no columns, as a p=1 cone has: no generator is facet-tight
+        named = sets.any(axis=0)
+        Gn, sets, max_iter = unit[named].T, sets[:, named], 3 * G.size
+        table = _lawson_hanson(Gn, Y, (sets, index), max_iter)
+        per_row = _lawson_hanson(Gn, Y, (sets[index], np.arange(Y.shape[0])), max_iter)
+        np.testing.assert_array_equal(table.view(np.uint64), per_row.view(np.uint64))
+        starts.clear()
+        coef, resid = nnls(G, Y, facets=A)
+        np.testing.assert_array_equal(starts[0][0], sets)
+        np.testing.assert_array_equal(starts[0][1], index)
+        extra, extra_resid = nnls(G, Y, facets=np.vstack([A, np.zeros(G.shape[0])]))
+        np.testing.assert_array_equal(extra.view(np.uint64), coef.view(np.uint64))
+        np.testing.assert_array_equal(extra_resid.view(np.uint64), resid.view(np.uint64))
+    # facets over no columns, as a p=1 cone's: no generator is facet-tight
     Y = rng.normal(size=(5, 1))
-    index = np.array([0, 1, 1, 0, 1])
-    for sets, index in [(np.zeros((2, 0), bool), index), (np.zeros((5, 0), bool), np.arange(5))]:
-        coef, resid = nnls(np.zeros((1, 0)), Y, start=(sets, index))
+    for facets in ([[1.0]], [[1.0], [0.5]]):
+        coef, resid = nnls(np.zeros((1, 0)), Y, facets=np.array(facets))
         assert coef.shape == (5, 0)
         np.testing.assert_array_equal(resid, np.abs(Y[:, 0]))
+
+
+def test_nnls_starts_on_the_columns_within_classify_tol_of_the_facet(monkeypatch):
+    # on the facet y2 >= 0 the unit columns (1, 0) and (1, 1e-10) are tight,
+    # (1, 1e-6) and (0, 1) are not; the narrow run gets the tight two
+    G = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 1e-10, 1e-6, 1.0]])
+    y = np.array([1.0, -1.0])
+    runs = []
+    lawson_hanson = prefcone.cones._lawson_hanson
+
+    def recorded(Gn, Y, start, max_iter):
+        runs.append((Gn, start))
+        return lawson_hanson(Gn, Y, start, max_iter)
+
+    monkeypatch.setattr(prefcone.cones, "_lawson_hanson", recorded)
+    resid = nnls(G, y, facets=np.array([[0.0, 1.0]]))[1]
+    (narrow, (sets, index)), *_ = runs
+    np.testing.assert_array_equal(narrow, G[:, :2] / np.linalg.norm(G[:, :2], axis=0))
+    np.testing.assert_array_equal(sets, [[True, True]])
+    np.testing.assert_array_equal(index, [0])
+    assert resid == pytest.approx(nnls(G, y)[1], rel=0, abs=1e-12)
+
+
+def test_nnls_with_no_facet_is_the_cold_call():
+    rng = np.random.default_rng(3)
+    G, Y = rng.normal(size=(3, 6)), rng.normal(size=(4, 3))
+    for got, want in zip(nnls(G, Y, facets=np.zeros((0, 3))), nnls(G, Y)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_nnls_coefficient_past_float64_is_inf_without_a_warning():
+    # the unit column is the subnormal one times 2**1073, so its coefficient
+    # is 2**1074; the residual is still exact (the suite turns RuntimeWarning
+    # into an error)
+    coef, resid = nnls(np.array([[5e-324, 0.0], [0.0, 1.0]]), np.array([1.0, 2.0]))
+    np.testing.assert_array_equal(coef, [np.inf, 2.0])
+    assert resid == 0.0
 
 
 def test_nnls_empty_stack():

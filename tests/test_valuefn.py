@@ -26,6 +26,7 @@ from prefcone import (
 from prefcone.cli import run
 from prefcone.cones import CLASSIFY_TOL
 from _helpers import (
+    facet_tight_columns,
     missing_facet_handle,
     random_instance,
     synthetic_dm_instance,
@@ -351,7 +352,7 @@ def test_extreme_generators_span_the_cone():
     for handle in _pruning_handles():
         G = handle.generator_matrix
         if handle.p >= 2 and np.linalg.matrix_rank(handle.facet_cone.facet_normals) == handle.p:
-            on_facet = handle._projection_starts.any(axis=0)
+            on_facet = facet_tight_columns(handle).any(axis=0)
             extreme, rest = G[:, on_facet], G[:, ~on_facet]
             for g in rest.T:
                 assert nnls(extreme, g)[1] <= 1e-9 * np.linalg.norm(g)
@@ -361,12 +362,12 @@ def test_extreme_generators_span_the_cone():
 
 
 def _recorded_nnls(monkeypatch):
-    """Record each ``valuefn.nnls`` call's columns, targets and start."""
+    """Record each ``valuefn.nnls`` call's columns, targets and facets."""
     calls = []
 
-    def recorded(G, Y, start=None):
-        calls.append((G, Y, start))
-        return nnls(G, Y, start=start)
+    def recorded(G, Y, facets=None):
+        calls.append((G, Y, facets))
+        return nnls(G, Y, facets=facets)
 
     monkeypatch.setattr(prefcone.valuefn, "nnls", recorded)
     return calls
@@ -395,8 +396,8 @@ def test_missing_facet_rows_fail_the_kkt_check_and_are_solved_again(monkeypatch,
 
 def test_score_batch_cones_make_one_nnls_call_on_the_facet_tight_generators(monkeypatch):
     # at p=4, t=20 about a third of the generators lie on a facet; the one
-    # nnls call gets every generator and the facet start table, and works
-    # on the facet-tight ones first
+    # nnls call gets every generator and the facet normals, and works on
+    # the facet-tight ones first
     rng = np.random.default_rng(21)
     calls = _recorded_nnls(monkeypatch)
     for _ in range(6):
@@ -404,13 +405,13 @@ def test_score_batch_cones_make_one_nnls_call_on_the_facet_tight_generators(monk
         while (inst.p, inst.t) != (4, 20):
             inst = synthetic_dm_instance(rng, p_max=4, t_max=20)
         psi = make_psi(inst)
-        tight = psi._projection_starts.any(axis=0)
+        tight = facet_tight_columns(psi).any(axis=0)
         assert tight.sum() < tight.size
         X = inst.reference + rng.normal(scale=3.0, size=(300, 4))
         calls.clear()
         values = evaluate_batch(psi, X)
-        [(G, Y, (sets, _))] = calls
-        assert G is psi.generator_matrix and sets is psi._projection_starts
+        [(G, Y, facets)] = calls
+        assert G is psi.generator_matrix and facets is psi.facet_cone.facet_normals
         assert Y.shape[0] >= 200
         cold = nnls(psi.generator_matrix, Y)[1]
         assert (np.abs(-values[values < 0] - cold) <= 1e-12 * (1.0 + np.linalg.norm(Y, axis=1))).all()
@@ -483,17 +484,20 @@ def test_twin_judgement_points_near_the_boundary_match_cold_projection(seed):
     assert (gap <= 1e-9 * (1.0 + np.linalg.norm(Y[exterior], axis=1))).all()
 
 
-def test_non_pointed_cone_keeps_every_generator(halfplane_instance):
-    # the cone is x1 + x2 >= 0 around the reference; every start is a mask
-    # over all generator columns, and the exterior value is the distance
+def test_non_pointed_cone_keeps_every_generator(monkeypatch, halfplane_instance):
+    # the cone is x1 + x2 >= 0 around the reference; the nnls call gets all
+    # generator columns and the facet normals, and the exterior value is the
+    # distance
     handle = make_psi(halfplane_instance)
     G = handle.generator_matrix
     assert np.linalg.matrix_rank(handle.facet_cone.facet_normals) < handle.p
-    assert handle._projection_starts.shape == (handle.facet_cone.n_facets, G.shape[1])
     rng = np.random.default_rng(909)
     _exterior_values_match_full_projection(handle, rng, 1e-12)
     X = handle.reference + rng.normal(scale=3.0, size=(200, 2))
+    calls = _recorded_nnls(monkeypatch)
     values = evaluate_batch(handle, X)
+    [(every, _, facets)] = calls
+    assert every is G and facets is handle.facet_cone.facet_normals
     exterior = values < 0
     assert exterior.any()
     Y = X[exterior] - handle.reference
