@@ -19,11 +19,12 @@ instance, and the script exits 1 when one of their counts is not zero:
   rational arithmetic.
 
 It also reports, without failing on them, the exit-3 numerical failures
-per command and the ``test`` verdicts that differ from the exact-rational
-verdict of ``tests/oracle.py`` (``exact_pointed``); the scale defect behind
-the wrong verdicts is still open.
+per command and error code, as ``exit 3 from epsilon (MAX_ITER_EXCEEDED)``,
+and the ``test`` verdicts that differ from the exact-rational verdict of
+``tests/oracle.py`` (``exact_pointed``); the scale defect behind the wrong
+verdicts is still open.
 
-    python scripts/float_fuzz.py -n 1000 --seed 1
+    python scripts/float_fuzz.py -n 2500 --seed 1
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ def check(doc: dict, workdir: Path) -> Counter:
         if code == 2 and not (name == "plot" and error == "UNSUPPORTED_DIMENSION"):
             fail("exit 2 on a valid file", name)
         if code == 3:
-            counts[f"exit 3 from {name}"] += 1
+            counts[f"exit 3 from {name} ({error})"] += 1
         if name == "weights" and code == 0 and not _weights_pass(payload["weights"], gens):
             fail("weights failing their exact check", name)
         if name == "test" and code in (0, 1) and (code == 0) != exact_pointed(gens):

@@ -4,8 +4,9 @@ Exit codes: 0 for a consistent verdict or any successful output, 1 when the
 judgements are inconsistent (a domain answer, so pipelines can branch on
 it), 2 for input problems (unreadable or invalid files, wrong dimensions),
 3 for numerical failures on a valid input (a stalled simplex, a non-finite
-pivot or LP answer, an exhausted epsilon schedule, weights that fail their
-check, or an NNLS iteration cap), and 64 for malformed flags.
+pivot or LP answer, an epsilon schedule that underflows to 0 before it
+falls below eps*, weights that fail their check, or an NNLS iteration
+cap), and 64 for malformed flags.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ nonnegative orthant, so it is always full-dimensional.  It is given by its
 judgement generators, as :func:`~prefcone.instance.generators` returns
 them.  :func:`extreme_rays` builds the dual cone's half-space rows from
 them and finds its extreme rays, the primal's facet normals, by the double
-description method; :func:`nnls` projects points onto the cone by
-Lawson-Hanson nonnegative least squares on its generators.  Membership
+description method; :func:`nnls` gives points' distances to the cone
+by Lawson-Hanson nonnegative least squares on its generators.  Membership
 and the signed distances built from both live in
 :func:`prefcone.valuefn.evaluate_batch`.
 
@@ -89,7 +89,7 @@ def extreme_rays(gens: np.ndarray) -> FacetCone:
         raise DimensionTooLargeError(
             f"double description capped at dimension {MAX_DD_DIM}, got {p}"
         )
-    rays = _dd_pointed(_unit_generators(np.vstack([np.eye(p), G]))[0])
+    rays = _dd_pointed(_unit_generators(np.vstack([np.eye(p), G])))
     rays = np.ascontiguousarray(rays)  # the row norms' rounding depends on memory order
     rays[np.abs(rays) < 1e-12] = 0.0
     rays /= np.linalg.norm(rays, axis=1)[:, None]
@@ -97,25 +97,22 @@ def extreme_rays(gens: np.ndarray) -> FacetCone:
     return FacetCone(facet_normals=rays[order])
 
 
-def _unit_generators(V: np.ndarray):
-    """The nonzero rows of ``V`` at unit length: ``(unit, live, norms, exps)``.
+def _unit_generators(V: np.ndarray) -> np.ndarray:
+    """The nonzero rows of ``V`` at unit length, in order.
 
     Each row is first divided by the power of two of its largest entry, an
     exact step, so its norm neither overflows nor underflows, and only
-    exact zero rows are dropped.  ``live`` indexes the rows kept, and row
-    ``live[i]`` has Euclidean norm ``norms[i] * 2**exps[i]``, a product
-    left unformed because it can pass float64's largest value.  The facets,
-    the projection and its KKT check all see a generator through this one
-    map.  A NaN or infinite entry raises ValueError.
+    exact zero rows are dropped.  The facets, the projection and its KKT
+    check all see a generator through this one map.  A NaN or infinite
+    entry raises ValueError.
     """
     top = np.abs(V).max(axis=1)
     if not np.isfinite(top).all():
         raise ValueError("generators must be finite")
-    e = np.frexp(top)[1]
-    V = np.ldexp(V, -e[:, None])
+    V = np.ldexp(V, -np.frexp(top)[1][:, None])
     norms = np.linalg.norm(V, axis=1)
     live = np.flatnonzero(norms)
-    return V[live] / norms[live, None], live, norms[live], e[live]
+    return V[live] / norms[live, None]
 
 
 def _dd_pointed(A: np.ndarray) -> np.ndarray:
@@ -181,15 +178,16 @@ def _adjacent_combinations(
 
 
 def nnls(columns: np.ndarray, target: np.ndarray, *, facets: np.ndarray | None = None):
-    """Lawson-Hanson active-set solve of min ||columns @ coef - target||, coef >= 0.
+    """Distance min ||columns @ coef - target|| over coef >= 0, by Lawson-Hanson.
 
-    ``target`` is one point of shape ``(p,)``, which returns ``(coef,
-    residual_norm)``, or a stack of shape ``(B, p)``, which returns
-    ``(coef (B, n), residual_norms (B,))``.  A single point is solved as a
-    1-row stack.  The rows of a stack run in lockstep, each at its own
-    stage: each step solves every row that waits for its passive-set least
-    squares in one stacked call (:func:`_passive_solve`), so a stack makes
-    as many passive solves as its longest row alone.
+    ``target`` is one point of shape ``(p,)``, which returns its residual
+    norm as a float, or a stack of shape ``(B, p)``, which returns the
+    ``(B,)`` residual norms; the coefficients stay inside the solve, on the
+    unit columns.  A single point is solved as a 1-row stack.  The rows of
+    a stack run in lockstep, each at its own stage: each step solves every
+    row that waits for its passive-set least squares in one stacked call
+    (:func:`_passive_solve`), so a stack makes as many passive solves as
+    its longest row alone.
 
     ``facets``, the ``(k, p)`` unit facet normals of the cone the columns
     generate, starts each row on the columns tight on its most violated
@@ -211,14 +209,14 @@ def nnls(columns: np.ndarray, target: np.ndarray, *, facets: np.ndarray | None =
     and can cycle; a cold run never makes both of them passive.  No facet
     (``k = 0``) means a cold call.
 
-    Columns are rescaled to unit norm internally by
-    :func:`_unit_generators`, the map the facets use: an exact power-of-two
-    prescale first, so no norm overflows, and only exact zero columns are
-    dropped.  The residual is unchanged.  A row stops when its gradient on
-    every column is at most ``_KKT_TOL * (1 + |y|)``.  Raises
-    NnlsMaxIterError when a cold row's active-set loop exceeds ``3 *
-    n_columns * p`` iterations (a sign of numerical pathology, not a
-    routine outcome).  A non-finite column or target raises ValueError.
+    Lawson-Hanson runs on the unit columns of :func:`_unit_generators`, the
+    map the facets use: an exact power-of-two prescale first, so no norm
+    overflows, and only exact zero columns are dropped.  The cone, and so
+    the residual, is unchanged.  A row stops when its gradient on every
+    column is at most ``_KKT_TOL * (1 + |y|)``.  Raises NnlsMaxIterError
+    when a cold row's active-set loop exceeds ``3 * n_columns * p``
+    iterations (a sign of numerical pathology, not a routine outcome).  A
+    non-finite column or target raises ValueError.
     """
     G = np.atleast_2d(np.asarray(columns, dtype=float))
     Y = np.asarray(target, dtype=float)
@@ -233,35 +231,28 @@ def nnls(columns: np.ndarray, target: np.ndarray, *, facets: np.ndarray | None =
     Y = Y.reshape(-1, p)
     max_iter = 3 * n * max(p, 1)
 
-    unit, live, norms, exps = _unit_generators(G.T)
-    cols = np.arange(live.size)
-    redo = cols[:0]  # rows that the cold call answers
+    unit = _unit_generators(G.T)
+    redo = np.arange(0)  # rows that the cold call answers
     if facets is None or len(facets) == 0:
-        coef = _lawson_hanson(unit.T, Y, None, max_iter)
+        R = Y - _lawson_hanson(unit.T, Y, None, max_iter) @ unit
     else:
         A = np.asarray(facets, dtype=float)
         picked, index = np.unique((A @ Y.T).argmin(axis=0), return_inverse=True)
         sets = np.abs(A[picked] @ unit.T) <= CLASSIFY_TOL
         named = sets.any(axis=0)
-        cols = np.flatnonzero(named)
         try:
-            coef = _lawson_hanson(unit[cols].T, Y, (sets[:, cols], index), max_iter)
+            coef = _lawson_hanson(unit[named].T, Y, (sets[:, named], index), max_iter)
         except NnlsMaxIterError:
             return nnls(G, target)
+        R = Y - coef @ unit[named]
         # each row's top gradient on the other columns; the (rest, B) product is freed at once
-        top = (unit[~named] @ (Y - coef @ unit[cols]).T).max(axis=0, initial=-np.inf)
+        top = (unit[~named] @ R.T).max(axis=0, initial=-np.inf)
         redo = np.flatnonzero(top > _KKT_TOL * (1.0 + np.linalg.norm(Y, axis=1)))
 
-    resid = np.linalg.norm(Y - coef @ unit[cols], axis=1)
-    coef /= norms[cols]  # in place: coef is this call's own, and no temporary adds to the peak
-    full = np.zeros((Y.shape[0], n))
-    with np.errstate(over="ignore"):  # a coefficient past float64's largest value is inf
-        full[:, live[cols]] = np.ldexp(coef, -exps[cols], out=coef)
+    resid = np.linalg.norm(R, axis=1)
     if redo.size:
-        full[redo], resid[redo] = nnls(G, Y[redo])
-    if single:
-        return full[0], float(resid[0])
-    return full, resid
+        resid[redo] = nnls(G, Y[redo])
+    return float(resid[0]) if single else resid
 
 
 def _lawson_hanson(

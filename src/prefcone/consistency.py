@@ -38,10 +38,10 @@ __all__ = [
 # below this is a numerically exact zero.
 Z_STAR_TOL = 1e-7
 
-# epsilon_bar is the first _EPSILON0 * _BETA**i, i < _MAX_ITER, below eps*
+# epsilon_bar is the first positive _BETA**i * _EPSILON0 below eps*; the
+# schedule ends where it underflows to 0.0, at i = 1069
 _EPSILON0 = 1e-2
 _BETA = 0.5
-_MAX_ITER = 60
 
 
 class PointednessResult(NamedTuple):
@@ -128,12 +128,13 @@ test_pointedness.__test__ = False  # not a pytest case despite the name
 
 
 def epsilon_search(inst: PreferenceInstance) -> float:
-    """The first schedule value ``0.01 * 0.5**i``, ``i < 60``, whose shrunk
-    cone is still pointed.
+    """The first schedule value ``0.01 * 0.5**i`` whose shrunk cone is
+    still pointed.
 
     Requires the unperturbed cone to be pointed (otherwise no perturbation
-    works).  Every smaller epsilon then works too.  Raises
-    MaxIterExceededError when no schedule value is small enough.
+    works).  Every smaller epsilon then works too.  The schedule runs until
+    it underflows to 0.0, so it raises MaxIterExceededError only when eps*
+    is at most its last positive value, 5e-324.
     """
     eps_star, weights = _margin(inst)
     if weights is None:
@@ -144,12 +145,13 @@ def epsilon_search(inst: PreferenceInstance) -> float:
 
 
 def _first_below(eps_star: float) -> float:
-    for i in range(_MAX_ITER):
-        eps = _BETA**i * _EPSILON0
+    i = 0
+    while (eps := _BETA**i * _EPSILON0) > 0.0:
         if eps < eps_star:
             return eps
+        i += 1
     raise MaxIterExceededError(
-        f"no pointed perturbation found in {_MAX_ITER} trials from {_EPSILON0}"
+        f"no positive schedule value from {_EPSILON0} lies below eps* = {eps_star!r}"
     )
 
 

@@ -67,7 +67,8 @@ def make_vartheta(inst: PreferenceInstance) -> ValueFunctionHandle:
     :func:`~prefcone.epsilon_search`'s epsilon_bar, which keeps it pointed.
 
     Raises NotPointedError when the unperturbed cone is not pointed, and
-    MaxIterExceededError when no schedule value is small enough.
+    MaxIterExceededError when the schedule underflows to 0.0 before a
+    value falls below eps*.
     """
     return _signed_distance("vartheta", inst, epsilon_search(inst))
 
@@ -145,5 +146,5 @@ def evaluate_batch(handle: ValueFunctionHandle, points: np.ndarray) -> np.ndarra
     interior = margins > thresholds
     values[interior] = margins[interior]
     exterior = margins < -thresholds
-    values[exterior] = -nnls(handle.generator_matrix, Y[exterior], facets=A)[1]
+    values[exterior] = -nnls(handle.generator_matrix, Y[exterior], facets=A)
     return values

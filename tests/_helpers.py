@@ -124,9 +124,10 @@ def facet_tight_columns(handle: ValueFunctionHandle) -> np.ndarray:
     """(k, n) bool table: the generator columns tight on each facet of the
     handle's cone, by the test ``nnls`` starts a row with, ``|a.g| <=
     CLASSIFY_TOL`` on the unit generators."""
-    unit, live, *_ = _unit_generators(handle.generator_matrix.T)
-    tight = np.zeros((handle.facet_cone.n_facets, handle.generator_matrix.shape[1]), dtype=bool)
-    tight[:, live] = np.abs(handle.facet_cone.facet_normals @ unit.T) <= CLASSIFY_TOL
+    G = handle.generator_matrix
+    unit = _unit_generators(G.T)  # the nonzero columns, in order
+    tight = np.zeros((handle.facet_cone.n_facets, G.shape[1]), dtype=bool)
+    tight[:, G.any(axis=0)] = np.abs(handle.facet_cone.facet_normals @ unit.T) <= CLASSIFY_TOL
     return tight
 
 

@@ -116,7 +116,7 @@ def dist_to_cone(y: np.ndarray, gens: np.ndarray) -> float:
     and axis generators, one point at a time.  Zero (within 1e-8) exactly
     when y is inside the closed cone.
     """
-    return nnls(cone_columns(gens), y)[1]
+    return nnls(cone_columns(gens), y)
 
 
 def dist_to_complement(y: np.ndarray, facets: FacetCone) -> float:
@@ -377,16 +377,18 @@ def backtrack_epsilon(inst: PreferenceInstance) -> float:
     """``prefcone.epsilon_search`` as one pointedness LP per schedule value.
 
     The reference for the engine's single margin LP: test the unperturbed
-    cone, then return the first ``0.01 * 0.5**i``, ``i < 60``, whose shrunk
-    cone the full feasibility program finds pointed.
+    cone, then return the first positive ``0.01 * 0.5**i`` whose shrunk
+    cone the full feasibility program finds pointed.  The schedule ends
+    where it underflows to 0.0.
     """
     if not shrunk_pointedness(inst, 0.0).pointed:
         raise NotPointedError("the preference cone is not pointed; no perturbation can be")
-    for i in range(60):
-        eps = 0.5**i * 1e-2
+    i = 0
+    while (eps := 0.5**i * 1e-2) > 0.0:
         if shrunk_pointedness(inst, eps).pointed:
             return eps
-    raise MaxIterExceededError("no pointed perturbation found in 60 trials from 0.01")
+        i += 1
+    raise MaxIterExceededError("no positive schedule value from 0.01 keeps the cone pointed")
 
 
 def search_outcome(search, inst: PreferenceInstance):

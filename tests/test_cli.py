@@ -108,19 +108,44 @@ def test_stalled_simplex_is_typed_cli_error(capsys, monkeypatch, tmp_path):
     assert json.loads(out)["error"]["code"] == "MAX_ITER_EXCEEDED"
 
 
-def test_exhausted_epsilon_schedule_exits_3(capsys, data_dir, tmp_path):
-    # eps* = 0.5 * 2**-70 lies below the last schedule value, 0.01 * 2**-59
-    doc = json.loads((data_dir / "pointed.json").read_text())
-    doc["alternatives"] = (np.array(doc["alternatives"]) * 2.0**-70).tolist()
+def test_exhausted_epsilon_schedule_exits_3(capsys, monkeypatch, data_dir):
+    # the schedule's last positive value is 0.01 * 0.5**1068 == 5e-324, and an
+    # eps* at or below it exhausts the schedule; weights that pass their check
+    # keep eps* above 1 / sum(w) > 5.6e-309, so eps* is stubbed here
+    margin = prefcone.consistency._margin
+    monkeypatch.setattr(prefcone.consistency, "_margin", lambda inst: (5e-324, margin(inst)[1]))
+    path = str(data_dir / "pointed.json")
+    for argv in (
+        ["epsilon", path],
+        ["test", path],
+        ["eval", "--instance", path, "--function", "vartheta", "--point=-2,-2"],
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 3
+        assert json.loads(out)["error"] == {
+            "code": "MAX_ITER_EXCEEDED",
+            "message": "no positive schedule value from 0.01 lies below eps* = 5e-324",
+        }
+
+
+def test_tiny_eps_star_gets_a_schedule_value(capsys, tmp_path):
+    # eps* ~ 5.8e-303 lies far below 0.01 * 2**-59; the schedule runs on
+    # until it underflows, so it still finds a value below eps*
     path = tmp_path / "tiny.json"
-    path.write_text(json.dumps(doc))
-    assert prefcone.consistency._margin(parse_instance(path.read_text()))[0] == 0.5 * 2.0**-70
-    code, out = run_cli(capsys, "epsilon", str(path))
-    assert code == 3
-    assert json.loads(out)["error"] == {
-        "code": "MAX_ITER_EXCEEDED",
-        "message": "no pointed perturbation found in 60 trials from 0.01",
-    }
+    path.write_text(json.dumps(TINY_EPS_STAR))
+    eps_star = prefcone.consistency._margin(parse_instance(path.read_text()))[0]
+    eps_bar = 0.5**998 * 1e-2
+    assert eps_bar < eps_star <= 0.5**997 * 1e-2
+    path = str(path)
+    for argv in (
+        ["epsilon", path],
+        ["test", path],
+        ["eval", "--instance", path, "--function", "vartheta", "--point=-1"],
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        if argv[0] != "eval":
+            assert json.loads(out)["epsilon_bar"] == eps_bar
 
 
 def test_nnls_iteration_cap_exits_3(capsys, monkeypatch, data_dir):
@@ -469,6 +494,12 @@ SUBNORMAL_JUDGEMENTS = {
     "reference_index": 0,
     "preferred_indices": [1, 2],
 }
+# one judgement of 5.8e-303 on one criterion, which is also its eps*
+TINY_EPS_STAR = {
+    "alternatives": [[0.0], [5.832897615645118e-303]],
+    "reference_index": 0,
+    "preferred_indices": [1],
+}
 # pointed, but its certificate needs d1 ~ 3.6e308: the paper's program
 # overflows in a pivot and its final tableau holds nan and -inf, where test
 # printed "z_star": 1.0 and exit 1
@@ -601,6 +632,30 @@ def test_import_loads_no_scipy():
     assert result.stdout == "[]\n"
 
 
+def test_commands_run_where_scipy_cannot_be_imported(data_dir, tmp_path):
+    # numpy is the only runtime dependency (README); a None entry in
+    # sys.modules makes every scipy import raise ImportError
+    src = Path(prefcone.cones.__file__).resolve().parents[1]
+    code = (
+        "import sys; sys.modules['scipy'] = None; "
+        "import prefcone; from prefcone.cli import run; sys.exit(run(sys.argv[1:]))"
+    )
+    path = str(data_dir / "pointed.json")
+    svg = tmp_path / "pointed.svg"
+    for argv, key in (
+        (["test", path], "pointed"),
+        (["eval", "--instance", path, "--function", "psi", "--point=3,3"], "value"),
+        (["plot", path, "--output", str(svg)], "svg"),
+    ):
+        result = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert key in json.loads(result.stdout)
+    assert svg.read_text().startswith("<svg")
+
+
 def test_verbose_logs_tableaux_on_stderr(data_dir):
     src = Path(prefcone.cones.__file__).resolve().parents[1]
     result = subprocess.run(
@@ -639,7 +694,7 @@ def test_usage_errors_exit_64(capsys):
 
 
 def test_epsilon_schedule_flags_are_usage_errors(capsys, data_dir, tmp_path):
-    # the schedule 0.01 * 0.5**i, i < 60, is fixed; its old flags are unknown options
+    # the schedule 0.01 * 0.5**i is fixed; its old flags are unknown options
     path = str(data_dir / "pointed.json")
     commands = [
         ["epsilon", path],

@@ -201,6 +201,14 @@ def test_is_pointed_geometric_examples(
     assert not is_pointed_geometric(np.array([[-1.0]]))
 
 
+def _cold_coef(G, Y):
+    """The coefficients a cold ``nnls(G, Y)`` keeps inside: ``(Gn, coef)``,
+    ``_lawson_hanson``'s ``(B, m)`` answer on the unit columns ``Gn`` of
+    ``_unit_generators``, for a ``(p,)`` target or a ``(B, p)`` stack."""
+    Gn = _unit_generators(G.T).T
+    return Gn, _lawson_hanson(Gn, np.reshape(Y, (-1, G.shape[0])), None, 3 * G.size)
+
+
 def test_nnls_matches_scipy():
     from scipy.optimize import nnls as scipy_nnls
 
@@ -210,17 +218,18 @@ def test_nnls_matches_scipy():
         n = int(rng.integers(1, 7))
         G = rng.integers(-3, 4, size=(p, n)).astype(float)
         y = rng.integers(-5, 6, size=p).astype(float)
-        coef, resid = nnls(G, y)
-        ref_coef, ref_resid = scipy_nnls(G, y)
-        assert resid == pytest.approx(ref_resid, abs=1e-8)
+        resid = nnls(G, y)
+        assert isinstance(resid, float)
+        assert resid == pytest.approx(scipy_nnls(G, y)[1], abs=1e-8)
+        Gn, (coef,) = _cold_coef(G, y)
         assert (coef >= 0).all()
-        assert np.linalg.norm(G @ coef - y) == pytest.approx(resid, abs=1e-10)
+        assert np.linalg.norm(Gn @ coef - y) == pytest.approx(resid, abs=1e-10)
 
 
 def test_nnls_antipodal_single_column():
-    coef, resid = nnls(np.array([[1.0], [0.0]]), np.array([-1.0, 0.0]))
-    assert coef[0] == 0.0
-    assert resid == pytest.approx(1.0, abs=1e-12)
+    G, y = np.array([[1.0], [0.0]]), np.array([-1.0, 0.0])
+    assert nnls(G, y) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_array_equal(_cold_coef(G, y)[1], [[0.0]])
 
 
 def test_nnls_kkt_certificate_on_degenerate_systems():
@@ -236,11 +245,12 @@ def test_nnls_kkt_certificate_on_degenerate_systems():
         if k % 7 == 0:
             G[:, rng.integers(0, n)] = 0.0  # dead column
         y = rng.integers(-4, 5, size=p).astype(float)
-        coef, resid = nnls(G, y)
+        resid = nnls(G, y)
+        Gn, (coef,) = _cold_coef(G, y)
         assert (coef >= 0).all()
-        assert np.linalg.norm(G @ coef - y) == pytest.approx(resid, abs=1e-10)
-        grad = G.T @ (G @ coef - y)
-        assert grad.min() >= -1e-8  # dual feasibility
+        assert np.linalg.norm(Gn @ coef - y) == pytest.approx(resid, abs=1e-10)
+        grad = Gn.T @ (Gn @ coef - y)
+        assert grad.min(initial=0.0) >= -1e-8  # dual feasibility; Gn can have no column
         support = coef > 1e-12
         if support.any():
             assert np.abs(grad[support]).max() <= 1e-8  # complementary slackness
@@ -318,28 +328,28 @@ def test_nnls_stack_rows_match_single_solves():
     rng = np.random.default_rng(77)
     for k in range(200):
         G, Y = _degenerate_stack(rng, k)
-        coef, resid = nnls(G, Y)
-        assert coef.shape == (Y.shape[0], G.shape[1])
+        resid = nnls(G, Y)
         assert resid.shape == (Y.shape[0],)
+        Gn, coef = _cold_coef(G, Y)
         for i, y in enumerate(Y):
-            one_coef, one_resid = nnls(G, y)
             tol = 1e-12 * (1.0 + np.linalg.norm(y))
-            assert abs(resid[i] - one_resid) <= tol
-            # the projection G @ coef is unique even where coef is not
-            assert np.linalg.norm(G @ coef[i] - G @ one_coef) <= tol
+            assert abs(resid[i] - nnls(G, y)) <= tol
+            # the projection Gn @ coef is unique even where coef is not
+            assert np.linalg.norm(Gn @ coef[i] - Gn @ _cold_coef(G, y)[1][0]) <= tol
 
 
 def test_nnls_stack_kkt_certificate_on_degenerate_systems():
     rng = np.random.default_rng(654)
     for k in range(200):
         G, Y = _degenerate_stack(rng, k)
-        coef, resid = nnls(G, Y)
+        resid = nnls(G, Y)
+        Gn, coef = _cold_coef(G, Y)
         assert (coef >= 0).all()
         np.testing.assert_allclose(
-            np.linalg.norm(coef @ G.T - Y, axis=1), resid, rtol=0, atol=1e-10
+            np.linalg.norm(coef @ Gn.T - Y, axis=1), resid, rtol=0, atol=1e-10
         )
-        grad = (coef @ G.T - Y) @ G
-        assert grad.min() >= -1e-8  # dual feasibility
+        grad = (coef @ Gn.T - Y) @ Gn
+        assert grad.min(initial=0.0) >= -1e-8  # dual feasibility; Gn can have no column
         support = coef > 1e-12
         if support.any():
             assert np.abs(grad[support]).max() <= 1e-8  # complementary slackness
@@ -358,7 +368,7 @@ def test_nnls_stack_on_nearly_parallel_columns_matches_scipy():
         G[:, 1] = G[:, 0] + delta * rng.normal(size=p)
         G[:, 2] = 0.5 * G[:, 0] + G[:, 1] + delta * rng.normal(size=p)
         Y = rng.normal(size=(10, p))
-        resid = nnls(G, Y)[1]
+        resid = nnls(G, Y)
         for y, r in zip(Y, resid):
             assert r == pytest.approx(scipy_nnls(G, y)[1], abs=1e-8 * (1 + np.linalg.norm(y)))
 
@@ -422,15 +432,15 @@ def test_nnls_start_on_parallel_columns_gives_the_cold_answer():
     x = g - 1e-6 * np.linalg.norm(g) * a
     start = np.abs(a @ G) <= 1e-9 * np.linalg.norm(G, axis=0)
     np.testing.assert_array_equal(np.flatnonzero(start), [1, 2, 4, 5, 6])
-    cold = nnls(G, x)[1]
+    cold = nnls(G, x)
     assert cold == pytest.approx(9.2196e-06, rel=1e-4)
-    assert nnls(G, x, facets=a[None])[1] == pytest.approx(cold, rel=0, abs=1e-15)
+    assert nnls(G, x, facets=a[None]) == pytest.approx(cold, rel=0, abs=1e-15)
 
 
 def _started(G, Y, sets, index):
     """``_lawson_hanson`` on the unit columns of G from the start ``(sets,
     index)`` over G's columns: ``(coef, residual_norms)``, coef on G."""
-    unit, live, *_ = _unit_generators(G.T)
+    unit, live = _unit_generators(G.T), G.any(axis=0)
     sets = sets[:, live]
     used, index = np.unique(index, return_inverse=True)  # only sets that rows name
     coef = _lawson_hanson(unit.T, Y, (sets[used], index), 3 * G.size)
@@ -447,7 +457,7 @@ def test_nnls_start_gives_the_cold_answer():
     clipped = 0
     for G, Y in _start_systems(rng):
         B, n = Y.shape[0], G.shape[1]
-        cold = nnls(G, Y)[1]
+        cold = nnls(G, Y)
         infeasible = Y @ G < 0.0  # columns pointing away from the target
         empty, full = np.zeros((B, n), bool), np.ones((B, n), bool)
         starts = [rng.random((B, n)) < 0.5, empty, full, infeasible]
@@ -506,8 +516,8 @@ def test_nnls_stack_makes_as_many_passive_solves_as_its_longest_row(monkeypatch)
         evaluate_batch(psi, inst.reference + rng.normal(scale=3.0, size=(300, 4)))
         G, Y, A = stacks.pop()
         assert Y.shape[0] >= 200
-        unit, live, *_ = _unit_generators(G.T)
-        assert live.size == G.shape[1]
+        unit = _unit_generators(G.T)
+        assert unit.shape[0] == G.shape[1]
         sets, index = _facet_starts(unit, Y, A)
         named = sets.any(axis=0)
         Gn, sets = unit[named].T, sets[:, named]
@@ -529,24 +539,24 @@ def test_started_nnls_solves_again_only_the_rows_its_named_columns_project_wrong
     runs = []
 
     def recorded(Gn, Y, start, max_iter):
-        runs.append((Gn, Y, start))
-        return _lawson_hanson(Gn, Y, start, max_iter)
+        coef = _lawson_hanson(Gn, Y, start, max_iter)
+        runs.append((Gn, Y, start, coef))
+        return coef
 
     monkeypatch.setattr(prefcone.cones, "_lawson_hanson", recorded)
-    coef, resid = nnls(G, Y, facets=a[None])
-    (first, rows, _), (every, again, start) = runs
+    resid = nnls(G, Y, facets=a[None])
+    (first, rows, _, _), (every, again, start, coef) = runs
     np.testing.assert_array_equal(first, G[:, 3:4] / np.linalg.norm(G[:, 3]))
     np.testing.assert_array_equal(rows, Y)
     assert every.shape == G.shape and start is None
     norms = np.linalg.norm(Y, axis=1)
-    full = nnls(G, Y)[1]
+    full = nnls(G, Y)
     assert (np.abs(resid - full) <= 1e-12 * (1.0 + norms)).all()
-    short = nnls(G[:, 3:4], Y)[1] > full + 1e-9 * (1.0 + norms)
+    short = nnls(G[:, 3:4], Y) > full + 1e-9 * (1.0 + norms)
     assert 0 < short.sum() < Y.shape[0]
     np.testing.assert_array_equal(again, Y[short])
-    cold_coef, cold_resid = nnls(G, Y[short])
-    np.testing.assert_array_equal(coef[short], cold_coef)
-    np.testing.assert_array_equal(resid[short], cold_resid)
+    np.testing.assert_array_equal(coef, _cold_coef(G, Y[short])[1])
+    np.testing.assert_array_equal(resid[short], nnls(G, Y[short]))
 
 
 def test_started_nnls_whose_narrow_run_stalls_returns_the_cold_answer(
@@ -566,13 +576,11 @@ def test_started_nnls_whose_narrow_run_stalls_returns_the_cold_answer(
         return _lawson_hanson(Gn, Y, start, max_iter)
 
     monkeypatch.setattr(prefcone.cones, "_lawson_hanson", stalled)
-    coef, resid = nnls(G, Y, facets=a[None])
+    resid = nnls(G, Y, facets=a[None])
     (narrow, _, _), (every, rows, start) = runs
     assert narrow.shape[1] == 1 and every.shape == G.shape and start is None
     np.testing.assert_array_equal(rows, Y)
-    cold_coef, cold_resid = nnls(G, Y)
-    np.testing.assert_array_equal(coef, cold_coef)
-    np.testing.assert_array_equal(resid, cold_resid)
+    np.testing.assert_array_equal(resid, nnls(G, Y))
 
 
 def test_lawson_hanson_cap_counts_steps_per_row():
@@ -621,8 +629,9 @@ def test_nnls_start_table_gives_the_bits_of_one_set_per_row(monkeypatch):
         return nnls(G, Y, facets=facets)
 
     def started(Gn, Y, start, max_iter):
-        starts.append(start)
-        return lawson_hanson(Gn, Y, start, max_iter)
+        coef = lawson_hanson(Gn, Y, start, max_iter)
+        starts.append((start, coef))
+        return coef
 
     monkeypatch.setattr(prefcone.valuefn, "nnls", recorded)
     monkeypatch.setattr(prefcone.cones, "_lawson_hanson", started)
@@ -633,7 +642,7 @@ def test_nnls_start_table_gives_the_bits_of_one_set_per_row(monkeypatch):
             inst = synthetic_dm_instance(rng, p_max=4, t_max=20)
         evaluate_batch(make_psi(inst), inst.reference + rng.normal(scale=3.0, size=(300, 4)))
         G, Y, A = stacks.pop()
-        unit = _unit_generators(G.T)[0]
+        unit = _unit_generators(G.T)
         sets, index = _facet_starts(unit, Y, A)
         assert np.unique(index).size < index.size  # rows share their sets
         named = sets.any(axis=0)
@@ -642,17 +651,19 @@ def test_nnls_start_table_gives_the_bits_of_one_set_per_row(monkeypatch):
         per_row = _lawson_hanson(Gn, Y, (sets[index], np.arange(Y.shape[0])), max_iter)
         np.testing.assert_array_equal(table.view(np.uint64), per_row.view(np.uint64))
         starts.clear()
-        coef, resid = nnls(G, Y, facets=A)
-        np.testing.assert_array_equal(starts[0][0], sets)
-        np.testing.assert_array_equal(starts[0][1], index)
-        extra, extra_resid = nnls(G, Y, facets=np.vstack([A, np.zeros(G.shape[0])]))
+        resid = nnls(G, Y, facets=A)
+        (start, coef), *_ = starts
+        np.testing.assert_array_equal(start[0], sets)
+        np.testing.assert_array_equal(start[1], index)
+        starts.clear()
+        extra_resid = nnls(G, Y, facets=np.vstack([A, np.zeros(G.shape[0])]))
+        (_, extra), *_ = starts
         np.testing.assert_array_equal(extra.view(np.uint64), coef.view(np.uint64))
         np.testing.assert_array_equal(extra_resid.view(np.uint64), resid.view(np.uint64))
     # facets over no columns, as a p=1 cone's: no generator is facet-tight
     Y = rng.normal(size=(5, 1))
     for facets in ([[1.0]], [[1.0], [0.5]]):
-        coef, resid = nnls(np.zeros((1, 0)), Y, facets=np.array(facets))
-        assert coef.shape == (5, 0)
+        resid = nnls(np.zeros((1, 0)), Y, facets=np.array(facets))
         np.testing.assert_array_equal(resid, np.abs(Y[:, 0]))
 
 
@@ -669,34 +680,30 @@ def test_nnls_starts_on_the_columns_within_classify_tol_of_the_facet(monkeypatch
         return lawson_hanson(Gn, Y, start, max_iter)
 
     monkeypatch.setattr(prefcone.cones, "_lawson_hanson", recorded)
-    resid = nnls(G, y, facets=np.array([[0.0, 1.0]]))[1]
+    resid = nnls(G, y, facets=np.array([[0.0, 1.0]]))
     (narrow, (sets, index)), *_ = runs
     np.testing.assert_array_equal(narrow, G[:, :2] / np.linalg.norm(G[:, :2], axis=0))
     np.testing.assert_array_equal(sets, [[True, True]])
     np.testing.assert_array_equal(index, [0])
-    assert resid == pytest.approx(nnls(G, y)[1], rel=0, abs=1e-12)
+    assert resid == pytest.approx(nnls(G, y), rel=0, abs=1e-12)
 
 
 def test_nnls_with_no_facet_is_the_cold_call():
     rng = np.random.default_rng(3)
     G, Y = rng.normal(size=(3, 6)), rng.normal(size=(4, 3))
-    for got, want in zip(nnls(G, Y, facets=np.zeros((0, 3))), nnls(G, Y)):
-        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(nnls(G, Y, facets=np.zeros((0, 3))), nnls(G, Y))
 
 
 def test_nnls_coefficient_past_float64_is_inf_without_a_warning():
-    # the unit column is the subnormal one times 2**1073, so its coefficient
-    # is 2**1074; the residual is still exact (the suite turns RuntimeWarning
-    # into an error)
-    coef, resid = nnls(np.array([[5e-324, 0.0], [0.0, 1.0]]), np.array([1.0, 2.0]))
-    np.testing.assert_array_equal(coef, [np.inf, 2.0])
-    assert resid == 0.0
+    # the unit column is the subnormal one times 2**1073, so the coefficient
+    # on the original column, 2**1074, is past float64's largest value; nnls
+    # keeps its coefficients on the unit columns, and the residual is exact
+    # (the suite turns RuntimeWarning into an error)
+    assert nnls(np.array([[5e-324, 0.0], [0.0, 1.0]]), np.array([1.0, 2.0])) == 0.0
 
 
 def test_nnls_empty_stack():
-    coef, resid = nnls(np.ones((3, 5)), np.zeros((0, 3)))
-    assert coef.shape == (0, 5)
-    assert resid.shape == (0,)
+    assert nnls(np.ones((3, 5)), np.zeros((0, 3))).shape == (0,)
 
 
 @pytest.mark.parametrize("shape", [(4, 2), (2, 4), (2, 2, 3), ()])
@@ -809,7 +816,7 @@ def test_dd_facets_certified_up_to_t40_p6():
         # cone violate some facet
         Y = rng.uniform(-4, 4, size=(300, cone.shape[1]))
         margins = (Y @ facets.facet_normals.T).min(axis=1)
-        resid = nnls(cone_columns(cone), Y)[1]
+        resid = nnls(cone_columns(cone), Y)
         tol = 1e-8 * (1.0 + np.linalg.norm(Y, axis=1))
         assert (resid[margins > tol] <= tol[margins > tol]).all()
         assert (margins[resid > tol] < 0).all()
@@ -827,7 +834,7 @@ def _certify_facets(rng, cone, facets):
         assert np.linalg.matrix_rank(tight, tol=1e-9) == cone.shape[1] - 1, a
     Y = rng.uniform(-4, 4, size=(300, cone.shape[1]))
     margins = (Y @ facets.facet_normals.T).min(axis=1)
-    resid = nnls(cone_columns(cone), Y)[1]
+    resid = nnls(cone_columns(cone), Y)
     tol = 1e-8 * (1.0 + np.linalg.norm(Y, axis=1))
     assert (resid[margins > tol] <= tol[margins > tol]).all()
     assert (margins[resid > tol] < 0).all()

@@ -148,18 +148,23 @@ def test_epsilon_search_rejects_non_pointed(halfplane_instance):
 
 
 def test_epsilon_search_exhausts_below_the_last_schedule_value(pointed_instance):
-    # the last schedule value is 0.01 * 2**-59; eps* = 0.5 here scales exactly
-    # with the instance, so the search fails exactly when 0.5 * 2**-k lies below it
+    # the schedule 0.01 * 0.5**i runs until it underflows to 0.0 at i = 1069,
+    # and its last positive value is 5e-324; eps* = 0.5 here scales exactly
+    # with the instance, so each scaled copy gets the first value below it
+    assert 0.5**1068 * 1e-2 == 5e-324 and 0.5**1069 * 1e-2 == 0.0
     eps_star = prefcone.consistency._margin(pointed_instance)[0]
     assert eps_star == 0.5
-    for k in (62, 66, 70):
+    for k, i in ((62, 57), (66, 61), (70, 65), (1000, 995), (1021, 1016)):
         scaled = _scaled(pointed_instance, k)
         assert prefcone.consistency._margin(scaled)[0] == eps_star * 2.0**-k
-        if k == 62:
-            assert epsilon_search(scaled) == 0.5**57 * 1e-2
-        else:
-            with pytest.raises(MaxIterExceededError, match="in 60 trials from 0.01"):
-                epsilon_search(scaled)
+        assert 0.5**i * 1e-2 < eps_star * 2.0**-k <= 0.5 ** (i - 1) * 1e-2
+        assert epsilon_search(scaled) == 0.5**i * 1e-2
+    # the search fails exactly when eps* is at or below 5e-324
+    first_below = prefcone.consistency._first_below
+    assert first_below(1e-323) == 5e-324
+    for tiny in (5e-324, 0.0):
+        with pytest.raises(MaxIterExceededError, match="no positive schedule value from 0.01"):
+            first_below(tiny)
 
 
 def test_epsilon_search_matches_trial_backtracking():

@@ -33,5 +33,5 @@ def test_float_fuzz_fixtures_fail_typed(tmp_path, doc, failing):
     counts = check(doc, tmp_path)
     assert _gated(counts) == dict.fromkeys(GATED, 0)
     assert sorted(k for k in counts if k.startswith("exit 3 from ")) == sorted(
-        f"exit 3 from {name}" for name in failing
+        f"exit 3 from {name} (NUMERICAL_FAILURE)" for name in failing
     )

@@ -340,7 +340,7 @@ def _exterior_values_match_full_projection(handle, rng, tol):
     values = evaluate_batch(handle, X)
     exterior = values < 0
     Y = X[exterior] - handle.reference
-    full = nnls(handle.generator_matrix, Y)[1]
+    full = nnls(handle.generator_matrix, Y)
     assert (np.abs(-values[exterior] - full) <= tol * (1.0 + np.linalg.norm(Y, axis=1))).all()
 
 
@@ -355,7 +355,7 @@ def test_extreme_generators_span_the_cone():
             on_facet = facet_tight_columns(handle).any(axis=0)
             extreme, rest = G[:, on_facet], G[:, ~on_facet]
             for g in rest.T:
-                assert nnls(extreme, g)[1] <= 1e-9 * np.linalg.norm(g)
+                assert nnls(extreme, g) <= 1e-9 * np.linalg.norm(g)
             dropped += rest.shape[1]
         _exterior_values_match_full_projection(handle, rng, 1e-12)
     assert dropped > 0
@@ -388,7 +388,7 @@ def test_missing_facet_rows_fail_the_kkt_check_and_are_solved_again(monkeypatch,
     np.testing.assert_array_equal(every, G)
     assert Y.shape[0] > 50
     norms = np.linalg.norm(Y, axis=1)
-    full = nnls(G, Y)[1]
+    full = nnls(G, Y)
     scipy = np.array([scipy_nnls(G, y)[1] for y in Y])
     assert (np.abs(-values[values < 0] - full) <= 1e-12 * (1.0 + norms)).all()
     assert (np.abs(full - scipy) <= 1e-12 * (1.0 + norms)).all()
@@ -413,7 +413,7 @@ def test_score_batch_cones_make_one_nnls_call_on_the_facet_tight_generators(monk
         [(G, Y, facets)] = calls
         assert G is psi.generator_matrix and facets is psi.facet_cone.facet_normals
         assert Y.shape[0] >= 200
-        cold = nnls(psi.generator_matrix, Y)[1]
+        cold = nnls(psi.generator_matrix, Y)
         assert (np.abs(-values[values < 0] - cold) <= 1e-12 * (1.0 + np.linalg.norm(Y, axis=1))).all()
 
 
@@ -443,7 +443,7 @@ def test_twin_judgement_psi_matches_cold_projection(capsys, tmp_path):
     exterior = values < 0
     assert exterior.sum() > 50
     Y = X[exterior] - inst.reference
-    cold = nnls(psi.generator_matrix, Y)[1]
+    cold = nnls(psi.generator_matrix, Y)
     # nearly parallel columns leave cold solves ~1e-10 apart from warm ones
     assert (np.abs(-values[exterior] - cold) <= 1e-9 * (1.0 + np.linalg.norm(Y, axis=1))).all()
     path = tmp_path / "twin.json"
@@ -479,7 +479,7 @@ def test_twin_judgement_points_near_the_boundary_match_cold_projection(seed):
     Y = np.reshape(Y, (-1, inst.p))
     values = evaluate_batch(psi, inst.reference + Y)
     exterior = values < 0
-    cold = nnls(psi.generator_matrix, Y[exterior])[1]
+    cold = nnls(psi.generator_matrix, Y[exterior])
     gap = np.abs(-values[exterior] - cold)
     assert (gap <= 1e-9 * (1.0 + np.linalg.norm(Y[exterior], axis=1))).all()
 
