@@ -19,48 +19,37 @@ from .cones import FacetCone, extreme_rays
 from .errors import NotPointedError, UnsupportedDimensionError
 from .instance import PreferenceInstance, generators, require_valid
 
-__all__ = ["plot2d", "cone_angular_interval", "boundary_rays"]
+__all__ = ["plot2d"]
 
 _SIZE = 640
 _FAN_SEGMENTS = 96
 
 
-def cone_angular_interval(facets: FacetCone) -> tuple[float, float]:
-    """[theta_lo, theta_hi] such that the cone is the directions in between.
-
-    Every facet normal lies in the closed first quadrant here, so the
-    feasible arc never wraps: it is the intersection of the half-circles
-    [angle(a) - pi/2, angle(a) + pi/2].
-    """
+def _angular_interval(facets: FacetCone) -> tuple[float, float]:
+    """[theta_lo, theta_hi]: the cone is the directions in between.  Every facet
+    normal lies in the closed first quadrant here, so the arc never wraps: it is
+    the intersection of the half-circles [angle(a) - pi/2, angle(a) + pi/2]."""
     angles = np.arctan2(facets.facet_normals[:, 1], facets.facet_normals[:, 0])
     return float(angles.max() - math.pi / 2), float(angles.min() + math.pi / 2)
 
 
-def boundary_rays(facets: FacetCone) -> list[list[float]]:
-    lo, hi = cone_angular_interval(facets)
-    return [
-        [round(math.cos(a), 12), round(math.sin(a), 12)] for a in (lo, hi)
-    ]
+def _boundary_rays(facets: FacetCone) -> list[list[float]]:
+    return [[round(math.cos(a), 12), round(math.sin(a), 12)] for a in _angular_interval(facets)]
 
 
 def plot2d(inst: PreferenceInstance, out_svg_path) -> None:
     """Write the instance schematic to ``out_svg_path``; requires p = 2."""
     require_valid(inst)
     if inst.p != 2:
-        raise UnsupportedDimensionError(
-            f"plots are only available for 2 criteria, got {inst.p}"
-        )
+        raise UnsupportedDimensionError(f"plots are only available for 2 criteria, got {inst.p}")
     facets = extreme_rays(generators(inst, 0.0))
     try:
         eps_bar = epsilon_search(inst)
     except NotPointedError:
-        eps_bar = eps_facets = None
-    else:
-        eps_facets = extreme_rays(generators(inst, eps_bar))
-
-    svg = _render(inst, facets, eps_bar, eps_facets)
+        eps_bar = None
+    eps_facets = None if eps_bar is None else extreme_rays(generators(inst, eps_bar))
     with open(out_svg_path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+        fh.write(_render(inst, facets, eps_bar, eps_facets))
 
 
 def _render(inst, facets, eps_bar, eps_facets) -> str:
@@ -69,29 +58,25 @@ def _render(inst, facets, eps_bar, eps_facets) -> str:
     exponent = math.frexp(float(np.abs(inst.alternatives).max()))[1]
     pts = inst.alternatives * math.ldexp(1.0, min(0, 1019 - exponent))
     ref = pts[inst.reference_index]
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
     span = max(float((hi - lo).max()), 1.0)
     center = (lo + hi) / 2.0
-    half = 0.85 * span
+    half, radius = 0.85 * span, 4.0 * span
     world = (center[0] - half, center[1] - half, center[0] + half, center[1] + half)
-    radius = 4.0 * span
 
-    def to_screen(pt):
+    def xy(pt) -> tuple[str, str]:
         x = (pt[0] - world[0]) / (world[2] - world[0]) * _SIZE
         y = _SIZE - (pt[1] - world[1]) / (world[3] - world[1]) * _SIZE
-        return f"{x:.2f},{y:.2f}"
+        return f"{x:.2f}", f"{y:.2f}"
 
+    whole = facets.is_whole_space
     meta = {
-        "whole_space": facets.is_whole_space,
-        "facet_normals": [] if facets.is_whole_space else facets.facet_normals.tolist(),
-        "boundary_rays": None if facets.is_whole_space else boundary_rays(facets),
+        "whole_space": whole,
+        "facet_normals": [] if whole else facets.facet_normals.tolist(),
+        "boundary_rays": None if whole else _boundary_rays(facets),
         "epsilon_bar": eps_bar,
-        "epsilon_facet_normals": None
-        if eps_facets is None
-        else eps_facets.facet_normals.tolist(),
+        "epsilon_facet_normals": None if eps_facets is None else eps_facets.facet_normals.tolist(),
     }
-
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_SIZE}" height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">',
@@ -101,59 +86,40 @@ def _render(inst, facets, eps_bar, eps_facets) -> str:
         'markerWidth="7" markerHeight="7" orient="auto-start-reverse">'
         '<path d="M 0 0 L 10 5 L 0 10 z" fill="#555"/></marker></defs>',
     ]
-
-    if facets.is_whole_space:
+    if whole:
         parts.append(
-            f'<rect class="cone-shade" width="{_SIZE}" height="{_SIZE}" '
-            'fill="#9fd49f" fill-opacity="0.45"/>'
+            f'<rect class="cone-shade" width="{_SIZE}" height="{_SIZE}" fill="#9fd49f" '
+            'fill-opacity="0.45"/>\n<text class="annotation" x="20" y="40" font-size="20" '
+            'fill="#333">cone = R^2 (whole plane)</text>'
         )
-        parts.append(
-            f'<text class="annotation" x="20" y="40" font-size="20" fill="#333">'
-            "cone = R^2 (whole plane)</text>"
-        )
-    else:
-        if eps_facets is not None:
-            parts.append(_fan(eps_facets, ref, radius, to_screen, "cone-shade-eps", "#f2c4c4"))
-        parts.append(_fan(facets, ref, radius, to_screen, "cone-shade", "#9fd49f"))
-
-    # axes through the reference point
-    parts.append(
-        f'<line class="axis" x1="0" y1="{to_screen(ref).split(",")[1]}" '
-        f'x2="{_SIZE}" y2="{to_screen(ref).split(",")[1]}" stroke="#bbb"/>'
-    )
-    parts.append(
-        f'<line class="axis" x1="{to_screen(ref).split(",")[0]}" y1="0" '
-        f'x2="{to_screen(ref).split(",")[0]}" y2="{_SIZE}" stroke="#bbb"/>'
-    )
-
+    # the shrunk cone first, then the preference cone over it, each as a fan from the reference
+    fans = ((eps_facets, "cone-shade-eps", "#f2c4c4"), (facets, "cone-shade", "#9fd49f"))
+    for cone, css_class, color in fans:
+        if cone is not None and not cone.is_whole_space:
+            arc = np.linspace(*_angular_interval(cone), _FAN_SEGMENTS)
+            ring = [ref + radius * np.array([math.cos(a), math.sin(a)]) for a in arc]
+            coords = " ".join(",".join(xy(pt)) for pt in [ref, *ring])
+            parts.append(
+                f'<polygon class="{css_class}" points="{coords}" '
+                f'fill="{color}" fill-opacity="0.5" stroke="none"/>'
+            )
+    # axes through the reference point, then one arrow per judgement
+    rx, ry = xy(ref)
+    parts.append(f'<line class="axis" x1="0" y1="{ry}" x2="{_SIZE}" y2="{ry}" stroke="#bbb"/>')
+    parts.append(f'<line class="axis" x1="{rx}" y1="0" x2="{rx}" y2="{_SIZE}" stroke="#bbb"/>')
     for j in inst.preferred_indices:
-        a = to_screen(ref).split(",")
-        b = to_screen(pts[j]).split(",")
+        x, y = xy(pts[j])
         parts.append(
-            f'<line class="generator-arrow" x1="{a[0]}" y1="{a[1]}" '
-            f'x2="{b[0]}" y2="{b[1]}" stroke="#555" stroke-width="1.5" '
-            'marker-end="url(#arrow)"/>'
+            f'<line class="generator-arrow" x1="{rx}" y1="{ry}" x2="{x}" y2="{y}" '
+            'stroke="#555" stroke-width="1.5" marker-end="url(#arrow)"/>'
         )
-
     for i, pt in enumerate(pts):
-        sx, sy = to_screen(pt).split(",")
+        x, y = xy(pt)
         label = "ref" if i == inst.reference_index else f"x{i}"
-        parts.append(f'<circle class="alt-point" cx="{sx}" cy="{sy}" r="4" fill="#222"/>')
+        parts.append(f'<circle class="alt-point" cx="{x}" cy="{y}" r="4" fill="#222"/>')
         parts.append(
-            f'<text x="{float(sx) + 7:.2f}" y="{float(sy) - 7:.2f}" '
+            f'<text x="{float(x) + 7:.2f}" y="{float(y) - 7:.2f}" '
             f'font-size="14" fill="#222">{label}</text>'
         )
-
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def _fan(facets, apex, radius, to_screen, css_class, color) -> str:
-    lo, hi = cone_angular_interval(facets)
-    angles = np.linspace(lo, hi, _FAN_SEGMENTS)
-    ring = [apex + radius * np.array([math.cos(a), math.sin(a)]) for a in angles]
-    coords = " ".join(to_screen(pt) for pt in [apex, *ring])
-    return (
-        f'<polygon class="{css_class}" points="{coords}" '
-        f'fill="{color}" fill-opacity="0.5" stroke="none"/>'
-    )
