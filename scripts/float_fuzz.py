@@ -5,18 +5,23 @@ Draws seeded instances of 1-3 criteria and 2-4 alternatives: alternative 0
 is the reference, at the origin, and every other one is preferred to it.
 Each other entry is, with equal chance, 0 or +-1..3, +-2^k for k in
 [-60, 60], a tiny +-2^k for k in [-1074, -1000] (subnormal below -1022), or
-a huge +-2^k for k in [1000, 1022].  Every draw that ``validate`` accepts
-runs ``test``, ``weights``, ``epsilon``, ``eval`` (psi and vartheta, at the
-point -1 in every criterion) and ``plot`` in process, and the script counts
-each outcome class.  Each of these failures prints its command and the
-instance, and the script exits 1 when one of their counts is not zero:
+a huge +-2^k for k in [1000, 1022].  Each draw runs twice: as drawn, and
+with 2^60 added to its first criterion, so that the alternatives share a
+large coordinate and the reference is off the origin.  Every copy that
+``validate`` accepts runs ``test``, ``weights``, ``epsilon``, ``eval`` (psi
+and vartheta, at the point -1 in every criterion) and ``plot`` in process,
+and the script counts each outcome class over both passes.  Each of these
+failures prints its command and the instance, and the script exits 1 when
+one of their counts is not zero:
 
 * an exit code outside 0-3;
 * exit 2 on the valid file (``plot``'s ``UNSUPPORTED_DIMENSION`` aside);
 * NaN or Infinity in stdout;
 * a ``RuntimeWarning``, or an exception escaping the CLI (a traceback);
 * weights from ``weights`` that miss ``w >= 1`` or ``G w >= 1`` in exact
-  rational arithmetic.
+  rational arithmetic, G being the rows ``x_j - x_0`` as float64 forms them;
+* ``nan`` or ``inf`` in the drawing (the part after the metadata) of the SVG
+  that ``plot`` wrote.
 
 It also reports, without failing on them, the exit-3 numerical failures
 per command and error code, as ``exit 3 from epsilon (MAX_ITER_EXCEEDED)``,
@@ -33,6 +38,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 import sys
 import tempfile
 import traceback
@@ -56,6 +62,7 @@ GATED = (
     "RuntimeWarning",
     "traceback",
     "weights failing their exact check",
+    "NaN or Infinity in the SVG drawing",
 )
 
 
@@ -78,6 +85,13 @@ def draw(rng: np.random.Generator) -> dict:
         "reference_index": 0,
         "preferred_indices": list(range(1, m)),
     }
+
+
+def translated(doc: dict) -> dict:
+    """The same document with 2^60 added to every alternative's first criterion."""
+    alternatives = np.asarray(doc["alternatives"], dtype=float)
+    alternatives[:, 0] += 2.0**60
+    return dict(doc, alternatives=alternatives.tolist())
 
 
 def _reject(token: str):
@@ -106,7 +120,7 @@ def check(doc: dict, workdir: Path) -> Counter:
         counts["invalid draws (skipped)"] += 1
         return counts
     counts["valid draws"] += 1
-    path = workdir / "draw.json"
+    path, svg = workdir / "draw.json", workdir / "draw.svg"
     path.write_text(json.dumps(doc), encoding="utf-8")
     point = "--point=" + ",".join(["-1"] * inst.p)
     commands = {
@@ -115,9 +129,10 @@ def check(doc: dict, workdir: Path) -> Counter:
         "epsilon": ["epsilon", str(path)],
         "eval psi": ["eval", "--instance", str(path), "--function", "psi", point],
         "eval vartheta": ["eval", "--instance", str(path), "--function", "vartheta", point],
-        "plot": ["plot", str(path), "--output", str(workdir / "draw.svg")],
+        "plot": ["plot", str(path), "--output", str(svg)],
     }
-    gens = np.asarray(doc["alternatives"][1:])  # the reference is the origin
+    alternatives = np.asarray(doc["alternatives"], dtype=float)
+    gens = alternatives[1:] - alternatives[0]  # the judgement rows, as float64 forms them
     for name, argv in commands.items():
         out = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out):
@@ -145,18 +160,24 @@ def check(doc: dict, workdir: Path) -> Counter:
             counts[f"exit 3 from {name} ({error})"] += 1
         if name == "weights" and code == 0 and not _weights_pass(payload["weights"], gens):
             fail("weights failing their exact check", name)
+        if name == "plot" and code == 0:
+            drawing = svg.read_text(encoding="utf-8").split("</metadata>")[1]
+            if re.search(r"\b(nan|inf)\b", drawing):
+                fail("NaN or Infinity in the SVG drawing", name)
         if name == "test" and code in (0, 1) and (code == 0) != exact_pointed(gens):
             counts["wrong test verdicts (not gated)"] += 1
     return counts
 
 
 def fuzz(n: int, seed: int) -> Counter:
-    """Counts over ``n`` seeded draws."""
+    """Counts over ``n`` seeded draws, each run as drawn and translated."""
     rng = np.random.default_rng(seed)
     counts = Counter()
     with tempfile.TemporaryDirectory() as tmp:
         for _ in range(n):
-            counts.update(check(draw(rng), Path(tmp)))
+            doc = draw(rng)
+            counts.update(check(doc, Path(tmp)))
+            counts.update(check(translated(doc), Path(tmp)))
     return counts
 
 

@@ -71,17 +71,13 @@ def _build_parser() -> _Parser:
         sp.add_argument("--output", help="write the report here instead of stdout")
         sp.add_argument("--format", choices=("json", "text"), default="json")
 
-    sp = sub.add_parser("validate", help="check the instance file invariants")
-    add_common(sp)
-
-    sp = sub.add_parser("test", help="run the consistency test and print the verdict")
-    add_common(sp)
-
-    sp = sub.add_parser("weights", help="extract strictly separating linear weights")
-    add_common(sp)
-
-    sp = sub.add_parser("epsilon", help="pick a perturbation size that keeps the cone pointed")
-    add_common(sp)
+    for name, text in (
+        ("validate", "check the instance file invariants"),
+        ("test", "run the consistency test and print the verdict"),
+        ("weights", "extract strictly separating linear weights"),
+        ("epsilon", "pick a perturbation size that keeps the cone pointed"),
+    ):
+        add_common(sub.add_parser(name, help=text))
 
     sp = sub.add_parser("eval", help="evaluate a constructed value function at a point")
     sp.add_argument("--instance", required=True, help="instance file (.json or .csv)")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -53,20 +54,18 @@ def plot2d(inst: PreferenceInstance, out_svg_path) -> None:
 
 
 def _render(inst, facets, eps_bar, eps_facets) -> str:
-    # drawn shrunk by a power of two once an entry reaches 2**1019, so that the
-    # fan, four spans wide, stays finite; below that every coordinate keeps its bits
-    exponent = math.frexp(float(np.abs(inst.alternatives).max()))[1]
-    pts = inst.alternatives * math.ldexp(1.0, min(0, 1019 - exponent))
-    ref = pts[inst.reference_index]
+    # drawn in the box's own frame: an exact power-of-two scale that puts the largest
+    # |entry| in [0.5, 1), then centred, so no scale or shared offset rounds the box away
+    pts = np.ldexp(inst.alternatives, -math.frexp(np.abs(inst.alternatives).max())[1])
     lo, hi = pts.min(axis=0), pts.max(axis=0)
-    span = max(float((hi - lo).max()), 1.0)
-    center = (lo + hi) / 2.0
+    pts = pts - (lo + hi) / 2.0
+    ref = pts[inst.reference_index]
+    span = max(float((hi - lo).max()), sys.float_info.min)  # > 0 even if it underflowed
     half, radius = 0.85 * span, 4.0 * span
-    world = (center[0] - half, center[1] - half, center[0] + half, center[1] + half)
 
     def xy(pt) -> tuple[str, str]:
-        x = (pt[0] - world[0]) / (world[2] - world[0]) * _SIZE
-        y = _SIZE - (pt[1] - world[1]) / (world[3] - world[1]) * _SIZE
+        x = (pt[0] + half) / (2.0 * half) * _SIZE
+        y = _SIZE - (pt[1] + half) / (2.0 * half) * _SIZE
         return f"{x:.2f}", f"{y:.2f}"
 
     whole = facets.is_whole_space

@@ -6,6 +6,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -934,6 +935,55 @@ def test_plot_output_deterministic(capsys, data_dir, tmp_path):
     run_cli(capsys, "plot", str(data_dir / "pointed.json"), "--output", str(a))
     run_cli(capsys, "plot", str(data_dir / "pointed.json"), "--output", str(b))
     assert a.read_text() == b.read_text()
+
+
+def _drawing(inst, svg_path):
+    """The SVG that ``plot2d`` writes, after its metadata block."""
+    plot2d(inst, svg_path)
+    return svg_path.read_text().split("</metadata>", 1)[1]
+
+
+def test_plot_shared_huge_coordinate_is_finite(capsys, tmp_path):
+    # every alternative has x = 2**60, where a box centre +- 0.85 rounds back to 2**60
+    path, svg = tmp_path / "shared.json", tmp_path / "shared.svg"
+    path.write_text(
+        '{"alternatives": [[1152921504606846976, 1], [1152921504606846976, 2], '
+        '[1152921504606846976, 3]], "reference_index": 0, "preferred_indices": [1, 2]}'
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run_cli(capsys, "plot", str(path), "--output", str(svg))
+    assert code == 0 and caught == []
+    drawing = svg.read_text().split("</metadata>", 1)[1]
+    assert not re.search(r"\b(nan|inf)\b", drawing)
+    circles = re.findall(r'<circle class="alt-point" cx="([^"]+)" cy="([^"]+)"', drawing)
+    assert {cx for cx, _ in circles} == {"320.00"}
+    assert len({cy for _, cy in circles}) == 3
+
+
+@pytest.mark.parametrize(
+    "fixture, k, shift",
+    [(name, k, 0.0) for name in ("halfplane", "whole_plane") for k in (-1070, -30, 30, 1000)]
+    + [("halfplane", 0, 2.0**40), ("whole_plane", 0, 2.0**40)]
+    + [("pointed", k, 0.0) for k in (-30, 30, 1000)],
+)
+def test_plot_drawing_survives_scale_and_translation(data_dir, tmp_path, fixture, k, shift):
+    """The drawing is made in the box's own frame, so scaling every entry by
+    2**k or adding one offset to all of them changes no byte after the
+    metadata; only the shrunk cone's fan moves, as epsilon_bar is absolute."""
+    inst = parse_instance((data_dir / f"{fixture}.json").read_text())
+    moved = parse_instance(json.dumps({
+        "alternatives": (np.ldexp(inst.alternatives, k) + shift).tolist(),
+        "reference_index": inst.reference_index,
+        "preferred_indices": list(inst.preferred_indices),
+    }))
+
+    def without_eps(drawing):
+        return [line for line in drawing.splitlines() if "cone-shade-eps" not in line]
+
+    want = without_eps(_drawing(inst, tmp_path / "a.svg"))
+    assert without_eps(_drawing(moved, tmp_path / "b.svg")) == want
+    assert len(want) > 5
 
 
 def _readme_cli_lines():

@@ -896,6 +896,8 @@ def test_facet_cone_unit_norm_check_is_absolute():
     with pytest.raises(ValueError, match="unit Euclidean norm"):
         FacetCone(np.array([[np.nan, 0.0]]))
     FacetCone(np.array([[1.0 + 1e-10, 0.0]]))
+    with pytest.raises(ValueError, match="2-d array"):
+        FacetCone(np.zeros(3))
     # every FacetCone extreme_rays builds passes it
     for _, cone in _dm_cones(4, 30):
         facets = extreme_rays(cone)

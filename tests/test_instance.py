@@ -59,6 +59,30 @@ def test_json_mixed_dimensions_rejected():
         parse_instance(bad)
 
 
+@pytest.mark.parametrize(
+    "alternatives, match",
+    [([[0.0, 1.0], [2.0]], "not rectangular"), (np.zeros(3), "2-d matrix, got 1")],
+    ids=["ragged", "one-dimensional"],
+)
+def test_instance_rejects_non_matrix_alternatives(alternatives, match):
+    with pytest.raises(DimensionMismatchError, match=match):
+        PreferenceInstance(alternatives, 0, [1])
+
+
+def test_unknown_format_rejected():
+    with pytest.raises(ValueError, match="unknown instance format 'xml'"):
+        parse_instance(POINTED_JSON, "xml")
+
+
+def test_csv_blank_lines_between_rows_are_skipped(data_dir):
+    text = (data_dir / "pointed.csv").read_text()
+    plain = parse_instance(text, "csv")
+    spaced = parse_instance(text.replace("\n", "\n\n   \n", 2), "csv")
+    np.testing.assert_array_equal(spaced.alternatives, plain.alternatives)
+    assert spaced.reference_index == plain.reference_index == 3
+    assert spaced.preferred_indices == plain.preferred_indices == (0, 1, 2)
+
+
 def test_csv_mixed_dimensions_rejected_with_line():
     with pytest.raises(DimensionMismatchError, match="line 2"):
         parse_instance("1,2,ref\n1,pref\n", "csv")

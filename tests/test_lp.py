@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import prefcone.lp
 from prefcone import (
     MaxIterExceededError,
+    NumericalError,
     PreferenceInstance,
     PrefconeError,
     StandardLP,
@@ -108,6 +109,22 @@ def test_unbounded_reported():
     sol = solve(lp)
     assert sol.status == "unbounded"
     assert sol.objective_value == float("-inf")
+
+
+def test_shapes_must_match():
+    with pytest.raises(ValueError, match="must be 2-d"):
+        StandardLP(np.ones(3), np.ones(1), np.zeros(3))
+    with pytest.raises(ValueError, match="shapes do not match"):
+        StandardLP(np.eye(2), np.ones(3), np.zeros(2))
+
+
+def test_objective_summing_past_float64_is_numerical_error():
+    # each basic value is finite, but c @ values = -2e308 is not
+    lp = StandardLP(
+        [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]], [1e308, 1e308], [-1.0, -1.0, 0.0, 0.0]
+    )
+    with pytest.raises(NumericalError, match="non-finite optimal point"):
+        solve(lp)
 
 
 def test_rhs_must_be_nonnegative():
