@@ -38,7 +38,6 @@ from .instance import (
     require_valid,
     validate,
 )
-from .lp import LPSolution, StandardLP, build_pointedness_lp, solve
 from .plotting import plot2d
 from .valuefn import (
     ValueFunctionHandle,
@@ -57,7 +56,6 @@ __all__ = [
     "DimensionTooLargeError",
     "FacetCone",
     "InvalidInstanceError",
-    "LPSolution",
     "MaxIterExceededError",
     "NnlsMaxIterError",
     "NotPointedError",
@@ -66,13 +64,11 @@ __all__ = [
     "PointednessResult",
     "PrefconeError",
     "PreferenceInstance",
-    "StandardLP",
     "UnsupportedDimensionError",
     "ValidationReport",
     "ValueFunctionHandle",
     "WholeSpaceError",
     "Z_STAR_TOL",
-    "build_pointedness_lp",
     "consistency_verdict",
     "epsilon_search",
     "evaluate",
@@ -87,7 +83,6 @@ __all__ = [
     "parse_instance",
     "plot2d",
     "require_valid",
-    "solve",
     "test_pointedness",
     "validate",
 ]

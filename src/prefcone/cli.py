@@ -20,13 +20,7 @@ import sys
 from pathlib import Path
 
 from .consistency import consistency_verdict, epsilon_search, extract_linear_weights
-from .errors import (
-    InvalidInstanceError,
-    NotPointedError,
-    NumericalError,
-    PrefconeError,
-    WholeSpaceError,
-)
+from .errors import InvalidInstanceError, PrefconeError
 from .instance import parse_instance, require_valid, validate
 from .plotting import plot2d
 from .valuefn import evaluate, make_linear, make_psi, make_vartheta
@@ -34,7 +28,6 @@ from .valuefn import evaluate, make_linear, make_psi, make_vartheta
 __all__ = ["run", "main"]
 
 _INPUT_ERRORS = 2
-_NUMERICAL_FAILURE = 3
 _USAGE = 64
 
 
@@ -118,15 +111,10 @@ def _answer(ns) -> int:
     """Run the parsed command, write its report and return its exit code."""
     try:
         payload, code = _dispatch(ns)
-    except (NotPointedError, WholeSpaceError) as exc:
-        payload, code = _error(exc.code, exc), 1
-    except InvalidInstanceError as exc:
-        payload, code = _error(exc.code, exc), _INPUT_ERRORS
-        payload["violations"] = [{"code": c, "message": m} for c, m in exc.violations]
-    except NumericalError as exc:
-        payload, code = _error(exc.code, exc), _NUMERICAL_FAILURE
     except PrefconeError as exc:
-        payload, code = _error(exc.code, exc), _INPUT_ERRORS
+        payload, code = _error(exc.code, exc), exc.exit_code
+        if isinstance(exc, InvalidInstanceError):
+            payload["violations"] = [{"code": c, "message": m} for c, m in exc.violations]
     except OSError as exc:
         payload, code = _error("IO_ERROR", exc), _INPUT_ERRORS
     except ValueError as exc:

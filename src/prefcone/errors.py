@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 Every error carries a stable machine-readable ``code`` that the CLI maps
-into its JSON error reports.
+into its JSON error reports, and the ``exit_code`` the CLI exits with: 1
+for an inconsistent answer, 2 for an input problem, 3 for a numerical
+failure on a valid input.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ class PrefconeError(Exception):
     """Base class for all library errors."""
 
     code = "ERROR"
+    exit_code = 2
 
 
 class ParseError(PrefconeError):
@@ -44,6 +47,7 @@ class InvalidInstanceError(PrefconeError):
 
 class NotPointedError(PrefconeError):
     code = "NOT_POINTED"
+    exit_code = 1
 
 
 class NumericalError(PrefconeError):
@@ -51,6 +55,7 @@ class NumericalError(PrefconeError):
     stalled iteration, or a certificate that fails its own check."""
 
     code = "NUMERICAL_FAILURE"
+    exit_code = 3
 
 
 class MaxIterExceededError(NumericalError):
@@ -59,6 +64,7 @@ class MaxIterExceededError(NumericalError):
 
 class WholeSpaceError(PrefconeError):
     code = "WHOLE_SPACE"
+    exit_code = 1
 
 
 class NnlsMaxIterError(NumericalError):

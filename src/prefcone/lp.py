@@ -1,17 +1,20 @@
-"""Dense equality-form LP solver and builders for the pointedness programs.
+"""The package's private dense LP solver and the pointedness program's builder.
 
 The solver is a tableau simplex restricted to what the feasibility programs
 need: all variables nonnegative, rhs nonnegative, and an identity in the
 last columns that serves as the starting basis (so no phase-1 is required).
 Bland's rule is always on; these LPs are tiny and anti-cycling robustness
-beats speed.
+beats speed.  ``StandardLP`` is a plain record and checks nothing: the
+float64 data, the matching shapes, ``b >= 0`` and the identity start are a
+contract of its two builders, ``build_pointedness_lp`` here and the margin
+program in ``consistency``, pinned by the layout tests.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,47 +27,16 @@ logger = logging.getLogger(__name__)
 PIVOT_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class StandardLP:
-    """min c.v subject to A.v = b, v >= 0, with a basic feasible start.
-
-    The last ``n_rows`` columns of A must be exactly the identity, which
-    makes those variables, set to b, a basic feasible start (``b >= 0``).
-    Both are checked at construction and raise ValueError.
-    """
+class StandardLP(NamedTuple):
+    """min c.v subject to A.v = b, v >= 0, started from the identity in the
+    last ``A.shape[0]`` columns, whose variables, set to b, are basic feasible."""
 
     constraint_matrix: np.ndarray
     rhs: np.ndarray
     objective: np.ndarray
 
-    def __post_init__(self):
-        A = np.asarray(self.constraint_matrix, dtype=float)
-        b = np.asarray(self.rhs, dtype=float)
-        c = np.asarray(self.objective, dtype=float)
-        if A.ndim != 2:
-            raise ValueError("constraint_matrix must be 2-d")
-        n_rows, n_vars = A.shape
-        if b.shape != (n_rows,) or c.shape != (n_vars,):
-            raise ValueError("rhs/objective shapes do not match the constraint matrix")
-        if np.any(b < 0):
-            raise ValueError("rhs must be componentwise nonnegative")
-        if not np.array_equal(A[:, n_vars - n_rows :], np.eye(n_rows)):
-            raise ValueError("the last n_rows columns must form an identity matrix")
-        object.__setattr__(self, "constraint_matrix", A)
-        object.__setattr__(self, "rhs", b)
-        object.__setattr__(self, "objective", c)
 
-    @property
-    def n_rows(self) -> int:
-        return self.constraint_matrix.shape[0]
-
-    @property
-    def n_vars(self) -> int:
-        return self.constraint_matrix.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class LPSolution:
+class LPSolution(NamedTuple):
     status: str  # "optimal" | "unbounded"
     objective_value: float  # -inf when unbounded
     values: np.ndarray  # the last basic point
@@ -88,7 +60,7 @@ def solve(lp: StandardLP) -> LPSolution:
     n_rows, n_vars = A.shape
     basis = np.arange(n_vars - n_rows, n_vars)
 
-    T = np.hstack([A, b[:, None]])  # a new float64 array: StandardLP holds float64 data
+    T = np.hstack([A, b[:, None]])  # a new float64 array: the builders give float64 data
     max_pivots = max(1000, 50 * n_vars)
     debug = logger.isEnabledFor(logging.DEBUG)
     if debug:
@@ -166,7 +138,8 @@ def _basic_point(T: np.ndarray, basis: np.ndarray, n_vars: int) -> np.ndarray:
 
 def build_pointedness_lp(gens: np.ndarray) -> StandardLP:
     """Assemble the feasibility program that certifies pointedness of the
-    cone of the ``(t, p)`` judgement generators ``gens`` and the orthant.
+    cone of the judgement generators ``gens``, a float ``(t, p)`` array
+    with t >= 1 as every valid instance has, and the orthant.
 
     Variables are ordered (d_1..d_p, s_1..s_{t+p}, r_1..r_{t+p}).  Rows are
     ``gen_j . d - s_j + r_j = 1`` for each judgement generator followed by
@@ -176,14 +149,11 @@ def build_pointedness_lp(gens: np.ndarray) -> StandardLP:
     in which case the d part of the solution satisfies d >= 1 and
     ``gen_j . d >= 1`` and is the strict-separation certificate.
     """
-    G = np.atleast_2d(np.asarray(gens, dtype=float))
-    t, p = G.shape
-    if t == 0:
-        raise ValueError("at least one generator is required")
+    t, p = gens.shape
     n_rows = t + p
     n_vars = p + 2 * n_rows
     A = np.zeros((n_rows, n_vars))
-    A[:t, :p] = G
+    A[:t, :p] = gens
     A[t:, :p] = np.eye(p)
     A[:, p : p + n_rows] = -np.eye(n_rows)  # s columns
     A[:, p + n_rows :] = np.eye(n_rows)  # r columns

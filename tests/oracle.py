@@ -26,18 +26,16 @@ from prefcone import (
     PointednessResult,
     PreferenceInstance,
     PrefconeError,
-    StandardLP,
     FacetCone,
     ValueFunctionHandle,
     WholeSpaceError,
     Z_STAR_TOL,
-    build_pointedness_lp,
     evaluate_batch,
     extreme_rays,
     generators,
     nnls,
-    solve,
 )
+from prefcone.lp import StandardLP, build_pointedness_lp, solve
 from prefcone.cones import _ACTIVITY_TOL, CLASSIFY_TOL
 
 __all__ = [

@@ -12,7 +12,6 @@ import pytest
 
 from prefcone import (
     NotPointedError,
-    build_pointedness_lp,
     consistency_verdict,
     epsilon_search,
     evaluate,
@@ -21,10 +20,10 @@ from prefcone import (
     generators,
     make_psi,
     make_vartheta,
-    solve,
     test_pointedness,
     WholeSpaceError,
 )
+from prefcone.lp import build_pointedness_lp, solve
 from prefcone.cli import run
 from _helpers import random_instance, synthetic_dm_instance
 from oracle import (

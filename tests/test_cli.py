@@ -1005,3 +1005,20 @@ def test_readme_cli_block_runs_as_documented(capsys, monkeypatch, data_dir, tmp_
         code = run(shlex.split(command)[1:])
         capsys.readouterr()
         assert code == (int(stated.group(1)) if stated else 0), line
+
+
+def test_readme_library_block_runs_as_documented(capsys, monkeypatch, data_dir, tmp_path):
+    # every name it imports is in prefcone, and each print with a "# value"
+    # comment prints that value
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    shutil.copytree(data_dir, tmp_path / "data")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+    printed = capsys.readouterr().out.splitlines()
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(prints)
+    stated = [(out, line.partition("#")[2].strip()) for out, line in zip(printed, prints)]
+    assert ("2.0", "2.0") in stated
+    for out, comment in stated:
+        assert not comment or out == comment

@@ -11,7 +11,6 @@ from prefcone import (
     MaxIterExceededError,
     NotPointedError,
     PreferenceInstance,
-    build_pointedness_lp,
     consistency_verdict,
     epsilon_search,
     extract_linear_weights,
@@ -20,6 +19,7 @@ from prefcone import (
     parse_instance,
     test_pointedness,
 )
+from prefcone.lp import build_pointedness_lp
 from _helpers import noisy_scorer_instance, random_instance, synthetic_dm_instance
 from oracle import backtrack_epsilon, is_pointed_geometric, search_outcome, shrunk_pointedness
 

@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import prefcone.consistency
 import prefcone.lp
 from prefcone import (
     MaxIterExceededError,
     NumericalError,
     PreferenceInstance,
     PrefconeError,
-    StandardLP,
-    build_pointedness_lp,
     consistency_verdict,
     generators,
-    solve,
+    validate,
 )
+from prefcone.lp import StandardLP, build_pointedness_lp, solve
 from _helpers import random_instance
 from oracle import enumerate_lp_optimum, masked_pivot
 
@@ -33,7 +33,7 @@ def expected_pointedness_matrix(gens):
 
 def test_build_matches_hand_layout(pointed_instance):
     lp = build_pointedness_lp(generators(pointed_instance, 0.0))
-    assert lp.n_rows == 5 and lp.n_vars == 12
+    assert lp.constraint_matrix.shape == (5, 12)
     np.testing.assert_array_equal(
         lp.constraint_matrix,
         expected_pointedness_matrix([[-1, 1], [-1, 0.5], [-1, 2]]),
@@ -52,11 +52,6 @@ def test_build_single_generator_r1():
         [[1, -1, 0, 1, 0], [1, 0, -1, 0, 1]],
     )
     np.testing.assert_array_equal(lp.rhs, [1, 1])
-
-
-def test_build_rejects_mixed_dimension():
-    with pytest.raises(ValueError):
-        build_pointedness_lp(np.zeros((0, 2)))
 
 
 def test_solve_pointed_fixture_lp_is_zero(pointed_instance):
@@ -91,16 +86,6 @@ def test_identity_system():
     np.testing.assert_array_equal(sol.values, np.ones(3))
 
 
-def test_singular_basis_rejected():
-    # the start is the last n_rows columns, which must be exactly the identity
-    with pytest.raises(ValueError, match="identity"):
-        StandardLP(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2), np.zeros(2))
-    with pytest.raises(ValueError, match="identity"):
-        StandardLP(np.array([[1.0, 0.0], [0.0, 1.0 + 1e-15]]), np.ones(2), np.zeros(2))
-    with pytest.raises(ValueError, match="identity"):
-        StandardLP(np.eye(3)[:, :2], np.ones(3), np.zeros(2))
-
-
 def test_unbounded_reported():
     # min -v1 with v1 - v2 + v3 = 0: push v1 = v2 -> infinity
     lp = StandardLP(
@@ -111,25 +96,15 @@ def test_unbounded_reported():
     assert sol.objective_value == float("-inf")
 
 
-def test_shapes_must_match():
-    with pytest.raises(ValueError, match="must be 2-d"):
-        StandardLP(np.ones(3), np.ones(1), np.zeros(3))
-    with pytest.raises(ValueError, match="shapes do not match"):
-        StandardLP(np.eye(2), np.ones(3), np.zeros(2))
-
-
 def test_objective_summing_past_float64_is_numerical_error():
     # each basic value is finite, but c @ values = -2e308 is not
     lp = StandardLP(
-        [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]], [1e308, 1e308], [-1.0, -1.0, 0.0, 0.0]
+        np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]),
+        np.array([1e308, 1e308]),
+        np.array([-1.0, -1.0, 0.0, 0.0]),
     )
     with pytest.raises(NumericalError, match="non-finite optimal point"):
         solve(lp)
-
-
-def test_rhs_must_be_nonnegative():
-    with pytest.raises(ValueError, match="nonnegative"):
-        StandardLP(np.eye(2), np.array([1.0, -1.0]), np.zeros(2))
 
 
 def test_stalled_simplex_raises_max_iter(monkeypatch):
@@ -254,9 +229,10 @@ def _random_lp(rng) -> StandardLP:
 def test_optimum_invariant_under_row_permutation(pointed_instance):
     lp = build_pointedness_lp(generators(pointed_instance, 0.0))
     rng = np.random.default_rng(3)
-    start = lp.n_vars - lp.n_rows
+    n_rows, n_vars = lp.constraint_matrix.shape
+    start = n_vars - n_rows
     for _ in range(10):
-        perm = rng.permutation(lp.n_rows)
+        perm = rng.permutation(n_rows)
         # the start columns follow their rows, so they stay the identity
         cols = np.r_[np.arange(start), start + perm]
         shuffled = StandardLP(
@@ -284,3 +260,47 @@ def test_pointedness_lp_optimum_nonnegative_and_certified(gens):
         d = sol.values[:2]
         assert (d >= 1 - 1e-7).all()
         assert (gens @ d >= 1 - 1e-7).all()
+
+
+def _assert_identity_start(lp):
+    A, b, c = lp
+    n_rows, n_vars = A.shape
+    assert A.dtype == b.dtype == c.dtype == np.float64
+    assert b.shape == (n_rows,) and c.shape == (n_vars,)
+    assert np.array_equal(A[:, n_vars - n_rows :], np.eye(n_rows))
+    assert (b >= 0).all()
+
+
+@given(
+    st.integers(1, 8).flatmap(
+        lambda t: st.integers(1, 5).flatmap(
+            lambda p: st.lists(
+                st.tuples(*[st.floats(-1e6, 1e6, allow_subnormal=False)] * p),
+                min_size=t + 1,
+                max_size=t + 1,
+                unique=True,
+            )
+        )
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_builders_lay_out_the_identity_start(alternatives):
+    # StandardLP checks nothing, so its two builders must give the solver
+    # float64 data whose last rows-many columns are exactly the identity
+    inst = PreferenceInstance(np.array(alternatives), 0, list(range(1, len(alternatives))))
+    assume(validate(inst).ok)
+    t, p = inst.t, inst.p
+    solved = []
+
+    def recording_solve(lp):
+        solved.append(lp)
+        return solve(lp)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prefcone.consistency, "solve", recording_solve)
+        consistency_verdict(inst)
+    margin = solved[0]
+    assert margin.constraint_matrix.shape == (p, t + p)
+    assert np.array_equal(margin.objective, np.r_[-np.ones(t), np.zeros(p)])
+    for lp in [*solved, build_pointedness_lp(generators(inst))]:
+        _assert_identity_start(lp)

@@ -3,12 +3,10 @@ import pytest
 
 from prefcone import (
     PreferenceInstance,
-    StandardLP,
-    build_pointedness_lp,
     generators,
     parse_instance,
-    solve,
 )
+from prefcone.lp import StandardLP, build_pointedness_lp, solve
 from _helpers import random_instance
 from oracle import (
     TooLargeError,

@@ -122,7 +122,7 @@ def test_make_vartheta_solves_one_margin_lp(monkeypatch, pointed_instance):
 
     monkeypatch.setattr(prefcone.consistency, "solve", counting_solve)
     make_vartheta(pointed_instance)
-    assert [lp.n_rows for lp in calls] == [pointed_instance.p]
+    assert [lp.constraint_matrix.shape[0] for lp in calls] == [pointed_instance.p]
 
 
 def test_make_vartheta_fixture(vartheta, pointed_instance):
