@@ -8,7 +8,7 @@ Each other entry is, with equal chance, 0 or +-1..3, +-2^k for k in
 a huge +-2^k for k in [1000, 1022].  Each draw runs twice: as drawn, and
 with 2^60 added to its first criterion, so that the alternatives share a
 large coordinate and the reference is off the origin.  Every copy that
-``validate`` accepts runs ``test``, ``weights``, ``epsilon``, ``eval`` (psi
+builds a valid instance runs ``test``, ``weights``, ``epsilon``, ``eval`` (psi
 and vartheta, at the point -1 in every criterion) and ``plot`` in process,
 and the script counts each outcome class over both passes.  Each of these
 failures prints its command and the instance, and the script exits 1 when
@@ -52,7 +52,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from oracle import exact_pointed  # noqa: E402
 
-from prefcone import parse_instance, validate  # noqa: E402
+from prefcone import InvalidInstanceError, parse_instance  # noqa: E402
 from prefcone.cli import run  # noqa: E402
 
 GATED = (
@@ -115,8 +115,9 @@ def check(doc: dict, workdir: Path) -> Counter:
             counts[name] += times
             print(f"{name.upper()} from {command}: {json.dumps(doc)}")
 
-    inst = parse_instance(json.dumps(doc))
-    if not validate(inst).ok:
+    try:
+        inst = parse_instance(json.dumps(doc))
+    except InvalidInstanceError:
         counts["invalid draws (skipped)"] += 1
         return counts
     counts["valid draws"] += 1

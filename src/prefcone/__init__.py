@@ -30,14 +30,7 @@ from .errors import (
     UnsupportedDimensionError,
     WholeSpaceError,
 )
-from .instance import (
-    PreferenceInstance,
-    ValidationReport,
-    generators,
-    parse_instance,
-    require_valid,
-    validate,
-)
+from .instance import PreferenceInstance, generators, parse_instance
 from .plotting import plot2d
 from .valuefn import (
     ValueFunctionHandle,
@@ -65,7 +58,6 @@ __all__ = [
     "PrefconeError",
     "PreferenceInstance",
     "UnsupportedDimensionError",
-    "ValidationReport",
     "ValueFunctionHandle",
     "WholeSpaceError",
     "Z_STAR_TOL",
@@ -82,7 +74,5 @@ __all__ = [
     "nnls",
     "parse_instance",
     "plot2d",
-    "require_valid",
     "test_pointedness",
-    "validate",
 ]

@@ -20,8 +20,8 @@ import sys
 from pathlib import Path
 
 from .consistency import consistency_verdict, epsilon_search, extract_linear_weights
-from .errors import InvalidInstanceError, PrefconeError
-from .instance import parse_instance, require_valid, validate
+from .errors import InvalidInstanceError, ParseError, PrefconeError
+from .instance import parse_instance
 from .plotting import plot2d
 from .valuefn import evaluate, make_linear, make_psi, make_vartheta
 
@@ -114,7 +114,7 @@ def _answer(ns) -> int:
     except PrefconeError as exc:
         payload, code = _error(exc.code, exc), exc.exit_code
         if isinstance(exc, InvalidInstanceError):
-            payload["violations"] = [{"code": c, "message": m} for c, m in exc.violations]
+            payload["violations"] = _violations(exc)
     except OSError as exc:
         payload, code = _error("IO_ERROR", exc), _INPUT_ERRORS
     except ValueError as exc:
@@ -133,11 +133,19 @@ def _error(code: str, exc: Exception) -> dict:
     return {"error": {"code": code, "message": str(exc)}}
 
 
+def _violations(exc: InvalidInstanceError) -> list[dict]:
+    return [{"code": c, "message": m} for c, m in exc.violations]
+
+
 def _dispatch(ns) -> tuple[dict, int]:
-    inst = _load(ns.instance)
     if ns.subcommand == "validate":
-        report = validate(inst)
-        return report.to_dict(), 0 if report.ok else _INPUT_ERRORS
+        try:
+            _load(ns.instance)
+        except InvalidInstanceError as exc:
+            return {"ok": False, "violations": _violations(exc)}, _INPUT_ERRORS
+        return {"ok": True, "violations": []}, 0
+
+    inst = _load(ns.instance)
 
     if ns.subcommand == "test":
         report = consistency_verdict(inst)
@@ -150,7 +158,6 @@ def _dispatch(ns) -> tuple[dict, int]:
         return {"epsilon_bar": epsilon_search(inst)}, 0
 
     if ns.subcommand == "eval":
-        require_valid(inst)
         point = _parse_point(ns.point)
         if ns.function == "psi":
             handle = make_psi(inst)
@@ -170,7 +177,10 @@ def _dispatch(ns) -> tuple[dict, int]:
 
 
 def _load(path: str):
-    text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is not data
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is not data
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at offset {exc.start}") from None
     fmt = "csv" if path.lower().endswith(".csv") else "json"
     return parse_instance(text, fmt)
 

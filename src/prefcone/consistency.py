@@ -105,13 +105,17 @@ class ConsistencyReport:
 
 
 def test_pointedness(inst: PreferenceInstance) -> PointednessResult:
-    """Decide pointedness of the preference cone by the paper's program.
+    """The paper's feasibility program on the unperturbed cone: its optimum
+    ``z_star``, and ``pointed`` when ``z_star <= Z_STAR_TOL``.
 
-    Pointed iff the feasibility program's optimum is zero; in that case the
-    d part of the optimal solution is returned as certificate.  It satisfies
-    d >= 1 componentwise and ``gen_j . d >= 1`` for every generator.  The
-    verdict comes from the margin program instead; this one prices
-    ``z_star`` on an inconsistent verdict.  Its objective is a sum of
+    ``pointed`` reads the program, solved on the unscaled generators, against
+    the absolute ``Z_STAR_TOL``, so it can contradict
+    :func:`consistency_verdict`, which decides by the margin program: on
+    inputs scaled far from unit size (entries near 1e9 or 1e-9) it reads
+    some pointed cones as not pointed.  The package calls it only to price
+    ``z_star`` on an inconsistent verdict.  When ``pointed``, the d part of
+    the optimal solution is returned as certificate: d >= 1 componentwise
+    and ``gen_j . d >= 1`` for every generator.  Its objective is a sum of
     nonnegative variables, so a solve that reads it as unbounded has failed
     numerically and raises NumericalError.
     """

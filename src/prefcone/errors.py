@@ -35,7 +35,8 @@ class DimensionMismatchError(PrefconeError):
 
 
 class InvalidInstanceError(PrefconeError):
-    """Raised when an operation requires a valid instance and gets a broken one."""
+    """Raised when an instance is built from data that breaks an invariant;
+    ``violations`` lists each broken one as a ``(code, message)`` pair."""
 
     code = "INVALID_INSTANCE"
 

@@ -2,9 +2,10 @@
 
 An instance is a set of alternatives (real vectors scored on p criteria),
 one fixed reference alternative, and an ordered set of alternatives the
-decision maker declared strictly better than the reference.  Instances are
-immutable after construction (the alternatives array is read-only) and safe
-to share across threads; each one validates itself at most once.
+decision maker declared strictly better than the reference.  Construction
+checks every invariant once and raises :class:`InvalidInstanceError` on a
+broken one, so every instance that exists is valid.  Instances are immutable
+(the alternatives array is read-only) and safe to share across threads.
 
 File formats
 ------------
@@ -24,20 +25,12 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidInstanceError, ParseError
 
-__all__ = [
-    "PreferenceInstance",
-    "ValidationReport",
-    "parse_instance",
-    "validate",
-    "require_valid",
-    "generators",
-]
+__all__ = ["PreferenceInstance", "parse_instance", "generators"]
 
 _CSV_ROLES = ("ref", "pref", "other")
 _INT_OVERFLOW = 2**1024 - 2**970  # the least integer that float() cannot round to a double
@@ -73,6 +66,9 @@ class PreferenceInstance:
         object.__setattr__(
             self, "preferred_indices", tuple(int(j) for j in self.preferred_indices)
         )
+        violations = validate(self)
+        if violations:
+            raise InvalidInstanceError(violations)
 
     @property
     def m(self) -> int:
@@ -90,33 +86,13 @@ class PreferenceInstance:
     def reference(self) -> np.ndarray:
         return self.alternatives[self.reference_index]
 
-    @cached_property
-    def _validation(self) -> "ValidationReport":
-        return validate(self)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of :func:`validate`; ``ok`` iff ``violations`` is empty."""
-
-    violations: tuple[tuple[str, str], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [{"code": c, "message": m} for c, m in self.violations],
-        }
-
 
 def parse_instance(text: str, format: str = "json") -> PreferenceInstance:
     """Parse an instance file body.
 
-    Only shape is checked here (rectangular matrix, well-formed fields);
-    semantic checks live in :func:`validate`.
+    The parser checks the file's shape (well-formed fields, a rectangular
+    matrix); building the instance then checks its invariants and raises
+    :class:`InvalidInstanceError` with every violation found.
     """
     if format == "json":
         return _parse_json(text)
@@ -207,8 +183,10 @@ def _parse_csv(text: str) -> PreferenceInstance:
     )
 
 
-def validate(inst: PreferenceInstance) -> ValidationReport:
-    """Check every structural invariant; violations are reported, not raised."""
+def validate(inst: PreferenceInstance) -> tuple[tuple[str, str], ...]:
+    """Every violated invariant of a freshly coerced instance, as ``(code,
+    message)`` pairs in a fixed order; the constructor raises on a nonempty
+    result."""
     bad = []
     m, p = inst.alternatives.shape
     top = float(np.abs(inst.alternatives).max(initial=0.0))  # NaN or inf if an entry is
@@ -248,13 +226,7 @@ def validate(inst: PreferenceInstance) -> ValidationReport:
             )
         else:
             seen[key] = i
-    return ValidationReport(tuple(bad))
-
-
-def require_valid(inst: PreferenceInstance) -> None:
-    report = inst._validation
-    if not report.ok:
-        raise InvalidInstanceError(report.violations)
+    return tuple(bad)
 
 
 def generators(inst: PreferenceInstance, epsilon: float = 0.0) -> np.ndarray:
@@ -265,7 +237,6 @@ def generators(inst: PreferenceInstance, epsilon: float = 0.0) -> np.ndarray:
     signed-distance value functions).  ``epsilon > 0`` shrinks
     every generator by the same amount on each coordinate.
     """
-    require_valid(inst)
     epsilon = float(epsilon)
     if not math.isfinite(epsilon) or epsilon < 0:
         raise ValueError(f"epsilon must be a finite nonnegative real, got {epsilon}")

@@ -18,7 +18,7 @@ import numpy as np
 from .consistency import epsilon_search
 from .cones import FacetCone, extreme_rays
 from .errors import NotPointedError, UnsupportedDimensionError
-from .instance import PreferenceInstance, generators, require_valid
+from .instance import PreferenceInstance, generators
 
 __all__ = ["plot2d"]
 
@@ -40,7 +40,6 @@ def _boundary_rays(facets: FacetCone) -> list[list[float]]:
 
 def plot2d(inst: PreferenceInstance, out_svg_path) -> None:
     """Write the instance schematic to ``out_svg_path``; requires p = 2."""
-    require_valid(inst)
     if inst.p != 2:
         raise UnsupportedDimensionError(f"plots are only available for 2 criteria, got {inst.p}")
     facets = extreme_rays(generators(inst, 0.0))

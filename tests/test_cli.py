@@ -339,6 +339,21 @@ def test_malformed_input_exits_2(capsys, tmp_path, text, code):
         assert "ZERO_DIMENSION" in {v["code"] for v in doc["violations"]}
 
 
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+@pytest.mark.parametrize(
+    "encode",
+    [lambda text: text.encode("utf-16"), lambda text: text.encode("latin-1") + b"\xe9"],
+    ids=["utf-16", "latin-1"],
+)
+def test_non_utf8_file_is_parse_error(capsys, data_dir, tmp_path, suffix, encode):
+    path = tmp_path / f"encoded{suffix}"
+    path.write_bytes(encode((data_dir / f"pointed{suffix}").read_text()))
+    status, out = run_cli(capsys, "test", str(path))
+    assert status == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == "PARSE_ERROR" and "not UTF-8 text" in error["message"]
+
+
 def test_judgement_direction_near_float64_max(capsys, tmp_path):
     # max|G| >= 2**1023: the margin LP's power-of-two scale is capped at 2**1023
     path = tmp_path / "edge.json"
@@ -543,27 +558,59 @@ def test_numerical_errors_share_one_base():
     assert issubclass(NumericalError, PrefconeError)
 
 
-def test_overflowing_judgement_direction_is_invalid(capsys, tmp_path):
-    # both alternatives are finite, their difference x_1 - x_0 is not
-    path = tmp_path / "overflow.json"
-    path.write_text(
-        '{"alternatives": [[-1e308, 0], [1e308, 1]], "reference_index": 0,'
-        ' "preferred_indices": [1]}'
-    )
+def _instance_json(alternatives: str, reference: str, preferred: str) -> str:
+    return (f'{{"alternatives": {alternatives}, "reference_index": {reference},'
+            f' "preferred_indices": {preferred}}}')
+
+
+@pytest.mark.parametrize(
+    "name, text, codes",
+    [
+        ("in.json", _instance_json("[[], []]", "0", "[1]"),
+         ["ZERO_DIMENSION", "DUPLICATE_ALTERNATIVE"]),  # every empty row is the same
+        ("in.json", _instance_json("[[0, 0], [1e400, 1]]", "0", "[1]"), ["NON_FINITE_VALUE"]),
+        ("in.json", _instance_json("[[0, 0], [1, 1]]", "5", "[1]"), ["REFERENCE_OUT_OF_RANGE"]),
+        ("in.json", _instance_json("[[0, 0], [1, 1]]", "-1", "[1]"), ["REFERENCE_OUT_OF_RANGE"]),
+        ("in.json", _instance_json("[[0, 0], [1, 1]]", "0", "[9]"), ["PREFERRED_OUT_OF_RANGE"]),
+        # both alternatives are finite, their difference x_1 - x_0 is not
+        ("in.json", _instance_json("[[-1e308, 0], [1e308, 1]]", "0", "[1]"),
+         ["NON_FINITE_DIRECTION"]),
+        ("in.json", _instance_json("[[0, 0], [1, 1]]", "0", "[1, 1]"), ["DUPLICATE_PREFERRED"]),
+        ("in.json", _instance_json("[[0, 0], [1, 1]]", "0", "[0, 1]"),
+         ["REFERENCE_IN_PREFERRED"]),
+        ("in.json", _instance_json("[[0, 0], [1, 1]]", "0", "[]"), ["NO_JUDGEMENTS"]),
+        ("in.json", _instance_json("[[0, 0], [1, 1], [1, 1]]", "0", "[1, 2]"),
+         ["DUPLICATE_ALTERNATIVE"]),
+        ("in.json", _instance_json("[[1, 1], [1e400, 0], [1, 1]]", "7", "[0, 0, 9]"),
+         ["NON_FINITE_VALUE", "REFERENCE_OUT_OF_RANGE", "PREFERRED_OUT_OF_RANGE",
+          "DUPLICATE_PREFERRED", "DUPLICATE_ALTERNATIVE"]),
+        ("in.csv", "0,0,ref\n1,1,other\n", ["NO_JUDGEMENTS"]),
+    ],
+    ids=[
+        "ZERO_DIMENSION", "NON_FINITE_VALUE", "REFERENCE_OUT_OF_RANGE",
+        "REFERENCE_OUT_OF_RANGE-negative", "PREFERRED_OUT_OF_RANGE", "NON_FINITE_DIRECTION",
+        "DUPLICATE_PREFERRED", "REFERENCE_IN_PREFERRED", "NO_JUDGEMENTS",
+        "DUPLICATE_ALTERNATIVE", "multiple", "csv",
+    ],
+)
+def test_invalid_file_exits_2_on_every_command(capsys, tmp_path, name, text, codes):
+    path, svg = tmp_path / name, tmp_path / "out.svg"
+    path.write_text(text)
     code, out = run_cli(capsys, "validate", str(path))
-    assert code == 2
-    assert [v["code"] for v in json.loads(out)["violations"]] == ["NON_FINITE_DIRECTION"]
-    commands = [["test"], ["weights"], ["epsilon"], ["plot", "--output", str(tmp_path / "o.svg")]]
+    doc = json.loads(out)
+    assert code == 2 and doc["ok"] is False
+    assert [v["code"] for v in doc["violations"]] == codes
+    commands = [["test", str(path)], ["weights", str(path)], ["epsilon", str(path)],
+                ["plot", str(path), "--output", str(svg)]]
+    commands += [["eval", "--instance", str(path), "--function", function, "--point", "0,0"]
+                 for function in ("psi", "vartheta", "linear")]
     for argv in commands:
-        code, out = run_cli(capsys, argv[0], str(path), *argv[1:])
-        assert code == 2
-        assert json.loads(out)["error"]["code"] == "INVALID_INSTANCE"
-    for function in ("psi", "vartheta", "linear"):
-        code, out = run_cli(
-            capsys, "eval", "--instance", str(path), "--function", function, "--point", "0,0"
-        )
-        assert code == 2
-        assert json.loads(out)["error"]["code"] == "INVALID_INSTANCE"
+        code, out = run_cli(capsys, *argv)
+        error = json.loads(out)
+        assert code == 2, argv
+        assert error["error"]["code"] == "INVALID_INSTANCE", argv
+        assert error["violations"] == doc["violations"], argv
+    assert not svg.exists()
 
 
 def test_validate_subcommand(capsys, data_dir, tmp_path):

@@ -243,9 +243,10 @@ def test_verdict_whole_plane_fixture(whole_plane_instance):
 
 
 def test_verdict_rejects_invalid_instance():
-    inst = PreferenceInstance([[1.0], [2.0]], 0, [])
-    with pytest.raises(InvalidInstanceError):
-        consistency_verdict(inst)
+    # the verdict never sees an invalid instance: construction raises first
+    with pytest.raises(InvalidInstanceError) as err:
+        PreferenceInstance([[1.0], [2.0]], 0, [])
+    assert [c for c, _ in err.value.violations] == ["NO_JUDGEMENTS"]
 
 
 def test_report_json_schema(pointed_instance):

@@ -12,8 +12,8 @@ from prefcone import (
     PreferenceInstance,
     generators,
     parse_instance,
-    validate,
 )
+from prefcone.instance import validate
 
 POINTED_JSON = (
     '{"alternatives": [[0, 2], [0, 1.5], [0, 3], [1, 1]],'
@@ -45,12 +45,14 @@ def test_parse_csv_roles_and_order(data_dir):
     np.testing.assert_array_equal(inst.alternatives[3], [1.0, 1.0])
 
 
-def test_csv_duplicate_of_reference_parses_then_fails_validation():
-    text = "1,1,pref\n1,1,ref\n"
-    inst = parse_instance(text, "csv")  # shape is fine
-    report = validate(inst)
-    assert not report.ok
-    assert "DUPLICATE_ALTERNATIVE" in {code for code, _ in report.violations}
+def test_csv_duplicate_of_reference_is_invalid():
+    text = "1,1,pref\n1,1,ref\n"  # the shape is fine, the instance is not
+    with pytest.raises(InvalidInstanceError) as parsed:
+        parse_instance(text, "csv")
+    assert [code for code, _ in parsed.value.violations] == ["DUPLICATE_ALTERNATIVE"]
+    with pytest.raises(InvalidInstanceError) as built:
+        PreferenceInstance([[1, 1], [1, 1]], 1, [0])
+    assert parsed.value.violations == built.value.violations
 
 
 def test_json_mixed_dimensions_rejected():
@@ -127,31 +129,37 @@ def test_json_integers_past_float64_are_parse_errors():
     for value in (2**1024 - 2**970, -(10**400)):
         with pytest.raises(ParseError, match="alternative 1 contains an integer too large"):
             parse_instance(doc.format(value))
-    inf = parse_instance(doc.format("1e400"))  # a float literal overflows to inf instead
-    assert {c for c, _ in validate(inf).violations} == {"NON_FINITE_VALUE"}
+    with pytest.raises(InvalidInstanceError) as err:  # a float literal overflows to inf
+        parse_instance(doc.format("1e400"))
+    assert [c for c, _ in err.value.violations] == ["NON_FINITE_VALUE"]
 
 
 def test_validate_ok_on_fixture(pointed_instance):
-    assert validate(pointed_instance).ok
+    assert validate(pointed_instance) == ()
 
 
 @pytest.mark.parametrize(
     "inst,code",
     [
-        (PreferenceInstance([[1, 1], [1, 1], [0, 0]], 2, [0, 1]), "DUPLICATE_ALTERNATIVE"),
-        (PreferenceInstance([[1, 1], [2, 2]], 0, [0, 1]), "REFERENCE_IN_PREFERRED"),
-        (PreferenceInstance([[1, 1], [2, 2]], 5, [1]), "REFERENCE_OUT_OF_RANGE"),
-        (PreferenceInstance([[1, 1], [2, 2]], 0, [9]), "PREFERRED_OUT_OF_RANGE"),
-        (PreferenceInstance([[1, 1], [2, 2]], 0, [1, 1]), "DUPLICATE_PREFERRED"),
-        (PreferenceInstance([[1, 1], [2, 2]], 0, []), "NO_JUDGEMENTS"),
-        (PreferenceInstance([[np.inf, 1], [2, 2]], 0, [1]), "NON_FINITE_VALUE"),
-        (PreferenceInstance([[-1e308, 0], [1e308, 1]], 0, [1]), "NON_FINITE_DIRECTION"),
+        (([[1, 1], [1, 1], [0, 0]], 2, [0, 1]), "DUPLICATE_ALTERNATIVE"),
+        (([[1, 1], [2, 2]], 0, [0, 1]), "REFERENCE_IN_PREFERRED"),
+        (([[1, 1], [2, 2]], 5, [1]), "REFERENCE_OUT_OF_RANGE"),
+        (([[1, 1], [2, 2]], 0, [9]), "PREFERRED_OUT_OF_RANGE"),
+        (([[1, 1], [2, 2]], 0, [1, 1]), "DUPLICATE_PREFERRED"),
+        (([[1, 1], [2, 2]], 0, []), "NO_JUDGEMENTS"),
+        (([[np.inf, 1], [2, 2]], 0, [1]), "NON_FINITE_VALUE"),
+        (([[-1e308, 0], [1e308, 1]], 0, [1]), "NON_FINITE_DIRECTION"),
     ],
 )
 def test_validate_violations(inst, code):
-    report = validate(inst)
-    assert not report.ok
-    assert code in {c for c, _ in report.violations}
+    # inst holds the constructor's arguments, since no invalid instance can be built
+    with pytest.raises(InvalidInstanceError) as built:
+        PreferenceInstance(*inst)
+    assert [c for c, _ in built.value.violations] == [code]
+    doc = dict(zip(("alternatives", "reference_index", "preferred_indices"), inst))
+    with pytest.raises(InvalidInstanceError) as parsed:
+        parse_instance(json.dumps(doc))
+    assert parsed.value.violations == built.value.violations
 
 
 def test_generators_fixture_values(pointed_instance, halfplane_instance):
@@ -168,10 +176,11 @@ def test_generators_fixture_values(pointed_instance, halfplane_instance):
     )
 
 
-def test_generators_require_valid_instance():
-    inst = PreferenceInstance([[1, 1], [2, 2]], 0, [])
-    with pytest.raises(InvalidInstanceError):
-        generators(inst, 0.0)
+def test_instance_without_judgements_cannot_be_built():
+    # generators never sees an instance without judgements: none can be built
+    with pytest.raises(InvalidInstanceError) as err:
+        PreferenceInstance([[1, 1], [2, 2]], 0, [])
+    assert [c for c, _ in err.value.violations] == ["NO_JUDGEMENTS"]
 
 
 def test_generators_reject_negative_epsilon(pointed_instance):
