@@ -5,11 +5,12 @@ Draws random integer-coordinate instances and checks, for each, that six
 routes to the consistency answer agree: strict linear separation by the
 margin LP's weights (the engine's verdict), the strict signed-distance
 construction on a shrunk cone, dual-cone full-dimensionality, a zero optimum
-of the paper's feasibility program, HiGHS (scipy's ``linprog``) finding
-d >= 1 with g_j.d >= 1 for every judgement direction, and the exact-rational
-simplex of ``tests/oracle.py``, which is the truth.  Also runs the
-sampled value-function property checks on every instance whose cone has a
-nonempty complement, checks that the engine's epsilon search returns
+of the paper's feasibility program (the ``paper`` column, from
+``shrunk_pointedness`` of ``tests/oracle.py`` at epsilon 0), HiGHS (scipy's
+``linprog``) finding d >= 1 with g_j.d >= 1 for every judgement direction,
+and the exact-rational simplex of ``tests/oracle.py``, which is the truth.
+Also runs the sampled value-function property checks on every instance
+whose cone has a nonempty complement, checks that the engine's epsilon search returns
 the value (or raises the error) of the LP-trial reference search, on the
 draw and on a copy scaled by 2^-k that moves eps* down the schedule,
 checks psi's exterior values against scipy's NNLS distance to the cone of
@@ -38,6 +39,7 @@ from oracle import (  # noqa: E402
     exact_pointed,
     is_pointed_geometric,
     search_outcome,
+    shrunk_pointedness,
 )
 
 from prefcone import (  # noqa: E402
@@ -53,7 +55,6 @@ from prefcone import (  # noqa: E402
     generators,
     make_psi,
     make_vartheta,
-    test_pointedness,
 )
 
 
@@ -96,7 +97,7 @@ def audit_one(
     inst, seed: int, n_samples: int
 ) -> tuple[tuple[bool, ...], int, bool, int, str | None, bool]:
     gens = generators(inst, 0.0)
-    by_lp = test_pointedness(inst).pointed
+    by_paper = shrunk_pointedness(inst, 0.0).pointed
     by_highs = highs_pointed(inst)
     by_geometry = is_pointed_geometric(gens)
     try:
@@ -133,7 +134,7 @@ def audit_one(
     )
     hrep = np.vstack([np.eye(inst.p), gens])
     facets_agree = extreme_rays(gens).n_facets == len(dd_exact(hrep))
-    row = (by_linear, by_strict, by_geometry, by_lp, by_highs, exact_pointed(gens))
+    row = (by_linear, by_strict, by_geometry, by_paper, by_highs, exact_pointed(gens))
     return row, violations, epsilon_agrees, mismatches, failure, facets_agree
 
 
@@ -178,7 +179,7 @@ def main() -> None:
     elapsed = time.perf_counter() - start
 
     print(f"instances: {args.instances}   elapsed: {elapsed:.1f}s")
-    print("(linear, strict-signed-distance, geometric, lp, highs, exact) -> count")
+    print("(linear, strict-signed-distance, geometric, paper, highs, exact) -> count")
     for row, count in sorted(rows.items()):
         print(f"  {row}: {count}")
     print(f"mixed rows: {mixed}")

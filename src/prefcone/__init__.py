@@ -9,12 +9,9 @@ and a linear one) whenever the answer is yes.
 
 from .consistency import (
     ConsistencyReport,
-    PointednessResult,
-    Z_STAR_TOL,
     consistency_verdict,
     epsilon_search,
     extract_linear_weights,
-    test_pointedness,
 )
 from .cones import FacetCone, extreme_rays, nnls
 from .errors import (
@@ -54,13 +51,11 @@ __all__ = [
     "NotPointedError",
     "NumericalError",
     "ParseError",
-    "PointednessResult",
     "PrefconeError",
     "PreferenceInstance",
     "UnsupportedDimensionError",
     "ValueFunctionHandle",
     "WholeSpaceError",
-    "Z_STAR_TOL",
     "consistency_verdict",
     "epsilon_search",
     "evaluate",
@@ -74,5 +69,4 @@ __all__ = [
     "nnls",
     "parse_instance",
     "plot2d",
-    "test_pointedness",
 ]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,29 +24,21 @@ from .instance import PreferenceInstance, generators
 from .lp import StandardLP, build_pointedness_lp, solve
 
 __all__ = [
-    "Z_STAR_TOL",
-    "PointednessResult",
     "ConsistencyReport",
-    "test_pointedness",
     "epsilon_search",
     "extract_linear_weights",
     "consistency_verdict",
 ]
 
 # The LP optimum is a sum of residuals of a unit-rhs system; anything at or
-# below this is a numerically exact zero.
+# below this is a numerically exact zero, and an inconsistent verdict with such
+# a z* gets verdict_text's boundary line.
 Z_STAR_TOL = 1e-7
 
 # epsilon_bar is the first positive _BETA**i * _EPSILON0 below eps*; the
 # schedule ends where it underflows to 0.0, at i = 1069
 _EPSILON0 = 1e-2
 _BETA = 0.5
-
-
-class PointednessResult(NamedTuple):
-    pointed: bool
-    z_star: float
-    certificate: np.ndarray | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,28 +95,20 @@ class ConsistencyReport:
         }
 
 
-def test_pointedness(inst: PreferenceInstance) -> PointednessResult:
-    """The paper's feasibility program on the unperturbed cone: its optimum
-    ``z_star``, and ``pointed`` when ``z_star <= Z_STAR_TOL``.
+def test_pointedness(inst: PreferenceInstance) -> float:
+    """z*, the optimum of the paper's feasibility program on the unperturbed
+    cone, solved on the unscaled generators.
 
-    ``pointed`` reads the program, solved on the unscaled generators, against
-    the absolute ``Z_STAR_TOL``, so it can contradict
-    :func:`consistency_verdict`, which decides by the margin program: on
-    inputs scaled far from unit size (entries near 1e9 or 1e-9) it reads
-    some pointed cones as not pointed.  The package calls it only to price
-    ``z_star`` on an inconsistent verdict.  When ``pointed``, the d part of
-    the optimal solution is returned as certificate: d >= 1 componentwise
-    and ``gen_j . d >= 1`` for every generator.  Its objective is a sum of
-    nonnegative variables, so a solve that reads it as unbounded has failed
-    numerically and raises NumericalError.
+    The verdict is the margin program's (:func:`consistency_verdict`); this
+    only prices ``z_star`` on an inconsistent one, under the name that
+    perfbench's ``consistency.test_pointedness`` span wraps.  The objective
+    is a sum of nonnegative variables, so a solve that reads it as unbounded
+    has failed numerically and raises NumericalError.
     """
     sol = solve(build_pointedness_lp(generators(inst, 0.0)))
     if sol.status == "unbounded":
         raise NumericalError("the feasibility program, bounded below by 0, read as unbounded")
-    z_star = float(sol.objective_value)
-    pointed = z_star <= Z_STAR_TOL
-    certificate = sol.values[: inst.p].copy() if pointed else None
-    return PointednessResult(pointed, z_star, certificate)
+    return float(sol.objective_value)
 
 
 test_pointedness.__test__ = False  # not a pytest case despite the name
@@ -226,7 +209,7 @@ def consistency_verdict(inst: PreferenceInstance) -> ConsistencyReport:
     program runs only to report z* on an inconsistent verdict."""
     eps_star, weights = _margin(inst)
     pointed = weights is not None
-    z_star = 0.0 if pointed else test_pointedness(inst).z_star
+    z_star = 0.0 if pointed else test_pointedness(inst)
     return ConsistencyReport(
         pointed=pointed,
         z_star=z_star,

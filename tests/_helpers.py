@@ -106,6 +106,15 @@ GAUSSIAN_SCORER_FACETS = {
 }
 
 
+# Pointed cones, by exact arithmetic, whose scale the package's tolerances
+# misread; the reference is alternative 0 and every other one is preferred
+HARD_SCALE_ALTERNATIVES = [
+    [[0.0], [1e9], [1.0]],  # any positive weight separates
+    [[0.0, 0.0], [32768.0, -3.0517578125e-05], [-32768.0, 6.103515625e-05]],  # d = (3, 2)
+    [[0.0], [3.0], [5e-324]],  # a subnormal judgement still has a positive entry
+]
+
+
 def missing_facet_handle(pointed_instance: PreferenceInstance) -> ValueFunctionHandle:
     """psi on ``data/pointed.json`` without its facet y1 + 2 y2 >= 0, so the
     extreme generator (-1, 0.5) is tight on no listed facet."""

@@ -16,20 +16,19 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from prefcone import (
     MaxIterExceededError,
     NotPointedError,
-    PointednessResult,
+    NumericalError,
     PreferenceInstance,
     PrefconeError,
     FacetCone,
     ValueFunctionHandle,
     WholeSpaceError,
-    Z_STAR_TOL,
     evaluate_batch,
     extreme_rays,
     generators,
@@ -37,9 +36,11 @@ from prefcone import (
 )
 from prefcone.lp import StandardLP, build_pointedness_lp, solve
 from prefcone.cones import _ACTIVITY_TOL, CLASSIFY_TOL
+from prefcone.consistency import Z_STAR_TOL
 
 __all__ = [
     "MembershipClass",
+    "ProgramVerdict",
     "PropertyViolation",
     "TooLargeError",
     "backtrack_epsilon",
@@ -359,16 +360,29 @@ def _inverse_columns(square: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [_integer_vector([aug[i][n + j] for i in range(n)]) for j in range(n)]
 
 
-def shrunk_pointedness(inst: PreferenceInstance, epsilon: float) -> PointednessResult:
-    """``prefcone.test_pointedness`` on the cone shrunk by ``epsilon``.
+class ProgramVerdict(NamedTuple):
+    pointed: bool
+    z_star: float
+    certificate: np.ndarray | None
 
-    The paper's feasibility program on the generators ``x_j - x_k - epsilon``:
-    pointed iff its optimum is zero, with the d part as certificate.
+
+def shrunk_pointedness(inst: PreferenceInstance, epsilon: float) -> ProgramVerdict:
+    """The paper's feasibility program on the cone shrunk by ``epsilon``.
+
+    The program on the generators ``x_j - x_k - epsilon``, unscaled: pointed
+    iff its optimum is at most ``Z_STAR_TOL``, with the d part as
+    certificate (d >= 1 and ``gen_j . d >= 1``).  At ``epsilon = 0`` it is
+    the reference for the package's margin-program verdict; the absolute
+    threshold misreads some pointed cones scaled to 1e9 or 1e-9.  The
+    objective is bounded below by 0, so an unbounded read raises
+    NumericalError.
     """
     sol = solve(build_pointedness_lp(generators(inst, epsilon)))
+    if sol.status == "unbounded":
+        raise NumericalError("the feasibility program, bounded below by 0, read as unbounded")
     z_star = float(sol.objective_value)
     pointed = z_star <= Z_STAR_TOL
-    return PointednessResult(pointed, z_star, sol.values[: inst.p].copy() if pointed else None)
+    return ProgramVerdict(pointed, z_star, sol.values[: inst.p].copy() if pointed else None)
 
 
 def backtrack_epsilon(inst: PreferenceInstance) -> float:

@@ -20,7 +20,6 @@ from prefcone import (
     generators,
     make_psi,
     make_vartheta,
-    test_pointedness,
     WholeSpaceError,
 )
 from prefcone.lp import build_pointedness_lp, solve
@@ -34,6 +33,7 @@ from oracle import (
     dist_to_cone,
     enumerate_lp_optimum,
     is_pointed_geometric,
+    shrunk_pointedness,
 )
 
 BATTERY_SEED = 20260809
@@ -100,7 +100,7 @@ def test_c4_property_battery(battery):
             n_psi += 1
             points = inst.alternatives[list(inst.preferred_indices)]
             violations += check_properties(psi, 1000, seed=seed, judgement_points=points)
-        pointed, _, weights = test_pointedness(inst)
+        pointed, _, weights = shrunk_pointedness(inst, 0.0)
         if not pointed:
             continue
         n_pointed += 1
@@ -121,7 +121,7 @@ def test_c4_property_battery(battery):
 
 def test_c5_equivalence_audit(battery):
     for inst in battery:
-        by_lp = test_pointedness(inst).pointed
+        by_lp = shrunk_pointedness(inst, 0.0).pointed
         by_geometry = is_pointed_geometric(generators(inst, 0.0))
         try:
             weights = extract_linear_weights(inst)
@@ -155,7 +155,7 @@ def test_c6_synthetic_dm_soundness():
 def test_c7_epsilon_search_and_interiority(battery):
     checked = 0
     for inst in battery:
-        if not test_pointedness(inst).pointed:
+        if not shrunk_pointedness(inst, 0.0).pointed:
             continue
         checked += 1
         eps_bar = epsilon_search(inst)  # raises MaxIterExceededError on failure

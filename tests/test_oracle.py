@@ -7,7 +7,7 @@ from prefcone import (
     parse_instance,
 )
 from prefcone.lp import StandardLP, build_pointedness_lp, solve
-from _helpers import random_instance
+from _helpers import HARD_SCALE_ALTERNATIVES, random_instance
 from oracle import (
     TooLargeError,
     brute_dist_to_cone,
@@ -102,15 +102,8 @@ def test_exact_pointed_on_the_data_files(data_dir, name, pointed):
     assert exact_pointed(generators(inst, 0.0)) is pointed
 
 
-@pytest.mark.parametrize(
-    "alternatives",
-    [
-        [[0.0], [1e9], [1.0]],  # any positive weight separates
-        [[0.0, 0.0], [32768.0, -3.0517578125e-05], [-32768.0, 6.103515625e-05]],  # d = (3, 2)
-        [[0.0], [3.0], [5e-324]],  # a subnormal judgement still has a positive entry
-    ],
-)
+@pytest.mark.parametrize("alternatives", HARD_SCALE_ALTERNATIVES)
 def test_exact_pointed_reads_the_hard_scale_fixtures_as_pointed(alternatives):
-    # truth values only: the package's own verdicts on these are not asserted
+    # truth values only: test_consistency.py holds the package's verdicts on these
     inst = PreferenceInstance(alternatives, 0, list(range(1, len(alternatives))))
     assert exact_pointed(generators(inst, 0.0)) is True
