@@ -22,7 +22,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from _helpers import GAUSSIAN_SCORER_FACETS, gaussian_scorer_instance  # noqa: E402
 
-from prefcone import extreme_rays, generators  # noqa: E402
+from prefcone import generators  # noqa: E402
+from prefcone.cones import extreme_rays  # noqa: E402
 
 
 def main() -> int:

@@ -51,11 +51,11 @@ from prefcone import (  # noqa: E402
     evaluate,
     evaluate_batch,
     extract_linear_weights,
-    extreme_rays,
     generators,
     make_psi,
     make_vartheta,
 )
+from prefcone.cones import extreme_rays  # noqa: E402
 
 
 def scaled_copy(inst, k: int):

@@ -17,7 +17,6 @@ from prefcone import (
     WholeSpaceError,
     consistency_verdict,
     evaluate,
-    extreme_rays,
     generators,
     make_linear,
     make_psi,
@@ -25,6 +24,7 @@ from prefcone import (
     parse_instance,
     plot2d,
 )
+from prefcone.cones import extreme_rays
 
 ROOT = Path(__file__).resolve().parent.parent
 

@@ -13,7 +13,6 @@ from .consistency import (
     epsilon_search,
     extract_linear_weights,
 )
-from .cones import FacetCone, extreme_rays, nnls
 from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
@@ -44,7 +43,6 @@ __all__ = [
     "ConsistencyReport",
     "DimensionMismatchError",
     "DimensionTooLargeError",
-    "FacetCone",
     "InvalidInstanceError",
     "MaxIterExceededError",
     "NnlsMaxIterError",
@@ -61,12 +59,10 @@ __all__ = [
     "evaluate",
     "evaluate_batch",
     "extract_linear_weights",
-    "extreme_rays",
     "generators",
     "make_linear",
     "make_psi",
     "make_vartheta",
-    "nnls",
     "parse_instance",
     "plot2d",
 ]

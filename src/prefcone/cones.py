@@ -1,4 +1,4 @@
-"""Geometry of the preference cone: its facets and projection onto it.
+"""The package's private cone engine: facets and projection of the preference cone.
 
 The cone of interest is generated by the judgement directions plus the
 nonnegative orthant, so it is always full-dimensional.  It is given by its
@@ -10,8 +10,13 @@ by Lawson-Hanson nonnegative least squares on its generators.  Membership
 and the signed distances built from both live in
 :func:`prefcone.valuefn.evaluate_batch`.
 
-Cone objects are immutable and every operation here is a pure function,
-safe for concurrent use.
+Nothing here is re-exported from ``prefcone``, and nothing here checks its
+input: the generators come from a valid instance, so they are finite, and
+the points are those ``evaluate_batch`` has checked, in float64 stacks.
+Malformed input is outside the contract and raises no ``ValueError``.
+``FacetCone`` is a plain record, built by :func:`extreme_rays` with unit
+rows.  Cone objects are immutable and every operation here is a pure
+function, safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -48,17 +53,7 @@ class FacetCone:
     primal is all of R^p.
     """
 
-    facet_normals: np.ndarray  # (k, p), unit rows
-
-    def __post_init__(self):
-        normals = np.asarray(self.facet_normals, dtype=float)
-        if normals.size == 0:
-            normals = normals.reshape(0, normals.shape[1] if normals.ndim == 2 else 0)
-        if normals.ndim != 2:
-            raise ValueError("facet_normals must be a 2-d array")
-        if not (np.abs(np.linalg.norm(normals, axis=1) - 1.0) <= 1e-9).all():
-            raise ValueError("facet normals must have unit Euclidean norm")
-        object.__setattr__(self, "facet_normals", normals)
+    facet_normals: np.ndarray  # (k, p) float64, unit rows
 
     @property
     def n_facets(self) -> int:
@@ -80,16 +75,16 @@ def extreme_rays(gens: np.ndarray) -> FacetCone:
     axis rows pin the dual inside the orthant, so it is pointed.  Double
     description (:func:`_dd_pointed`) finds the rays, bit for bit as a
     pair-by-pair loop would; they are unit-normalized and sorted for
-    deterministic output.  No ray means the cone is the whole space.  A
-    non-finite generator raises ValueError.
+    deterministic output.  No ray means the cone is the whole space.  The
+    generators are a valid instance's, so finite; the dimension cap is the
+    only check.
     """
-    G = np.atleast_2d(np.asarray(gens, dtype=float))
-    p = G.shape[1]
+    p = gens.shape[1]
     if p > MAX_DD_DIM:
         raise DimensionTooLargeError(
             f"double description capped at dimension {MAX_DD_DIM}, got {p}"
         )
-    rays = _dd_pointed(_unit_generators(np.vstack([np.eye(p), G])))
+    rays = _dd_pointed(_unit_generators(np.vstack([np.eye(p), gens])))
     rays = np.ascontiguousarray(rays)  # the row norms' rounding depends on memory order
     rays[np.abs(rays) < 1e-12] = 0.0
     rays /= np.linalg.norm(rays, axis=1)[:, None]
@@ -103,13 +98,11 @@ def _unit_generators(V: np.ndarray) -> np.ndarray:
     Each row is first divided by the power of two of its largest entry, an
     exact step, so its norm neither overflows nor underflows, and only
     exact zero rows are dropped.  The facets, the projection and its KKT
-    check all see a generator through this one map.  A NaN or infinite
-    entry raises ValueError.
+    check all see a generator through this one map.  Every generator the
+    package forms is finite: validation rejects an overflowing judgement,
+    and a shrink of at most 1e-2 cannot push one past float64.
     """
-    top = np.abs(V).max(axis=1)
-    if not np.isfinite(top).all():
-        raise ValueError("generators must be finite")
-    V = np.ldexp(V, -np.frexp(top)[1][:, None])
+    V = np.ldexp(V, -np.frexp(np.abs(V).max(axis=1))[1][:, None])
     norms = np.linalg.norm(V, axis=1)
     live = np.flatnonzero(norms)
     return V[live] / norms[live, None]
@@ -178,14 +171,16 @@ def _adjacent_combinations(
 
 
 def nnls(columns: np.ndarray, target: np.ndarray, *, facets: np.ndarray | None = None):
-    """Distance min ||columns @ coef - target|| over coef >= 0, by Lawson-Hanson.
+    """Distances min ||columns @ coef - y|| over coef >= 0, by Lawson-Hanson.
 
-    ``target`` is one point of shape ``(p,)``, which returns its residual
-    norm as a float, or a stack of shape ``(B, p)``, which returns the
-    ``(B,)`` residual norms; the coefficients stay inside the solve, on the
-    unit columns.  A single point is solved as a 1-row stack.  The rows of
-    a stack run in lockstep, each at its own stage: each step solves every
-    row that waits for its passive-set least squares in one stacked call
+    ``columns`` is a ``(p, n)`` float64 array of finite generators and
+    ``target`` a ``(B, p)`` float64 stack of points; the call returns the
+    ``(B,)`` residual norms, and the coefficients stay inside the solve, on
+    the unit columns.  The caller, :func:`~prefcone.valuefn.evaluate_batch`,
+    passes points it has checked as finite, with no overflow in their
+    distance; nothing here checks them again.  The rows of a stack run in
+    lockstep, each at its own stage: each step solves every row that waits
+    for its passive-set least squares in one stacked call
     (:func:`_passive_solve`), so a stack makes as many passive solves as
     its longest row alone.
 
@@ -215,44 +210,32 @@ def nnls(columns: np.ndarray, target: np.ndarray, *, facets: np.ndarray | None =
     the residual, is unchanged.  A row stops when its gradient on every
     column is at most ``_KKT_TOL * (1 + |y|)``.  Raises NnlsMaxIterError
     when a cold row's active-set loop exceeds ``3 * n_columns * p``
-    iterations (a sign of numerical pathology, not a routine outcome).  A
-    non-finite column or target raises ValueError.
+    iterations (a sign of numerical pathology, not a routine outcome).
     """
-    G = np.atleast_2d(np.asarray(columns, dtype=float))
-    Y = np.asarray(target, dtype=float)
-    p, n = G.shape
-    if Y.ndim not in (1, 2) or Y.shape[-1] != p:
-        raise ValueError(f"target has shape {Y.shape}, expected ({p},) or (B, {p})")
-    if not (np.isfinite(Y.min(initial=0.0)) and np.isfinite(Y.max(initial=0.0))):
-        raise ValueError("target must be finite")  # two reductions, no temporary array
-    if facets is not None and np.shape(facets)[1:] != (p,):
-        raise ValueError(f"facets has shape {np.shape(facets)}, expected (k, {p})")
-    single = Y.ndim == 1
-    Y = Y.reshape(-1, p)
+    p, n = columns.shape
     max_iter = 3 * n * max(p, 1)
 
-    unit = _unit_generators(G.T)
+    unit = _unit_generators(columns.T)
     redo = np.arange(0)  # rows that the cold call answers
     if facets is None or len(facets) == 0:
-        R = Y - _lawson_hanson(unit.T, Y, None, max_iter) @ unit
+        R = target - _lawson_hanson(unit.T, target, None, max_iter) @ unit
     else:
-        A = np.asarray(facets, dtype=float)
-        picked, index = np.unique((A @ Y.T).argmin(axis=0), return_inverse=True)
-        sets = np.abs(A[picked] @ unit.T) <= CLASSIFY_TOL
+        picked, index = np.unique((facets @ target.T).argmin(axis=0), return_inverse=True)
+        sets = np.abs(facets[picked] @ unit.T) <= CLASSIFY_TOL
         named = sets.any(axis=0)
         try:
-            coef = _lawson_hanson(unit[named].T, Y, (sets[:, named], index), max_iter)
+            coef = _lawson_hanson(unit[named].T, target, (sets[:, named], index), max_iter)
         except NnlsMaxIterError:
-            return nnls(G, target)
-        R = Y - coef @ unit[named]
+            return nnls(columns, target)
+        R = target - coef @ unit[named]
         # each row's top gradient on the other columns; the (rest, B) product is freed at once
         top = (unit[~named] @ R.T).max(axis=0, initial=-np.inf)
-        redo = np.flatnonzero(top > _KKT_TOL * (1.0 + np.linalg.norm(Y, axis=1)))
+        redo = np.flatnonzero(top > _KKT_TOL * (1.0 + np.linalg.norm(target, axis=1)))
 
     resid = np.linalg.norm(R, axis=1)
     if redo.size:
-        resid[redo] = nnls(G, Y[redo])
-    return float(resid[0]) if single else resid
+        resid[redo] = nnls(columns, target[redo])
+    return resid
 
 
 def _lawson_hanson(

@@ -47,7 +47,8 @@ class ConsistencyReport:
 
     ``weight_certificate`` and ``epsilon_bar`` are present exactly when the
     verdict is consistent.  The report carries no facet count: the verdict
-    needs none, and ``extreme_rays`` computes one when it is wanted.
+    needs none, and ``make_psi(inst).facet_cone.n_facets`` gives one when it
+    is wanted.
     """
 
     pointed: bool

@@ -38,6 +38,10 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ValueFunctionHandle:
+    """What :func:`make_psi`, :func:`make_vartheta` and :func:`make_linear`
+    return.  A handle built by hand is not checked: its generators and facet
+    normals go to the private cone engine as they are."""
+
     kind: str  # "psi" | "vartheta" | "linear"
     reference: np.ndarray
     generator_matrix: np.ndarray | None = None  # (p, t+p): judgement, then axis columns

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from prefcone import FacetCone, PreferenceInstance, ValueFunctionHandle, make_psi
-from prefcone.cones import CLASSIFY_TOL, _unit_generators
+from prefcone import PreferenceInstance, ValueFunctionHandle, make_psi
+from prefcone.cones import CLASSIFY_TOL, FacetCone, _unit_generators
 
 
 def random_instance(

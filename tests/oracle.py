@@ -26,16 +26,13 @@ from prefcone import (
     NumericalError,
     PreferenceInstance,
     PrefconeError,
-    FacetCone,
     ValueFunctionHandle,
     WholeSpaceError,
     evaluate_batch,
-    extreme_rays,
     generators,
-    nnls,
 )
 from prefcone.lp import StandardLP, build_pointedness_lp, solve
-from prefcone.cones import _ACTIVITY_TOL, CLASSIFY_TOL
+from prefcone.cones import _ACTIVITY_TOL, CLASSIFY_TOL, FacetCone, extreme_rays, nnls
 from prefcone.consistency import Z_STAR_TOL
 
 __all__ = [
@@ -111,11 +108,11 @@ def cone_columns(gens: np.ndarray) -> np.ndarray:
 def dist_to_cone(y: np.ndarray, gens: np.ndarray) -> float:
     """Euclidean distance from y to the cone of ``gens`` and the orthant.
 
-    The residual of the package's :func:`~prefcone.nnls` on the judgement
-    and axis generators, one point at a time.  Zero (within 1e-8) exactly
-    when y is inside the closed cone.
+    The residual of the package's :func:`~prefcone.cones.nnls` on the
+    judgement and axis generators, one point at a time, as a 1-row stack.
+    Zero (within 1e-8) exactly when y is inside the closed cone.
     """
-    return nnls(cone_columns(gens), y)
+    return float(nnls(cone_columns(gens), np.asarray(y, dtype=float)[None])[0])
 
 
 def dist_to_complement(y: np.ndarray, facets: FacetCone) -> float:
@@ -279,7 +276,7 @@ def dd_pointed_loop(A: np.ndarray) -> np.ndarray:
 def dd_exact(hrep: np.ndarray) -> list[tuple[int, ...]]:
     """Extreme rays of {d : row.d >= 0 for all rows}, in exact arithmetic.
 
-    The reference for the facet count of ``prefcone.extreme_rays``:
+    The reference for the facet count of ``prefcone.cones.extreme_rays``:
     :func:`dd_pointed_loop` repeats the float algorithm, this does not.
     Float entries are dyadic rationals, so each row scales exactly to an
     integer vector.  Double description then runs on integer rays divided

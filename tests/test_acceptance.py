@@ -16,12 +16,12 @@ from prefcone import (
     epsilon_search,
     evaluate,
     extract_linear_weights,
-    extreme_rays,
     generators,
     make_psi,
     make_vartheta,
     WholeSpaceError,
 )
+from prefcone.cones import extreme_rays
 from prefcone.lp import build_pointedness_lp, solve
 from prefcone.cli import run
 from _helpers import random_instance, synthetic_dm_instance

@@ -7,22 +7,22 @@ import prefcone.cones
 import prefcone.valuefn
 from prefcone import (
     DimensionTooLargeError,
-    FacetCone,
     NnlsMaxIterError,
     WholeSpaceError,
     evaluate_batch,
-    extreme_rays,
     generators,
     make_psi,
-    nnls,
 )
 from prefcone.cones import (
     CLASSIFY_TOL,
     MAX_DD_DIM,
+    FacetCone,
     _dd_pointed,
     _lawson_hanson,
     _passive_solve,
     _unit_generators,
+    extreme_rays,
+    nnls,
 )
 from _helpers import (
     GAUSSIAN_SCORER_FACETS,
@@ -85,13 +85,6 @@ def test_extreme_rays_dimension_cap():
         extreme_rays(np.eye(13))
     # the cap is a policy; the double description itself runs past it
     assert _dd_pointed(np.eye(13)).shape == (13, 13)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_extreme_rays_rejects_non_finite_generators(bad):
-    # a NaN generator takes part in no cut, so double description alone returns the orthant
-    with pytest.raises(ValueError, match="finite"):
-        extreme_rays([[bad, 1.0]])
 
 
 def test_extreme_rays_output_is_deterministic(pointed_instance):
@@ -218,7 +211,7 @@ def test_nnls_matches_scipy():
         n = int(rng.integers(1, 7))
         G = rng.integers(-3, 4, size=(p, n)).astype(float)
         y = rng.integers(-5, 6, size=p).astype(float)
-        resid = nnls(G, y)
+        resid = nnls(G, y[None])[0]
         assert isinstance(resid, float)
         assert resid == pytest.approx(scipy_nnls(G, y)[1], abs=1e-8)
         Gn, (coef,) = _cold_coef(G, y)
@@ -228,7 +221,7 @@ def test_nnls_matches_scipy():
 
 def test_nnls_antipodal_single_column():
     G, y = np.array([[1.0], [0.0]]), np.array([-1.0, 0.0])
-    assert nnls(G, y) == pytest.approx(1.0, abs=1e-12)
+    assert nnls(G, y[None])[0] == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_array_equal(_cold_coef(G, y)[1], [[0.0]])
 
 
@@ -245,7 +238,7 @@ def test_nnls_kkt_certificate_on_degenerate_systems():
         if k % 7 == 0:
             G[:, rng.integers(0, n)] = 0.0  # dead column
         y = rng.integers(-4, 5, size=p).astype(float)
-        resid = nnls(G, y)
+        resid = nnls(G, y[None])[0]
         Gn, (coef,) = _cold_coef(G, y)
         assert (coef >= 0).all()
         assert np.linalg.norm(Gn @ coef - y) == pytest.approx(resid, abs=1e-10)
@@ -333,7 +326,7 @@ def test_nnls_stack_rows_match_single_solves():
         Gn, coef = _cold_coef(G, Y)
         for i, y in enumerate(Y):
             tol = 1e-12 * (1.0 + np.linalg.norm(y))
-            assert abs(resid[i] - nnls(G, y)) <= tol
+            assert abs(resid[i] - nnls(G, y[None])[0]) <= tol
             # the projection Gn @ coef is unique even where coef is not
             assert np.linalg.norm(Gn @ coef[i] - Gn @ _cold_coef(G, y)[1][0]) <= tol
 
@@ -432,9 +425,9 @@ def test_nnls_start_on_parallel_columns_gives_the_cold_answer():
     x = g - 1e-6 * np.linalg.norm(g) * a
     start = np.abs(a @ G) <= 1e-9 * np.linalg.norm(G, axis=0)
     np.testing.assert_array_equal(np.flatnonzero(start), [1, 2, 4, 5, 6])
-    cold = nnls(G, x)
+    cold = nnls(G, x[None])[0]
     assert cold == pytest.approx(9.2196e-06, rel=1e-4)
-    assert nnls(G, x, facets=a[None]) == pytest.approx(cold, rel=0, abs=1e-15)
+    assert nnls(G, x[None], facets=a[None])[0] == pytest.approx(cold, rel=0, abs=1e-15)
 
 
 def _started(G, Y, sets, index):
@@ -592,22 +585,6 @@ def test_lawson_hanson_cap_counts_steps_per_row():
         _lawson_hanson(np.eye(3), Y, None, 2)
 
 
-def test_nnls_start_shape_checked():
-    for facets in (np.ones((2, 4)), np.ones(3), np.ones((1, 2, 3)), np.ones((3, 5))):
-        with pytest.raises(ValueError, match="facets has shape"):
-            nnls(np.ones((3, 5)), np.zeros((2, 3)), facets=facets)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_nnls_rejects_non_finite_columns_and_targets(bad):
-    G = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
-    with pytest.raises(ValueError, match="finite"):
-        nnls(np.where(G == 0.0, bad, G), np.ones(2))
-    for target in ([bad, 1.0], [[1.0, 1.0], [1.0, bad]]):
-        with pytest.raises(ValueError, match="finite"):
-            nnls(G, target)
-
-
 def _facet_starts(unit, Y, A):
     """The start ``nnls(facets=A)`` gives the rows of Y on the unit columns
     ``unit``: the columns tight on each picked facet, and each row's pick."""
@@ -680,12 +657,12 @@ def test_nnls_starts_on_the_columns_within_classify_tol_of_the_facet(monkeypatch
         return lawson_hanson(Gn, Y, start, max_iter)
 
     monkeypatch.setattr(prefcone.cones, "_lawson_hanson", recorded)
-    resid = nnls(G, y, facets=np.array([[0.0, 1.0]]))
+    resid = nnls(G, y[None], facets=np.array([[0.0, 1.0]]))[0]
     (narrow, (sets, index)), *_ = runs
     np.testing.assert_array_equal(narrow, G[:, :2] / np.linalg.norm(G[:, :2], axis=0))
     np.testing.assert_array_equal(sets, [[True, True]])
     np.testing.assert_array_equal(index, [0])
-    assert resid == pytest.approx(nnls(G, y), rel=0, abs=1e-12)
+    assert resid == pytest.approx(nnls(G, y[None])[0], rel=0, abs=1e-12)
 
 
 def test_nnls_with_no_facet_is_the_cold_call():
@@ -699,17 +676,11 @@ def test_nnls_coefficient_past_float64_is_inf_without_a_warning():
     # on the original column, 2**1074, is past float64's largest value; nnls
     # keeps its coefficients on the unit columns, and the residual is exact
     # (the suite turns RuntimeWarning into an error)
-    assert nnls(np.array([[5e-324, 0.0], [0.0, 1.0]]), np.array([1.0, 2.0])) == 0.0
+    assert nnls(np.array([[5e-324, 0.0], [0.0, 1.0]]), np.array([[1.0, 2.0]]))[0] == 0.0
 
 
 def test_nnls_empty_stack():
     assert nnls(np.ones((3, 5)), np.zeros((0, 3))).shape == (0,)
-
-
-@pytest.mark.parametrize("shape", [(4, 2), (2, 4), (2, 2, 3), ()])
-def test_nnls_target_shape_checked(shape):
-    with pytest.raises(ValueError, match="target has shape"):
-        nnls(np.ones((3, 5)), np.zeros(shape))
 
 
 def _dm_cones(seed, count, p_max=6, t_max=40):
@@ -888,17 +859,3 @@ def test_dd_exact_on_known_cones():
     with pytest.raises(ValueError, match="not pointed"):
         dd_exact(np.array([[1.0, 1.0], [-1.0, -1.0]]))
 
-
-def test_facet_cone_unit_norm_check_is_absolute():
-    # 1e-9 absolute, not allclose's default relative 1e-5 on top of it
-    with pytest.raises(ValueError, match="unit Euclidean norm"):
-        FacetCone(np.array([[1.0 + 1e-6, 0.0]]))
-    with pytest.raises(ValueError, match="unit Euclidean norm"):
-        FacetCone(np.array([[np.nan, 0.0]]))
-    FacetCone(np.array([[1.0 + 1e-10, 0.0]]))
-    with pytest.raises(ValueError, match="2-d array"):
-        FacetCone(np.zeros(3))
-    # every FacetCone extreme_rays builds passes it
-    for _, cone in _dm_cones(4, 30):
-        facets = extreme_rays(cone)
-        assert (np.abs(np.linalg.norm(facets.facet_normals, axis=1) - 1.0) <= 1e-9).all()

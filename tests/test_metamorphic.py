@@ -16,9 +16,9 @@ import pytest
 from prefcone import (
     PreferenceInstance,
     consistency_verdict,
-    extreme_rays,
     generators,
 )
+from prefcone.cones import extreme_rays
 from _helpers import random_instance
 from oracle import exact_pointed
 

@@ -7,7 +7,6 @@ import pytest
 import prefcone.consistency
 import prefcone.valuefn
 from prefcone import (
-    FacetCone,
     NotPointedError,
     PreferenceInstance,
     ValueFunctionHandle,
@@ -16,15 +15,13 @@ from prefcone import (
     epsilon_search,
     evaluate,
     evaluate_batch,
-    extreme_rays,
     generators,
     make_linear,
     make_psi,
     make_vartheta,
-    nnls,
 )
 from prefcone.cli import run
-from prefcone.cones import CLASSIFY_TOL
+from prefcone.cones import CLASSIFY_TOL, FacetCone, extreme_rays, nnls
 from _helpers import (
     facet_tight_columns,
     missing_facet_handle,
@@ -355,7 +352,7 @@ def test_extreme_generators_span_the_cone():
             on_facet = facet_tight_columns(handle).any(axis=0)
             extreme, rest = G[:, on_facet], G[:, ~on_facet]
             for g in rest.T:
-                assert nnls(extreme, g) <= 1e-9 * np.linalg.norm(g)
+                assert nnls(extreme, g[None])[0] <= 1e-9 * np.linalg.norm(g)
             dropped += rest.shape[1]
         _exterior_values_match_full_projection(handle, rng, 1e-12)
     assert dropped > 0
