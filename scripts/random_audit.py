@@ -35,6 +35,7 @@ from _helpers import random_instance  # noqa: E402
 from oracle import (  # noqa: E402
     backtrack_epsilon,
     check_properties,
+    cone_columns,
     dd_exact,
     exact_pointed,
     is_pointed_geometric,
@@ -69,13 +70,14 @@ def scaled_copy(inst, k: int):
     )
 
 
-def projection_mismatches(psi, seed: int, n_samples: int) -> int:
+def projection_mismatches(psi, gens: np.ndarray, seed: int, n_samples: int) -> int:
     """Exterior points where psi is not minus scipy's NNLS distance to the cone
-    of every generator."""
+    of every generator, the judgement generators ``gens`` plus the axes, as
+    the instance gives them rather than as psi's cone record holds them."""
     rng = np.random.default_rng(seed)
     X = psi.reference + rng.normal(scale=3.0, size=(n_samples, psi.p))
     values = evaluate_batch(psi, X)
-    G = psi.generator_matrix
+    G = cone_columns(gens)
     return sum(
         abs(-value - scipy_nnls(G, y)[1]) > 1e-9 * (1.0 + np.linalg.norm(y))
         for value, y in zip(values, X - psi.reference)
@@ -123,7 +125,7 @@ def audit_one(
         psi = make_psi(inst)
         points = inst.alternatives[list(inst.preferred_indices)]
         violations = len(check_properties(psi, n_samples, seed=seed, judgement_points=points))
-        mismatches = projection_mismatches(psi, seed, n_samples)
+        mismatches = projection_mismatches(psi, gens, seed, n_samples)
     except WholeSpaceError:
         pass
     except PrefconeError as exc:

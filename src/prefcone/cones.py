@@ -1,13 +1,14 @@
 """The package's private cone engine: facets and projection of the preference cone.
 
 The cone of interest is generated by the judgement directions plus the
-nonnegative orthant, so it is always full-dimensional.  It is given by its
-judgement generators, as :func:`~prefcone.instance.generators` returns
-them.  :func:`extreme_rays` builds the dual cone's half-space rows from
-them and finds its extreme rays, the primal's facet normals, by the double
-description method; :func:`nnls` gives points' distances to the cone
-by Lawson-Hanson nonnegative least squares on its generators.  Membership
-and the signed distances built from both live in
+nonnegative orthant, so it is always full-dimensional.  :func:`extreme_rays`
+takes its judgement generators, as :func:`~prefcone.instance.generators`
+returns them, and builds the cone's one record, a :class:`FacetCone`: the
+generators at unit length, each scaled once, and the facet normals, the
+extreme rays of the dual cone, found by the double description method.
+:func:`nnls` gives points' distances to the cone of a record by
+Lawson-Hanson nonnegative least squares on its generators, started from
+its facets.  Membership and the signed distances built from both live in
 :func:`prefcone.valuefn.evaluate_batch`.
 
 Nothing here is re-exported from ``prefcone``, and nothing here checks its
@@ -45,14 +46,18 @@ _DD_BLOCK = 1 << 20  # cells per block of the DD pair arrays
 
 @dataclass(frozen=True, eq=False)
 class FacetCone:
-    """H-representation: cone = {y : a.y >= 0 for every unit facet normal a}.
+    """One cone's record: its unit generators and its unit facet normals.
 
-    The normals are the extreme rays of the dual cone.  Because the primal
-    contains the nonnegative orthant, every normal is componentwise
-    nonnegative, and the dual is {0}, with no facets, exactly when the
-    primal is all of R^p.
+    ``generators`` holds the nonzero judgement generators in input order,
+    then the p unit axes; the cone is their nonnegative combinations.
+    ``facet_normals`` is its H-representation, cone = {y : a.y >= 0 for
+    every normal a}.  The normals are the extreme rays of the dual cone.
+    Because the primal contains the nonnegative orthant, every normal is
+    componentwise nonnegative, and the dual is {0}, with no facets, exactly
+    when the primal is all of R^p.
     """
 
+    generators: np.ndarray  # (n, p) float64, unit rows: judgements, then the axes
     facet_normals: np.ndarray  # (k, p) float64, unit rows
 
     @property
@@ -65,14 +70,15 @@ class FacetCone:
 
 
 def extreme_rays(gens: np.ndarray) -> FacetCone:
-    """Facet normals of the cone generated by ``gens`` and the orthant.
+    """The record of the cone generated by ``gens`` and the orthant.
 
     ``gens`` holds the ``(t, p)`` judgement generators, as
-    :func:`~prefcone.instance.generators` returns them.  By bipolarity the
-    normals are the extreme rays of the dual cone {d : d >= 0, g.d >= 0}.
-    Its half-space rows are the p unit axes, then each nonzero generator
-    scaled to unit length by :func:`_unit_generators`, in input order; the
-    axis rows pin the dual inside the orthant, so it is pointed.  Double
+    :func:`~prefcone.instance.generators` returns them.
+    :func:`_unit_generators` scales them to unit length, once; the record
+    keeps them, then the p unit axes.  By bipolarity the facet normals are
+    the extreme rays of the dual cone {d : d >= 0, g.d >= 0}.  Its
+    half-space rows are the p unit axes, then the unit generators; the axis
+    rows pin the dual inside the orthant, so it is pointed.  Double
     description (:func:`_dd_pointed`) finds the rays, bit for bit as a
     pair-by-pair loop would; they are unit-normalized and sorted for
     deterministic output.  No ray means the cone is the whole space.  The
@@ -84,12 +90,13 @@ def extreme_rays(gens: np.ndarray) -> FacetCone:
         raise DimensionTooLargeError(
             f"double description capped at dimension {MAX_DD_DIM}, got {p}"
         )
-    rays = _dd_pointed(_unit_generators(np.vstack([np.eye(p), gens])))
+    unit, axes = _unit_generators(gens), np.eye(p)
+    rays = _dd_pointed(np.vstack([axes, unit]))
     rays = np.ascontiguousarray(rays)  # the row norms' rounding depends on memory order
     rays[np.abs(rays) < 1e-12] = 0.0
     rays /= np.linalg.norm(rays, axis=1)[:, None]
     order = np.lexsort(np.round(rays, 12).T[::-1])
-    return FacetCone(facet_normals=rays[order])
+    return FacetCone(np.vstack([unit, axes]), rays[order])
 
 
 def _unit_generators(V: np.ndarray) -> np.ndarray:
@@ -97,10 +104,11 @@ def _unit_generators(V: np.ndarray) -> np.ndarray:
 
     Each row is first divided by the power of two of its largest entry, an
     exact step, so its norm neither overflows nor underflows, and only
-    exact zero rows are dropped.  The facets, the projection and its KKT
-    check all see a generator through this one map.  Every generator the
-    package forms is finite: validation rejects an overflowing judgement,
-    and a shrink of at most 1e-2 cannot push one past float64.
+    exact zero rows are dropped.  :func:`extreme_rays` calls it once per
+    cone, and the facets, the projection and its KKT check all see the
+    generators it gives.  Every generator the package forms is finite:
+    validation rejects an overflowing judgement, and a shrink of at most
+    1e-2 cannot push one past float64.
     """
     V = np.ldexp(V, -np.frexp(np.abs(V).max(axis=1))[1][:, None])
     norms = np.linalg.norm(V, axis=1)
@@ -170,72 +178,67 @@ def _adjacent_combinations(
     return new
 
 
-def nnls(columns: np.ndarray, target: np.ndarray, *, facets: np.ndarray | None = None):
-    """Distances min ||columns @ coef - y|| over coef >= 0, by Lawson-Hanson.
+def nnls(cone: FacetCone, target: np.ndarray) -> np.ndarray:
+    """Distances of the rows of ``target`` to ``cone``, by Lawson-Hanson.
 
-    ``columns`` is a ``(p, n)`` float64 array of finite generators and
-    ``target`` a ``(B, p)`` float64 stack of points; the call returns the
-    ``(B,)`` residual norms, and the coefficients stay inside the solve, on
-    the unit columns.  The caller, :func:`~prefcone.valuefn.evaluate_batch`,
-    passes points it has checked as finite, with no overflow in their
-    distance; nothing here checks them again.  The rows of a stack run in
-    lockstep, each at its own stage: each step solves every row that waits
-    for its passive-set least squares in one stacked call
-    (:func:`_passive_solve`), so a stack makes as many passive solves as
-    its longest row alone.
+    ``cone`` is a record of :func:`extreme_rays` with at least one facet,
+    and ``target`` a ``(B, p)`` float64 stack of points; the call returns
+    the ``(B,)`` norms of the residuals min ||coef @ generators - y|| over
+    coef >= 0, and the coefficients stay inside the solve.  The caller,
+    :func:`~prefcone.valuefn.evaluate_batch`, passes points it has checked
+    as finite, with no overflow in their distance, and raises
+    WholeSpaceError on a cone with no facet; nothing here checks either
+    again.  The rows of a stack run in lockstep, each at its own stage:
+    each step solves every row that waits for its passive-set least squares
+    in one stacked call (:func:`_passive_solve`), so a stack makes as many
+    passive solves as its longest row alone.
 
-    ``facets``, the ``(k, p)`` unit facet normals of the cone the columns
-    generate, starts each row on the columns tight on its most violated
-    facet, ``argmin(facets @ y)``: those whose unit column g has ``|a.g| <=
-    CLASSIFY_TOL``.  Each facet that some row picks is factored once for
-    all its rows.  A row's start set's least-squares solution, clipped to
-    its positive part, is where Lawson-Hanson starts, and the usual blocking
-    steps take a clipped row on.  A started call runs only on the columns
-    tight on a picked facet, where the KKT test ends each row, so its
-    arrays stay that narrow.  Each row then takes the same test on the
-    other columns; a row that fails it, and every row when the narrow run
-    passes the iteration cap, gets the cold call's answer (no facets, every
-    column).  So each row is certified where it stands or answered cold,
+    Each row starts on the generators tight on its most violated facet,
+    ``argmin(facet_normals @ y)``: those g with ``|a.g| <= CLASSIFY_TOL``.
+    Each facet that some row picks is factored once for all its rows.  A
+    row's start set's least-squares solution, clipped to its positive part,
+    is where Lawson-Hanson starts, and the usual blocking steps take a
+    clipped row on.  The run uses only the generators tight on a picked
+    facet, where the KKT test ends each row, so its arrays stay that
+    narrow.  Each row then takes the same test on the other generators; a
+    row that fails it, and every row when the narrow run passes the
+    iteration cap, gets the cold answer of :func:`_cold` on every
+    generator.  So each row is certified where it stands or answered cold,
     whether or not the facet list is complete, and on well-separated
-    columns agrees with the cold answer to rounding.  On numerically
-    parallel columns both can stop short of the optimum and agree to about
-    1e-10 only (README gives the measurement).  A start can hold two such
-    columns, whose minimum-norm solution breaks Lawson-Hanson's invariant
-    and can cycle; a cold run never makes both of them passive.  No facet
-    (``k = 0``) means a cold call.
+    generators agrees with the cold answer to rounding.  On numerically
+    parallel generators both can stop short of the optimum and agree to
+    about 1e-10 only (README gives the measurement).  A start can hold two
+    such generators, whose minimum-norm solution breaks Lawson-Hanson's
+    invariant and can cycle; a cold run never makes both of them passive.
 
-    Lawson-Hanson runs on the unit columns of :func:`_unit_generators`, the
-    map the facets use: an exact power-of-two prescale first, so no norm
-    overflows, and only exact zero columns are dropped.  The cone, and so
-    the residual, is unchanged.  A row stops when its gradient on every
-    column is at most ``_KKT_TOL * (1 + |y|)``.  Raises NnlsMaxIterError
-    when a cold row's active-set loop exceeds ``3 * n_columns * p``
-    iterations (a sign of numerical pathology, not a routine outcome).
+    A row stops when its gradient on every generator is at most ``_KKT_TOL
+    * (1 + |y|)``.  Raises NnlsMaxIterError when a cold row's active-set
+    loop exceeds ``3 * n * p`` iterations for the record's n generators (a
+    sign of numerical pathology, not a routine outcome).
     """
-    p, n = columns.shape
-    max_iter = 3 * n * max(p, 1)
-
-    unit = _unit_generators(columns.T)
-    redo = np.arange(0)  # rows that the cold call answers
-    if facets is None or len(facets) == 0:
-        R = target - _lawson_hanson(unit.T, target, None, max_iter) @ unit
-    else:
-        picked, index = np.unique((facets @ target.T).argmin(axis=0), return_inverse=True)
-        sets = np.abs(facets[picked] @ unit.T) <= CLASSIFY_TOL
-        named = sets.any(axis=0)
-        try:
-            coef = _lawson_hanson(unit[named].T, target, (sets[:, named], index), max_iter)
-        except NnlsMaxIterError:
-            return nnls(columns, target)
-        R = target - coef @ unit[named]
-        # each row's top gradient on the other columns; the (rest, B) product is freed at once
-        top = (unit[~named] @ R.T).max(axis=0, initial=-np.inf)
-        redo = np.flatnonzero(top > _KKT_TOL * (1.0 + np.linalg.norm(target, axis=1)))
-
+    unit, facets = cone.generators, cone.facet_normals
+    max_iter = 3 * unit.size
+    picked, index = np.unique((facets @ target.T).argmin(axis=0), return_inverse=True)
+    sets = np.abs(facets[picked] @ unit.T) <= CLASSIFY_TOL
+    named = sets.any(axis=0)
+    try:
+        coef = _lawson_hanson(unit[named].T, target, (sets[:, named], index), max_iter)
+    except NnlsMaxIterError:
+        return _cold(unit, target, max_iter)
+    R = target - coef @ unit[named]
+    # each row's top gradient on the other generators; the (rest, B) product is freed at once
+    top = (unit[~named] @ R.T).max(axis=0, initial=-np.inf)
+    redo = np.flatnonzero(top > _KKT_TOL * (1.0 + np.linalg.norm(target, axis=1)))
     resid = np.linalg.norm(R, axis=1)
     if redo.size:
-        resid[redo] = nnls(columns, target[redo])
+        resid[redo] = _cold(unit, target[redo], max_iter)
     return resid
+
+
+def _cold(unit: np.ndarray, target: np.ndarray, max_iter: int) -> np.ndarray:
+    """:func:`nnls` distances of the rows of ``target`` on the ``(n, p)``
+    unit generators ``unit``, by Lawson-Hanson from an empty passive set."""
+    return np.linalg.norm(target - _lawson_hanson(unit.T, target, None, max_iter) @ unit, axis=1)
 
 
 def _lawson_hanson(

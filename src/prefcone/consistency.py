@@ -112,9 +112,6 @@ def test_pointedness(inst: PreferenceInstance) -> float:
     return float(sol.objective_value)
 
 
-test_pointedness.__test__ = False  # not a pytest case despite the name
-
-
 def epsilon_search(inst: PreferenceInstance) -> float:
     """The first schedule value ``0.01 * 0.5**i`` whose shrunk cone is
     still pointed.

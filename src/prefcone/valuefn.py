@@ -39,12 +39,13 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class ValueFunctionHandle:
     """What :func:`make_psi`, :func:`make_vartheta` and :func:`make_linear`
-    return.  A handle built by hand is not checked: its generators and facet
-    normals go to the private cone engine as they are."""
+    return.  A signed-distance handle holds its cone's one record, the unit
+    generators and facet normals that :func:`~prefcone.cones.extreme_rays`
+    builds.  A handle built by hand is not checked: its record goes to the
+    private cone engine as it is."""
 
     kind: str  # "psi" | "vartheta" | "linear"
     reference: np.ndarray
-    generator_matrix: np.ndarray | None = None  # (p, t+p): judgement, then axis columns
     facet_cone: FacetCone | None = None
     weights: np.ndarray | None = None
 
@@ -79,12 +80,10 @@ def make_vartheta(inst: PreferenceInstance) -> ValueFunctionHandle:
 
 def _signed_distance(kind: str, inst: PreferenceInstance, epsilon: float) -> ValueFunctionHandle:
     """Handle on the cone of ``generators(inst, epsilon)`` and the orthant."""
-    gens = generators(inst, epsilon)
     return ValueFunctionHandle(
         kind=kind,
         reference=inst.reference.copy(),
-        generator_matrix=np.vstack([gens, np.eye(inst.p)]).T,
-        facet_cone=extreme_rays(gens),
+        facet_cone=extreme_rays(generators(inst, epsilon)),
     )
 
 
@@ -121,11 +120,10 @@ def evaluate_batch(handle: ValueFunctionHandle, points: np.ndarray) -> np.ndarra
     A signed-distance handle whose cone is the whole space raises
     WholeSpaceError, as :func:`make_psi` does for such an instance.  All
     exterior points go to one batched :func:`~prefcone.cones.nnls` call on
-    every generator, given the facet normals: ``nnls`` starts each point on
-    the generators tight on its most violated facet, checks each answer on
-    the rest and answers a point that fails cold.  So an exterior value is
-    certified on every generator and does not depend on the facet list
-    being complete.
+    the handle's cone record: ``nnls`` starts each point on the generators
+    tight on its most violated facet, checks each answer on the rest and
+    answers a point that fails cold.  So an exterior value is certified on
+    every generator and does not depend on the facet list being complete.
     Values agree with a cold solve to rounding, not bitwise, except on
     numerically parallel generators (see :func:`~prefcone.cones.nnls`).  A
     row whose squared distance to the reference overflows float64, or whose
@@ -150,5 +148,5 @@ def evaluate_batch(handle: ValueFunctionHandle, points: np.ndarray) -> np.ndarra
     interior = margins > thresholds
     values[interior] = margins[interior]
     exterior = margins < -thresholds
-    values[exterior] = -nnls(handle.generator_matrix, Y[exterior], facets=A)
+    values[exterior] = -nnls(handle.facet_cone, Y[exterior])
     return values

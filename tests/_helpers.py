@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from prefcone import PreferenceInstance, ValueFunctionHandle, make_psi
-from prefcone.cones import CLASSIFY_TOL, FacetCone, _unit_generators
+from prefcone.cones import CLASSIFY_TOL, FacetCone
 
 
 def random_instance(
@@ -122,22 +122,19 @@ def missing_facet_handle(pointed_instance: PreferenceInstance) -> ValueFunctionH
     A = psi.facet_cone.facet_normals
     np.testing.assert_allclose(A, [[0.0, 1.0], [1 / np.sqrt(5.0), 2 / np.sqrt(5.0)]], atol=1e-15)
     handle = ValueFunctionHandle(
-        kind="psi", reference=psi.reference, generator_matrix=psi.generator_matrix,
-        facet_cone=FacetCone(A[:1]),
+        kind="psi", reference=psi.reference,
+        facet_cone=FacetCone(psi.facet_cone.generators, A[:1]),
     )
     np.testing.assert_array_equal(facet_tight_columns(handle).any(axis=0), [0, 0, 0, 1, 0])
     return handle
 
 
 def facet_tight_columns(handle: ValueFunctionHandle) -> np.ndarray:
-    """(k, n) bool table: the generator columns tight on each facet of the
-    handle's cone, by the test ``nnls`` starts a row with, ``|a.g| <=
-    CLASSIFY_TOL`` on the unit generators."""
-    G = handle.generator_matrix
-    unit = _unit_generators(G.T)  # the nonzero columns, in order
-    tight = np.zeros((handle.facet_cone.n_facets, G.shape[1]), dtype=bool)
-    tight[:, G.any(axis=0)] = np.abs(handle.facet_cone.facet_normals @ unit.T) <= CLASSIFY_TOL
-    return tight
+    """(k, n) bool table: the generators of the handle's cone record tight
+    on each of its facets, by the test ``nnls`` starts a row with, ``|a.g|
+    <= CLASSIFY_TOL`` on the unit generators."""
+    cone = handle.facet_cone
+    return np.abs(cone.facet_normals @ cone.generators.T) <= CLASSIFY_TOL
 
 
 def _distinct_points(rng, m_wanted, p, lo, hi) -> np.ndarray:

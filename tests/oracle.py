@@ -32,7 +32,14 @@ from prefcone import (
     generators,
 )
 from prefcone.lp import StandardLP, build_pointedness_lp, solve
-from prefcone.cones import _ACTIVITY_TOL, CLASSIFY_TOL, FacetCone, extreme_rays, nnls
+from prefcone.cones import (
+    _ACTIVITY_TOL,
+    CLASSIFY_TOL,
+    FacetCone,
+    _cold,
+    _unit_generators,
+    extreme_rays,
+)
 from prefcone.consistency import Z_STAR_TOL
 
 __all__ = [
@@ -45,6 +52,7 @@ __all__ = [
     "search_outcome",
     "brute_dist_to_cone",
     "classify",
+    "cold_nnls",
     "cone_columns",
     "dist_to_cone",
     "dist_to_complement",
@@ -99,20 +107,31 @@ def classify(y: np.ndarray, facets: FacetCone) -> MembershipClass:
 
 def cone_columns(gens: np.ndarray) -> np.ndarray:
     """(p, t+p) generators of the cone of the ``(t, p)`` judgement generators
-    and the orthant: the judgement columns, then the unit axes, as
-    ``ValueFunctionHandle.generator_matrix`` holds them."""
+    and the orthant: the judgement columns, then the unit axes, in the order
+    of a ``FacetCone``'s generator rows."""
     G = np.atleast_2d(np.asarray(gens, dtype=float))
     return np.vstack([G, np.eye(G.shape[1])]).T
+
+
+def cold_nnls(G: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Distances of the rows of the ``(B, p)`` stack Y to the cone of the
+    ``(p, n)`` columns G, with no facet start: the engine's cold solve,
+    ``cones._cold``, on the unit columns of ``cones._unit_generators``, under
+    the cap ``3 * n * p`` that ``nnls`` sets for n nonzero generators.  On
+    ``cone_columns(gens)`` it is bit for bit the cold answer on the record
+    of ``extreme_rays(gens)``."""
+    unit = _unit_generators(G.T)
+    return _cold(unit, Y, 3 * unit.size)
 
 
 def dist_to_cone(y: np.ndarray, gens: np.ndarray) -> float:
     """Euclidean distance from y to the cone of ``gens`` and the orthant.
 
-    The residual of the package's :func:`~prefcone.cones.nnls` on the
+    The residual of the engine's cold solve (:func:`cold_nnls`) on the
     judgement and axis generators, one point at a time, as a 1-row stack.
     Zero (within 1e-8) exactly when y is inside the closed cone.
     """
-    return float(nnls(cone_columns(gens), np.asarray(y, dtype=float)[None])[0])
+    return float(cold_nnls(cone_columns(gens), np.asarray(y, dtype=float)[None])[0])
 
 
 def dist_to_complement(y: np.ndarray, facets: FacetCone) -> float:
@@ -565,9 +584,9 @@ def _signed_distance_checks(handle, rng, X, vals, A, B, fa, fb):
 
     # shifts along the cone keep the value from dropping
     half = A.shape[0]
-    G = handle.generator_matrix
-    lam = rng.uniform(0.0, 1.0, size=(half, G.shape[1]))
-    Z = lam @ G.T
+    G = handle.facet_cone.generators
+    lam = rng.uniform(0.0, 1.0, size=(half, G.shape[0]))
+    Z = lam @ G
     fshift = evaluate_batch(handle, A + Z)
     for i in np.flatnonzero(fa > fshift + 1e-9):
         out.append(

@@ -150,7 +150,7 @@ def test_tiny_eps_star_gets_a_schedule_value(capsys, tmp_path):
 
 
 def test_nnls_iteration_cap_exits_3(capsys, monkeypatch, data_dir):
-    def stalled(columns, target, *, facets=None):
+    def stalled(cone, target):
         raise NnlsMaxIterError("active-set iterations exceeded 0")
 
     monkeypatch.setattr(prefcone.valuefn, "nnls", stalled)
@@ -832,7 +832,7 @@ def test_eval_label_matches_oracle_on_random_handles():
         except NotPointedError:
             pass
         for handle in handles:
-            G = handle.generator_matrix.T
+            G = handle.facet_cone.generators
             pairs = G[:, None, :] + G[None, :, :]
             Y = np.vstack([
                 np.zeros((1, inst.p)),

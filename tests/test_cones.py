@@ -36,6 +36,7 @@ from _helpers import (
 from oracle import (
     MembershipClass,
     classify,
+    cold_nnls,
     cone_columns,
     dd_exact,
     dd_pointed_loop,
@@ -103,9 +104,13 @@ def test_extreme_rays_feeds_dd_the_unit_dual_rows(monkeypatch):
         return _dd_pointed(A)
 
     monkeypatch.setattr(prefcone.cones, "_dd_pointed", spy)
-    extreme_rays(np.array([[3.0, -4.0], [0.0, 0.0], [-1.0, 2.0]]))
+    cone = extreme_rays(np.array([[3.0, -4.0], [0.0, 0.0], [-1.0, 2.0]]))
     np.testing.assert_array_equal(
         seen[0], [[1.0, 0.0], [0.0, 1.0], [0.6, -0.8], [-1 / SQRT5, 2 / SQRT5]]
+    )
+    # the record keeps the same unit generators, then the axes
+    np.testing.assert_array_equal(
+        cone.generators, [[0.6, -0.8], [-1 / SQRT5, 2 / SQRT5], [1.0, 0.0], [0.0, 1.0]]
     )
 
 
@@ -160,7 +165,8 @@ def test_classify_fixture_points(pointed_facets):
 
 
 def test_classify_whole_space_rejected():
-    facets = FacetCone(np.zeros((0, 2)))
+    facets = extreme_rays(np.array([[-1.0, -1.0]]))  # with the axes, the whole plane
+    assert facets.is_whole_space
     with pytest.raises(WholeSpaceError):
         classify(np.array([1.0, 1.0]), facets)
     with pytest.raises(WholeSpaceError):
@@ -195,11 +201,11 @@ def test_is_pointed_geometric_examples(
 
 
 def _cold_coef(G, Y):
-    """The coefficients a cold ``nnls(G, Y)`` keeps inside: ``(Gn, coef)``,
+    """The coefficients ``cold_nnls(G, Y)`` keeps inside: ``(Gn, coef)``,
     ``_lawson_hanson``'s ``(B, m)`` answer on the unit columns ``Gn`` of
     ``_unit_generators``, for a ``(p,)`` target or a ``(B, p)`` stack."""
     Gn = _unit_generators(G.T).T
-    return Gn, _lawson_hanson(Gn, np.reshape(Y, (-1, G.shape[0])), None, 3 * G.size)
+    return Gn, _lawson_hanson(Gn, np.reshape(Y, (-1, G.shape[0])), None, 3 * Gn.size)
 
 
 def test_nnls_matches_scipy():
@@ -211,7 +217,7 @@ def test_nnls_matches_scipy():
         n = int(rng.integers(1, 7))
         G = rng.integers(-3, 4, size=(p, n)).astype(float)
         y = rng.integers(-5, 6, size=p).astype(float)
-        resid = nnls(G, y[None])[0]
+        resid = cold_nnls(G, y[None])[0]
         assert isinstance(resid, float)
         assert resid == pytest.approx(scipy_nnls(G, y)[1], abs=1e-8)
         Gn, (coef,) = _cold_coef(G, y)
@@ -221,7 +227,7 @@ def test_nnls_matches_scipy():
 
 def test_nnls_antipodal_single_column():
     G, y = np.array([[1.0], [0.0]]), np.array([-1.0, 0.0])
-    assert nnls(G, y[None])[0] == pytest.approx(1.0, abs=1e-12)
+    assert cold_nnls(G, y[None])[0] == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_array_equal(_cold_coef(G, y)[1], [[0.0]])
 
 
@@ -238,7 +244,7 @@ def test_nnls_kkt_certificate_on_degenerate_systems():
         if k % 7 == 0:
             G[:, rng.integers(0, n)] = 0.0  # dead column
         y = rng.integers(-4, 5, size=p).astype(float)
-        resid = nnls(G, y[None])[0]
+        resid = cold_nnls(G, y[None])[0]
         Gn, (coef,) = _cold_coef(G, y)
         assert (coef >= 0).all()
         assert np.linalg.norm(Gn @ coef - y) == pytest.approx(resid, abs=1e-10)
@@ -321,12 +327,12 @@ def test_nnls_stack_rows_match_single_solves():
     rng = np.random.default_rng(77)
     for k in range(200):
         G, Y = _degenerate_stack(rng, k)
-        resid = nnls(G, Y)
+        resid = cold_nnls(G, Y)
         assert resid.shape == (Y.shape[0],)
         Gn, coef = _cold_coef(G, Y)
         for i, y in enumerate(Y):
             tol = 1e-12 * (1.0 + np.linalg.norm(y))
-            assert abs(resid[i] - nnls(G, y[None])[0]) <= tol
+            assert abs(resid[i] - cold_nnls(G, y[None])[0]) <= tol
             # the projection Gn @ coef is unique even where coef is not
             assert np.linalg.norm(Gn @ coef[i] - Gn @ _cold_coef(G, y)[1][0]) <= tol
 
@@ -335,7 +341,7 @@ def test_nnls_stack_kkt_certificate_on_degenerate_systems():
     rng = np.random.default_rng(654)
     for k in range(200):
         G, Y = _degenerate_stack(rng, k)
-        resid = nnls(G, Y)
+        resid = cold_nnls(G, Y)
         Gn, coef = _cold_coef(G, Y)
         assert (coef >= 0).all()
         np.testing.assert_allclose(
@@ -361,7 +367,7 @@ def test_nnls_stack_on_nearly_parallel_columns_matches_scipy():
         G[:, 1] = G[:, 0] + delta * rng.normal(size=p)
         G[:, 2] = 0.5 * G[:, 0] + G[:, 1] + delta * rng.normal(size=p)
         Y = rng.normal(size=(10, p))
-        resid = nnls(G, Y)
+        resid = cold_nnls(G, Y)
         for y, r in zip(Y, resid):
             assert r == pytest.approx(scipy_nnls(G, y)[1], abs=1e-8 * (1 + np.linalg.norm(y)))
 
@@ -420,14 +426,16 @@ def test_nnls_start_on_parallel_columns_gives_the_cold_answer():
     # the last bit: their minimum-norm solution makes a started run cycle
     gens = _twin_judgement_cone(198)
     G = cone_columns(gens)
-    a = extreme_rays(gens).facet_normals[4]
+    cone = extreme_rays(gens)
+    a = cone.facet_normals[4]
     g = G[:, 4]
     x = g - 1e-6 * np.linalg.norm(g) * a
     start = np.abs(a @ G) <= 1e-9 * np.linalg.norm(G, axis=0)
     np.testing.assert_array_equal(np.flatnonzero(start), [1, 2, 4, 5, 6])
-    cold = nnls(G, x[None])[0]
+    cold = cold_nnls(G, x[None])[0]
     assert cold == pytest.approx(9.2196e-06, rel=1e-4)
-    assert nnls(G, x[None], facets=a[None])[0] == pytest.approx(cold, rel=0, abs=1e-15)
+    started = nnls(FacetCone(cone.generators, a[None]), x[None])[0]
+    assert started == pytest.approx(cold, rel=0, abs=1e-15)
 
 
 def _started(G, Y, sets, index):
@@ -450,7 +458,7 @@ def test_nnls_start_gives_the_cold_answer():
     clipped = 0
     for G, Y in _start_systems(rng):
         B, n = Y.shape[0], G.shape[1]
-        cold = nnls(G, Y)
+        cold = cold_nnls(G, Y)
         infeasible = Y @ G < 0.0  # columns pointing away from the target
         empty, full = np.zeros((B, n), bool), np.ones((B, n), bool)
         starts = [rng.random((B, n)) < 0.5, empty, full, infeasible]
@@ -494,9 +502,9 @@ def test_nnls_stack_makes_as_many_passive_solves_as_its_longest_row(monkeypatch)
         _lawson_hanson(Gn, Y, start, 3 * Gn.size)
         return calls[0]
 
-    def recorded(G, Y, facets=None):
-        stacks.append((G, Y, facets))
-        return nnls(G, Y, facets=facets)
+    def recorded(cone, Y):
+        stacks.append((cone, Y))
+        return nnls(cone, Y)
 
     monkeypatch.setattr(prefcone.valuefn, "nnls", recorded)
     monkeypatch.setattr(prefcone.cones, "_set_solve", counted)
@@ -507,11 +515,11 @@ def test_nnls_stack_makes_as_many_passive_solves_as_its_longest_row(monkeypatch)
             inst = synthetic_dm_instance(rng, p_max=4, t_max=20)
         psi = make_psi(inst)
         evaluate_batch(psi, inst.reference + rng.normal(scale=3.0, size=(300, 4)))
-        G, Y, A = stacks.pop()
+        cone, Y = stacks.pop()
         assert Y.shape[0] >= 200
-        unit = _unit_generators(G.T)
-        assert unit.shape[0] == G.shape[1]
-        sets, index = _facet_starts(unit, Y, A)
+        unit = cone.generators
+        assert unit.shape[0] == inst.t + inst.p
+        sets, index = _facet_starts(unit, Y, cone.facet_normals)
         named = sets.any(axis=0)
         Gn, sets = unit[named].T, sets[:, named]
         longest = max(solves(Gn, y[None], (sets, i[None])) for y, i in zip(Y, index))
@@ -525,8 +533,8 @@ def test_started_nnls_solves_again_only_the_rows_its_named_columns_project_wrong
     # does not reach the generator (-1, 0.5) of the missing facet; nnls runs
     # Lawson-Hanson on it first, then hands exactly the rows whose answer
     # fails the KKT test on another column to the cold call on every column
-    handle = missing_facet_handle(pointed_instance)
-    G, a = handle.generator_matrix, handle.facet_cone.facet_normals[0]
+    cone = missing_facet_handle(pointed_instance).facet_cone
+    G = cone_columns(generators(pointed_instance, 0.0))
     Y = np.random.default_rng(31).normal(scale=3.0, size=(200, 2))
     Y = Y[Y[:, 1] < -1e-3]  # outside the listed facet
     runs = []
@@ -537,19 +545,19 @@ def test_started_nnls_solves_again_only_the_rows_its_named_columns_project_wrong
         return coef
 
     monkeypatch.setattr(prefcone.cones, "_lawson_hanson", recorded)
-    resid = nnls(G, Y, facets=a[None])
+    resid = nnls(cone, Y)
     (first, rows, _, _), (every, again, start, coef) = runs
     np.testing.assert_array_equal(first, G[:, 3:4] / np.linalg.norm(G[:, 3]))
     np.testing.assert_array_equal(rows, Y)
     assert every.shape == G.shape and start is None
     norms = np.linalg.norm(Y, axis=1)
-    full = nnls(G, Y)
+    full = cold_nnls(G, Y)
     assert (np.abs(resid - full) <= 1e-12 * (1.0 + norms)).all()
-    short = nnls(G[:, 3:4], Y) > full + 1e-9 * (1.0 + norms)
+    short = cold_nnls(G[:, 3:4], Y) > full + 1e-9 * (1.0 + norms)
     assert 0 < short.sum() < Y.shape[0]
     np.testing.assert_array_equal(again, Y[short])
     np.testing.assert_array_equal(coef, _cold_coef(G, Y[short])[1])
-    np.testing.assert_array_equal(resid[short], nnls(G, Y[short]))
+    np.testing.assert_array_equal(resid[short], cold_nnls(G, Y[short]))
 
 
 def test_started_nnls_whose_narrow_run_stalls_returns_the_cold_answer(
@@ -557,8 +565,8 @@ def test_started_nnls_whose_narrow_run_stalls_returns_the_cold_answer(
 ):
     # a stall in a started call, here on the named columns, sends every row
     # to one cold Lawson-Hanson run on every column
-    handle = missing_facet_handle(pointed_instance)
-    G, a = handle.generator_matrix, handle.facet_cone.facet_normals[0]
+    cone = missing_facet_handle(pointed_instance).facet_cone
+    G = cone_columns(generators(pointed_instance, 0.0))
     Y = np.random.default_rng(32).normal(scale=3.0, size=(200, 2))
     runs = []
 
@@ -569,11 +577,11 @@ def test_started_nnls_whose_narrow_run_stalls_returns_the_cold_answer(
         return _lawson_hanson(Gn, Y, start, max_iter)
 
     monkeypatch.setattr(prefcone.cones, "_lawson_hanson", stalled)
-    resid = nnls(G, Y, facets=a[None])
+    resid = nnls(cone, Y)
     (narrow, _, _), (every, rows, start) = runs
     assert narrow.shape[1] == 1 and every.shape == G.shape and start is None
     np.testing.assert_array_equal(rows, Y)
-    np.testing.assert_array_equal(resid, nnls(G, Y))
+    np.testing.assert_array_equal(resid, cold_nnls(G, Y))
 
 
 def test_lawson_hanson_cap_counts_steps_per_row():
@@ -586,24 +594,25 @@ def test_lawson_hanson_cap_counts_steps_per_row():
 
 
 def _facet_starts(unit, Y, A):
-    """The start ``nnls(facets=A)`` gives the rows of Y on the unit columns
-    ``unit``: the columns tight on each picked facet, and each row's pick."""
+    """The start ``nnls`` gives the rows of Y on a cone of unit generator
+    rows ``unit`` and facets A: the generators tight on each picked facet,
+    and each row's pick."""
     picked, index = np.unique((A @ Y.T).argmin(axis=0), return_inverse=True)
     return np.abs(A[picked] @ unit.T) <= CLASSIFY_TOL, index
 
 
 def test_nnls_start_table_gives_the_bits_of_one_set_per_row(monkeypatch):
-    # nnls starts each row on the columns tight on its most violated facet
-    # and factors each picked facet's set once for all its rows; the bits
-    # are those of the same sets repeated, one per row, and an extra normal
-    # that no row picks, here the zero normal on which every column is
-    # tight, changes none of them
+    # nnls starts each row on the generators tight on its most violated
+    # facet and factors each picked facet's set once for all its rows; the
+    # bits are those of the same sets repeated, one per row, and an extra
+    # normal that no row picks, here the zero normal on which every
+    # generator is tight, changes none of them
     stacks, starts = [], []
     lawson_hanson = prefcone.cones._lawson_hanson
 
-    def recorded(G, Y, facets=None):
-        stacks.append((G, Y, facets))
-        return nnls(G, Y, facets=facets)
+    def recorded(cone, Y):
+        stacks.append((cone, Y))
+        return nnls(cone, Y)
 
     def started(Gn, Y, start, max_iter):
         coef = lawson_hanson(Gn, Y, start, max_iter)
@@ -618,35 +627,30 @@ def test_nnls_start_table_gives_the_bits_of_one_set_per_row(monkeypatch):
         while (inst.p, inst.t) != (4, 20):
             inst = synthetic_dm_instance(rng, p_max=4, t_max=20)
         evaluate_batch(make_psi(inst), inst.reference + rng.normal(scale=3.0, size=(300, 4)))
-        G, Y, A = stacks.pop()
-        unit = _unit_generators(G.T)
+        cone, Y = stacks.pop()
+        unit, A = cone.generators, cone.facet_normals
         sets, index = _facet_starts(unit, Y, A)
         assert np.unique(index).size < index.size  # rows share their sets
         named = sets.any(axis=0)
-        Gn, sets, max_iter = unit[named].T, sets[:, named], 3 * G.size
+        Gn, sets, max_iter = unit[named].T, sets[:, named], 3 * unit.size
         table = _lawson_hanson(Gn, Y, (sets, index), max_iter)
         per_row = _lawson_hanson(Gn, Y, (sets[index], np.arange(Y.shape[0])), max_iter)
         np.testing.assert_array_equal(table.view(np.uint64), per_row.view(np.uint64))
         starts.clear()
-        resid = nnls(G, Y, facets=A)
+        resid = nnls(cone, Y)
         (start, coef), *_ = starts
         np.testing.assert_array_equal(start[0], sets)
         np.testing.assert_array_equal(start[1], index)
         starts.clear()
-        extra_resid = nnls(G, Y, facets=np.vstack([A, np.zeros(G.shape[0])]))
+        extra_resid = nnls(FacetCone(unit, np.vstack([A, np.zeros(inst.p)])), Y)
         (_, extra), *_ = starts
         np.testing.assert_array_equal(extra.view(np.uint64), coef.view(np.uint64))
         np.testing.assert_array_equal(extra_resid.view(np.uint64), resid.view(np.uint64))
-    # facets over no columns, as a p=1 cone's: no generator is facet-tight
-    Y = rng.normal(size=(5, 1))
-    for facets in ([[1.0]], [[1.0], [0.5]]):
-        resid = nnls(np.zeros((1, 0)), Y, facets=np.array(facets))
-        np.testing.assert_array_equal(resid, np.abs(Y[:, 0]))
 
 
 def test_nnls_starts_on_the_columns_within_classify_tol_of_the_facet(monkeypatch):
-    # on the facet y2 >= 0 the unit columns (1, 0) and (1, 1e-10) are tight,
-    # (1, 1e-6) and (0, 1) are not; the narrow run gets the tight two
+    # on the facet y2 >= 0 the unit generators (1, 0) and (1, 1e-10) are
+    # tight, (1, 1e-6) and (0, 1) are not; the narrow run gets the tight two
     G = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 1e-10, 1e-6, 1.0]])
     y = np.array([1.0, -1.0])
     runs = []
@@ -657,18 +661,12 @@ def test_nnls_starts_on_the_columns_within_classify_tol_of_the_facet(monkeypatch
         return lawson_hanson(Gn, Y, start, max_iter)
 
     monkeypatch.setattr(prefcone.cones, "_lawson_hanson", recorded)
-    resid = nnls(G, y[None], facets=np.array([[0.0, 1.0]]))[0]
+    resid = nnls(FacetCone(_unit_generators(G.T), np.array([[0.0, 1.0]])), y[None])[0]
     (narrow, (sets, index)), *_ = runs
     np.testing.assert_array_equal(narrow, G[:, :2] / np.linalg.norm(G[:, :2], axis=0))
     np.testing.assert_array_equal(sets, [[True, True]])
     np.testing.assert_array_equal(index, [0])
-    assert resid == pytest.approx(nnls(G, y[None])[0], rel=0, abs=1e-12)
-
-
-def test_nnls_with_no_facet_is_the_cold_call():
-    rng = np.random.default_rng(3)
-    G, Y = rng.normal(size=(3, 6)), rng.normal(size=(4, 3))
-    np.testing.assert_array_equal(nnls(G, Y, facets=np.zeros((0, 3))), nnls(G, Y))
+    assert resid == pytest.approx(cold_nnls(G, y[None])[0], rel=0, abs=1e-12)
 
 
 def test_nnls_coefficient_past_float64_is_inf_without_a_warning():
@@ -676,11 +674,13 @@ def test_nnls_coefficient_past_float64_is_inf_without_a_warning():
     # on the original column, 2**1074, is past float64's largest value; nnls
     # keeps its coefficients on the unit columns, and the residual is exact
     # (the suite turns RuntimeWarning into an error)
-    assert nnls(np.array([[5e-324, 0.0], [0.0, 1.0]]), np.array([[1.0, 2.0]]))[0] == 0.0
+    assert cold_nnls(np.array([[5e-324, 0.0], [0.0, 1.0]]), np.array([[1.0, 2.0]]))[0] == 0.0
 
 
 def test_nnls_empty_stack():
-    assert nnls(np.ones((3, 5)), np.zeros((0, 3))).shape == (0,)
+    # evaluate_batch calls nnls on its exterior rows, which can be none
+    assert nnls(extreme_rays(np.ones((5, 3))), np.zeros((0, 3))).shape == (0,)
+    assert cold_nnls(np.ones((3, 5)), np.zeros((0, 3))).shape == (0,)
 
 
 def _dm_cones(seed, count, p_max=6, t_max=40):
@@ -787,7 +787,7 @@ def test_dd_facets_certified_up_to_t40_p6():
         # cone violate some facet
         Y = rng.uniform(-4, 4, size=(300, cone.shape[1]))
         margins = (Y @ facets.facet_normals.T).min(axis=1)
-        resid = nnls(cone_columns(cone), Y)
+        resid = cold_nnls(cone_columns(cone), Y)
         tol = 1e-8 * (1.0 + np.linalg.norm(Y, axis=1))
         assert (resid[margins > tol] <= tol[margins > tol]).all()
         assert (margins[resid > tol] < 0).all()
@@ -805,7 +805,7 @@ def _certify_facets(rng, cone, facets):
         assert np.linalg.matrix_rank(tight, tol=1e-9) == cone.shape[1] - 1, a
     Y = rng.uniform(-4, 4, size=(300, cone.shape[1]))
     margins = (Y @ facets.facet_normals.T).min(axis=1)
-    resid = nnls(cone_columns(cone), Y)
+    resid = cold_nnls(cone_columns(cone), Y)
     tol = 1e-8 * (1.0 + np.linalg.norm(Y, axis=1))
     assert (resid[margins > tol] <= tol[margins > tol]).all()
     assert (margins[resid > tol] < 0).all()

@@ -2,13 +2,14 @@
 
 ``prefcone.cones`` checks none of its input.  ``extreme_rays`` takes a
 valid instance's finite ``(t, p)`` generators and builds every
-``FacetCone``, with unit rows; ``nnls`` takes finite ``(p, n)`` columns, a
-``(B, p)`` stack of points that ``evaluate_batch`` has checked, and those
-unit facet normals.  Here each engine function is wrapped where its callers
-look it up, and ``prefcone.cones.nnls`` too for its own calls on the rows
-it answers cold, by a check of that contract.  ``make_psi``,
-``make_vartheta``, ``evaluate_batch`` and ``plot2d`` then run on seeded
-instances and on the float fuzz's documents.
+``FacetCone``, its generators and facet normals both unit rows; ``nnls``
+takes such a record with at least one facet and a ``(B, p)`` stack of
+points that ``evaluate_batch`` has checked, and hands the rows it answers
+cold to ``cones._cold`` with the record's own generators.  Here
+``extreme_rays`` and ``nnls`` are wrapped where their callers look them
+up, and ``prefcone.cones._cold`` where ``nnls`` does, by a check of that
+contract.  ``make_psi``, ``make_vartheta``, ``evaluate_batch`` and
+``plot2d`` then run on seeded instances and on the float fuzz's documents.
 """
 
 import json
@@ -58,18 +59,31 @@ def _assert_unit_rows(A, p):
 
 @pytest.fixture
 def engine_calls(monkeypatch):
-    """Counts of the checked engine calls: started and cold ``nnls``, ``extreme_rays``."""
+    """Counts of the checked engine calls: ``nnls``, its cold solves, ``extreme_rays``."""
     calls = Counter()
-    nnls, extreme_rays = prefcone.cones.nnls, prefcone.cones.extreme_rays
+    nnls, cold = prefcone.cones.nnls, prefcone.cones._cold
+    extreme_rays = prefcone.cones.extreme_rays
+    started = []  # the record of the nnls call under way
 
-    def checked_nnls(columns, target, *, facets=None):
-        p = columns.shape[0]
-        _assert_finite_float64(columns, (p, None))
+    def checked_nnls(cone, target):
+        p = cone.generators.shape[1]
+        _assert_unit_rows(cone.generators, p)
+        _assert_unit_rows(cone.facet_normals, p)
+        assert cone.n_facets > 0
         _assert_finite_float64(target, (None, p))
-        if facets is not None:
-            _assert_unit_rows(facets, p)
-        calls["nnls cold" if facets is None else "nnls"] += 1
-        resid = nnls(columns, target, facets=facets)
+        calls["nnls"] += 1
+        started.append(cone)
+        try:
+            resid = nnls(cone, target)
+        finally:
+            started.pop()
+        _assert_finite_float64(resid, (target.shape[0],))
+        return resid
+
+    def checked_cold(unit, target, max_iter):
+        assert unit is started[-1].generators and max_iter == 3 * unit.size
+        calls["nnls cold"] += 1
+        resid = cold(unit, target, max_iter)
         _assert_finite_float64(resid, (target.shape[0],))
         return resid
 
@@ -77,11 +91,12 @@ def engine_calls(monkeypatch):
         _assert_finite_float64(gens, (None, None))
         calls["extreme_rays"] += 1
         cone = extreme_rays(gens)
+        _assert_unit_rows(cone.generators, gens.shape[1])
         _assert_unit_rows(cone.facet_normals, gens.shape[1])
         return cone
 
-    for module in (prefcone.valuefn, prefcone.cones):
-        monkeypatch.setattr(module, "nnls", checked_nnls)
+    monkeypatch.setattr(prefcone.valuefn, "nnls", checked_nnls)
+    monkeypatch.setattr(prefcone.cones, "_cold", checked_cold)
     for module in (prefcone.valuefn, prefcone.plotting):
         monkeypatch.setattr(module, "extreme_rays", checked_extreme_rays)
     return calls

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -47,6 +48,14 @@ def test_public_names_are_exactly_the_exported_ones():
         assert not hasattr(prefcone, name), name
         assert name in prefcone.cones.__all__
         getattr(prefcone.cones, name)
+
+
+def test_handle_and_cone_record_fields():
+    # a signed-distance handle holds one cone record, which nnls reads
+    fields = [f.name for f in dataclasses.fields(prefcone.ValueFunctionHandle)]
+    assert fields == ["kind", "reference", "facet_cone", "weights"]
+    fields = [f.name for f in dataclasses.fields(prefcone.cones.FacetCone)]
+    assert fields == ["generators", "facet_normals"]
 
 
 def test_every_benchmark_span_target_resolves():

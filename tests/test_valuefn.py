@@ -21,7 +21,7 @@ from prefcone import (
     make_vartheta,
 )
 from prefcone.cli import run
-from prefcone.cones import CLASSIFY_TOL, FacetCone, extreme_rays, nnls
+from prefcone.cones import CLASSIFY_TOL, FacetCone, _unit_generators, extreme_rays, nnls
 from _helpers import (
     facet_tight_columns,
     missing_facet_handle,
@@ -29,7 +29,7 @@ from _helpers import (
     synthetic_dm_instance,
     twin_judgement_instance,
 )
-from oracle import check_properties, cone_columns
+from oracle import check_properties, cold_nnls, cone_columns, dd_exact
 
 SQRT5 = np.sqrt(5.0)
 
@@ -52,7 +52,8 @@ def _points(inst):
 def test_make_psi_fixture(psi, pointed_instance):
     assert psi.kind == "psi"
     np.testing.assert_array_equal(
-        psi.generator_matrix, cone_columns(generators(pointed_instance, 0.0))
+        psi.facet_cone.generators,
+        _unit_generators(cone_columns(generators(pointed_instance, 0.0)).T),
     )
     assert not psi.facet_cone.is_whole_space
 
@@ -60,6 +61,20 @@ def test_make_psi_fixture(psi, pointed_instance):
 def test_make_psi_whole_space_rejected(whole_plane_instance):
     with pytest.raises(WholeSpaceError):
         make_psi(whole_plane_instance)
+
+
+@pytest.mark.xfail(
+    raises=pytest.fail.Exception,
+    strict=True,
+    reason="double description's absolute activity tolerance keeps the facet (1, 0)",
+)
+def test_make_psi_rejects_a_whole_plane_with_a_judgement_near_the_negative_axis():
+    # g = (-1, -1e10): g + 1e10 e2 = (-1, 0) and g + e1 lie in the cone, so
+    # it is the whole plane, and the exact dual cone has no ray
+    inst = PreferenceInstance([[0.0, 0.0], [-1.0, -1e10]], 0, [1])
+    assert dd_exact(np.vstack([np.eye(2), generators(inst, 0.0)])) == []
+    with pytest.raises(WholeSpaceError):
+        make_psi(inst)
 
 
 def test_make_psi_single_judgement_above_reference():
@@ -97,7 +112,9 @@ def test_make_vartheta_accepts_epsilon_just_below_eps_star(capsys, tmp_path):
     eps = consistency_verdict(inst).epsilon_bar
     assert eps == 0.01
     handle = make_vartheta(inst)
-    np.testing.assert_array_equal(handle.generator_matrix[:, 0], generators(inst, eps)[0])
+    np.testing.assert_array_equal(
+        handle.facet_cone.generators[0], _unit_generators(generators(inst, eps))[0]
+    )
     assert check_properties(handle, 1000, seed=3, judgement_points=_points(inst)) == []
 
     path = tmp_path / "band.json"
@@ -127,7 +144,8 @@ def test_make_vartheta_fixture(vartheta, pointed_instance):
     eps = epsilon_search(pointed_instance)
     assert eps > 0
     np.testing.assert_array_equal(
-        vartheta.generator_matrix, cone_columns(generators(pointed_instance, eps))
+        vartheta.facet_cone.generators,
+        _unit_generators(cone_columns(generators(pointed_instance, eps)).T),
     )
 
 
@@ -190,8 +208,7 @@ def test_whole_space_handle_rejected_by_both_evaluators(psi):
     whole = ValueFunctionHandle(
         kind="psi",
         reference=psi.reference,
-        generator_matrix=psi.generator_matrix,
-        facet_cone=FacetCone(np.zeros((0, 2))),
+        facet_cone=FacetCone(psi.facet_cone.generators, np.zeros((0, 2))),
     )
     with pytest.raises(WholeSpaceError):
         evaluate(whole, np.array([1.0, 1.0]))
@@ -277,8 +294,7 @@ def test_check_properties_flags_corrupted_handle(psi, pointed_instance):
     broken = ValueFunctionHandle(
         kind="psi",
         reference=psi.reference,
-        generator_matrix=psi.generator_matrix,
-        facet_cone=FacetCone(normals),
+        facet_cone=FacetCone(psi.facet_cone.generators, normals),
     )
     assert check_properties(broken, 1000, seed=42, judgement_points=_points(pointed_instance))
 
@@ -327,8 +343,7 @@ def _pruning_handles():
     gens = generators(inst, 0.0)
     gens = np.vstack([gens, gens[2:]])
     yield ValueFunctionHandle(
-        kind="psi", reference=inst.reference.copy(), generator_matrix=cone_columns(gens),
-        facet_cone=extreme_rays(gens),
+        kind="psi", reference=inst.reference.copy(), facet_cone=extreme_rays(gens)
     )
 
 
@@ -337,7 +352,7 @@ def _exterior_values_match_full_projection(handle, rng, tol):
     values = evaluate_batch(handle, X)
     exterior = values < 0
     Y = X[exterior] - handle.reference
-    full = nnls(handle.generator_matrix, Y)
+    full = cold_nnls(handle.facet_cone.generators.T, Y)
     assert (np.abs(-values[exterior] - full) <= tol * (1.0 + np.linalg.norm(Y, axis=1))).all()
 
 
@@ -347,24 +362,69 @@ def test_extreme_generators_span_the_cone():
     rng = np.random.default_rng(909)
     dropped = 0
     for handle in _pruning_handles():
-        G = handle.generator_matrix
+        G = handle.facet_cone.generators.T
         if handle.p >= 2 and np.linalg.matrix_rank(handle.facet_cone.facet_normals) == handle.p:
             on_facet = facet_tight_columns(handle).any(axis=0)
             extreme, rest = G[:, on_facet], G[:, ~on_facet]
             for g in rest.T:
-                assert nnls(extreme, g[None])[0] <= 1e-9 * np.linalg.norm(g)
+                assert cold_nnls(extreme, g[None])[0] <= 1e-9 * np.linalg.norm(g)
             dropped += rest.shape[1]
         _exterior_values_match_full_projection(handle, rng, 1e-12)
     assert dropped > 0
 
 
+def test_generators_are_scaled_once_per_cone_and_nnls_gets_the_handles_record(
+    monkeypatch, pointed_instance
+):
+    # extreme_rays scales the judgement generators once and keeps them in
+    # the handle's cone record; evaluate_batch hands nnls that record, and
+    # the cold solves of the rows a missing facet leaves scale nothing again
+    scaled, cold_rows = [], []
+    unit_generators, cold = prefcone.cones._unit_generators, prefcone.cones._cold
+
+    def counted(V):
+        scaled.append(V.shape)
+        return unit_generators(V)
+
+    def counted_cold(unit, Y, max_iter):
+        cold_rows.append(Y.shape[0])
+        return cold(unit, Y, max_iter)
+
+    monkeypatch.setattr(prefcone.cones, "_unit_generators", counted)
+    monkeypatch.setattr(prefcone.cones, "_cold", counted_cold)
+    calls = _recorded_nnls(monkeypatch)
+    rng = np.random.default_rng(41)
+    inst = synthetic_dm_instance(rng, p_max=4, t_max=20)
+    while (inst.p, inst.t) != (4, 20):
+        inst = synthetic_dm_instance(rng, p_max=4, t_max=20)
+    makers = [
+        lambda: make_psi(inst),
+        lambda: make_psi(pointed_instance),
+        lambda: make_vartheta(pointed_instance),
+        lambda: missing_facet_handle(pointed_instance),
+    ]
+    for make in makers:
+        scaled.clear()
+        handle = make()
+        assert scaled == [(handle.facet_cone.generators.shape[0] - handle.p, handle.p)]
+        X = handle.reference + rng.normal(scale=3.0, size=(300, handle.p))
+        scaled.clear()
+        calls.clear()
+        values = evaluate_batch(handle, X)
+        assert scaled == []
+        [(cone, Y)] = calls
+        assert cone is handle.facet_cone
+        assert Y.shape[0] == (values < 0).sum() > 0
+    assert sum(cold_rows) > 0  # the missing facet's rows, redone cold
+
+
 def _recorded_nnls(monkeypatch):
-    """Record each ``valuefn.nnls`` call's columns, targets and facets."""
+    """Record each ``valuefn.nnls`` call's cone record and targets."""
     calls = []
 
-    def recorded(G, Y, facets=None):
-        calls.append((G, Y, facets))
-        return nnls(G, Y, facets=facets)
+    def recorded(cone, Y):
+        calls.append((cone, Y))
+        return nnls(cone, Y)
 
     monkeypatch.setattr(prefcone.valuefn, "nnls", recorded)
     return calls
@@ -377,15 +437,15 @@ def test_missing_facet_rows_fail_the_kkt_check_and_are_solved_again(monkeypatch,
     from scipy.optimize import nnls as scipy_nnls
 
     handle = missing_facet_handle(pointed_instance)
-    G = handle.generator_matrix
+    G = cone_columns(generators(pointed_instance, 0.0))
     X = handle.reference + np.random.default_rng(31).normal(scale=3.0, size=(200, 2))
     calls = _recorded_nnls(monkeypatch)
     values = evaluate_batch(handle, X)
-    [(every, Y, _)] = calls
-    np.testing.assert_array_equal(every, G)
+    [(cone, Y)] = calls
+    assert cone is handle.facet_cone
     assert Y.shape[0] > 50
     norms = np.linalg.norm(Y, axis=1)
-    full = nnls(G, Y)
+    full = cold_nnls(G, Y)
     scipy = np.array([scipy_nnls(G, y)[1] for y in Y])
     assert (np.abs(-values[values < 0] - full) <= 1e-12 * (1.0 + norms)).all()
     assert (np.abs(full - scipy) <= 1e-12 * (1.0 + norms)).all()
@@ -393,8 +453,8 @@ def test_missing_facet_rows_fail_the_kkt_check_and_are_solved_again(monkeypatch,
 
 def test_score_batch_cones_make_one_nnls_call_on_the_facet_tight_generators(monkeypatch):
     # at p=4, t=20 about a third of the generators lie on a facet; the one
-    # nnls call gets every generator and the facet normals, and works on
-    # the facet-tight ones first
+    # nnls call gets the handle's cone record, every generator and the facet
+    # normals, and works on the facet-tight generators first
     rng = np.random.default_rng(21)
     calls = _recorded_nnls(monkeypatch)
     for _ in range(6):
@@ -407,10 +467,10 @@ def test_score_batch_cones_make_one_nnls_call_on_the_facet_tight_generators(monk
         X = inst.reference + rng.normal(scale=3.0, size=(300, 4))
         calls.clear()
         values = evaluate_batch(psi, X)
-        [(G, Y, facets)] = calls
-        assert G is psi.generator_matrix and facets is psi.facet_cone.facet_normals
+        [(cone, Y)] = calls
+        assert cone is psi.facet_cone
         assert Y.shape[0] >= 200
-        cold = nnls(psi.generator_matrix, Y)
+        cold = cold_nnls(cone_columns(generators(inst, 0.0)), Y)
         assert (np.abs(-values[values < 0] - cold) <= 1e-12 * (1.0 + np.linalg.norm(Y, axis=1))).all()
 
 
@@ -440,7 +500,7 @@ def test_twin_judgement_psi_matches_cold_projection(capsys, tmp_path):
     exterior = values < 0
     assert exterior.sum() > 50
     Y = X[exterior] - inst.reference
-    cold = nnls(psi.generator_matrix, Y)
+    cold = cold_nnls(cone_columns(generators(inst, 0.0)), Y)
     # nearly parallel columns leave cold solves ~1e-10 apart from warm ones
     assert (np.abs(-values[exterior] - cold) <= 1e-9 * (1.0 + np.linalg.norm(Y, axis=1))).all()
     path = tmp_path / "twin.json"
@@ -476,25 +536,24 @@ def test_twin_judgement_points_near_the_boundary_match_cold_projection(seed):
     Y = np.reshape(Y, (-1, inst.p))
     values = evaluate_batch(psi, inst.reference + Y)
     exterior = values < 0
-    cold = nnls(psi.generator_matrix, Y[exterior])
+    cold = cold_nnls(cone_columns(generators(inst, 0.0)), Y[exterior])
     gap = np.abs(-values[exterior] - cold)
     assert (gap <= 1e-9 * (1.0 + np.linalg.norm(Y[exterior], axis=1))).all()
 
 
 def test_non_pointed_cone_keeps_every_generator(monkeypatch, halfplane_instance):
-    # the cone is x1 + x2 >= 0 around the reference; the nnls call gets all
-    # generator columns and the facet normals, and the exterior value is the
-    # distance
+    # the cone is x1 + x2 >= 0 around the reference; the nnls call gets the
+    # handle's cone record, every generator and the facet normals, and the
+    # exterior value is the distance
     handle = make_psi(halfplane_instance)
-    G = handle.generator_matrix
     assert np.linalg.matrix_rank(handle.facet_cone.facet_normals) < handle.p
     rng = np.random.default_rng(909)
     _exterior_values_match_full_projection(handle, rng, 1e-12)
     X = handle.reference + rng.normal(scale=3.0, size=(200, 2))
     calls = _recorded_nnls(monkeypatch)
     values = evaluate_batch(handle, X)
-    [(every, _, facets)] = calls
-    assert every is G and facets is handle.facet_cone.facet_normals
+    [(cone, _)] = calls
+    assert cone is handle.facet_cone
     exterior = values < 0
     assert exterior.any()
     Y = X[exterior] - handle.reference
